@@ -1,0 +1,65 @@
+"""Byte-identity of the CLI on the corpus.
+
+For every ``programs/*.pf`` and each of ``infer --json``, ``check --json``,
+``fmt`` and ``nitest --json``, the stdout, stderr and exit code of the
+in-process ``cli.main`` must equal the recorded ones in
+``golden_cli.json``. Regenerate the file only for an intended output
+change, with ``PYTHONPATH=src python -m tests.test_golden_cli``.
+"""
+
+import contextlib
+import io
+import json
+import os
+
+from permflow.cli import main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+COMMANDS = (
+    ("infer", "--json"),
+    ("check", "--json"),
+    ("fmt",),
+    ("nitest", "--json"),
+)
+
+
+def _programs() -> list[str]:
+    names = sorted(n for n in os.listdir(os.path.join(ROOT, "programs")) if n.endswith(".pf"))
+    return [f"programs/{n}" for n in names]
+
+
+def _record() -> dict:
+    """Run every command on every corpus file from the repository root."""
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        doc = {}
+        for path in _programs():
+            for cmd in COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([cmd[0], path, *cmd[1:]])
+                doc[" ".join((cmd[0], path, *cmd[1:]))] = {
+                    "exit": code,
+                    "stdout": out.getvalue(),
+                    "stderr": err.getvalue(),
+                }
+        return doc
+    finally:
+        os.chdir(cwd)
+
+
+def test_corpus_cli_output_unchanged():
+    with open(GOLDEN, "r", encoding="utf-8") as fh:
+        expected = json.load(fh)
+    got = _record()
+    assert sorted(got) == sorted(expected)
+    for key in expected:
+        assert got[key] == expected[key], key
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(_record(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
