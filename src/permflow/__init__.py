@@ -31,7 +31,7 @@ from .lattice import (
 from .nitest import NIConfig, NIReport, Violation, indistinguishable, nitest_function, nitest_system
 from .oracle import OracleUnsat, UniverseTooLarge, oracle_solve
 from .parser import ParseError, parse_system
-from .solver import Interval, UnsatError, decompose, merge_bounds, saturate, solve, unify
+from .solver import Interval, UnsatError, decompose, merge_bounds, saturate, solve
 from .system import (
     CheckedSystem,
     RecursiveCall,
@@ -40,7 +40,7 @@ from .system import (
     to_source,
     validate_system,
 )
-from .traces import EPSILON, InconsistentTrace, Trace, TraceFormula, apply_trace, trace_of_set
+from .traces import EPSILON, InconsistentTrace, Trace, apply_trace, trace_of_set
 from .typecheck import CheckReport, TypeViolation, check_function, check_system
 
 __all__ = [
@@ -55,10 +55,10 @@ __all__ = [
     "OracleUnsat", "UniverseTooLarge", "oracle_solve",
     "ParseError", "parse_system",
     "Interval", "UnsatError", "decompose", "merge_bounds", "saturate",
-    "solve", "unify",
+    "solve",
     "CheckedSystem", "RecursiveCall", "System", "ValidationError",
     "to_source", "validate_system",
-    "EPSILON", "InconsistentTrace", "Trace", "TraceFormula", "apply_trace",
+    "EPSILON", "InconsistentTrace", "Trace", "apply_trace",
     "trace_of_set",
     "CheckReport", "TypeViolation", "check_function", "check_system",
 ]

@@ -183,11 +183,6 @@ class FunctionType:
     params: tuple[BaseType, ...]
     ret: BaseType
 
-    def project(self, pset: int) -> "FunctionType":
-        return FunctionType(
-            tuple(t.project(pset) for t in self.params), self.ret.project(pset)
-        )
-
 
 def format_type(t: BaseType, universe: PermUniverse) -> str:
     """Render a base type in the annotation literal syntax.

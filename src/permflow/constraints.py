@@ -19,13 +19,13 @@ from .basetypes import BaseType, embed, merge
 from .syntax import (
     Assign,
     BinOp,
+    Block,
     CallAssign,
     Cmd,
     Expr,
     If,
     IntLit,
     LetVar,
-    Seq,
     Test,
     Var,
     While,
@@ -114,27 +114,28 @@ def term_vars(t: Term) -> set[int]:
     return term_vars(t.term)
 
 
-def eval_term(t: Term, pset: int, subst: dict[int, BaseType], lattice) -> int:
-    """Level of the term at ``pset`` under a (possibly partial) substitution."""
+def eval_term(t: Term, pset: int, tables, lattice) -> int:
+    """Level of the term at ``pset``; ``tables[vid][q]`` is variable ``vid``'s
+    level at permission set ``q`` (a ``BaseType.table`` or a working list)."""
     if isinstance(t, TGround):
         return t.type.at(pset)
     if isinstance(t, TVar):
-        return subst[t.vid].at(pset)
+        return tables[t.vid][pset]
     if isinstance(t, TJoin):
         return lattice.join(
-            eval_term(t.lhs, pset, subst, lattice),
-            eval_term(t.rhs, pset, subst, lattice),
+            eval_term(t.lhs, pset, tables, lattice),
+            eval_term(t.rhs, pset, tables, lattice),
         )
     if isinstance(t, TMeet):
         return lattice.meet(
-            eval_term(t.lhs, pset, subst, lattice),
-            eval_term(t.rhs, pset, subst, lattice),
+            eval_term(t.lhs, pset, tables, lattice),
+            eval_term(t.rhs, pset, tables, lattice),
         )
     if isinstance(t, TMerge):
         branch = t.then if pset >> t.perm & 1 else t.els
-        return eval_term(branch, pset, subst, lattice)
+        return eval_term(branch, pset, tables, lattice)
     if isinstance(t, TProj):
-        return eval_term(t.term, t.pset, subst, lattice)
+        return eval_term(t.term, t.pset, tables, lattice)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -167,16 +168,13 @@ def generalize(constraints) -> list[GenConstraint]:
     return out
 
 
-def constraint_holds(c, subst: dict[int, BaseType], lattice, nperms: int) -> bool:
-    return constraint_witness(c, subst, lattice, nperms) is None
-
-
 def constraint_witness(c, subst: dict[int, BaseType], lattice, nperms: int) -> int | None:
     """Permission set where the constraint fails under ``subst``, if any."""
     gc = c if isinstance(c, GenConstraint) else GenConstraint(c.guard, c.lhs, c.guard, c.rhs)
+    tables = {v: subst[v].table for v in term_vars(gc.lhs) | term_vars(gc.rhs)}
     for q in range(1 << nperms):
-        vl = eval_term(gc.lhs, gc.lguard.remap(q), subst, lattice)
-        vr = eval_term(gc.rhs, gc.rguard.remap(q), subst, lattice)
+        vl = eval_term(gc.lhs, gc.lguard.remap(q), tables, lattice)
+        vr = eval_term(gc.rhs, gc.rguard.remap(q), tables, lattice)
         if not lattice.leq(vl, vr):
             return q
     return None
@@ -302,10 +300,17 @@ def _gen_cmd(gamma, trace, app, c: Cmd, csys, signatures, supply, out, fun) -> T
             out.append(Constraint(trace, s, tproj(pt, theta_a)))
         out.append(Constraint(trace, tproj(sig.ret, theta_a), gamma[c.name]))
         return gamma[c.name]
-    if isinstance(c, Seq):
-        t1 = _gen_cmd(gamma, trace, app, c.first, csys, signatures, supply, out, fun)
-        t2 = _gen_cmd(gamma, trace, app, c.second, csys, signatures, supply, out, fun)
-        return tmeet(t1, t2)
+    if isinstance(c, Block):
+        # Meet is idempotent: folding only the distinct member terms keeps
+        # the effect term's depth at the number of variables written.
+        terms = list(dict.fromkeys(
+            _gen_cmd(gamma, trace, app, m, csys, signatures, supply, out, fun)
+            for m in c.cmds
+        ))
+        effect = terms[0]
+        for t in terms[1:]:
+            effect = tmeet(effect, t)
+        return effect
     if isinstance(c, If):
         te = _gen_expr(gamma, trace, c.cond, csys)
         t1 = _gen_cmd(gamma, trace, app, c.then, csys, signatures, supply, out, fun)

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 from .syntax import (
     Assign,
     BinOp,
+    Block,
     CallAssign,
     Cmd,
     Expr,
     If,
     IntLit,
     LetVar,
-    Seq,
     Test,
     Var,
     While,
@@ -99,9 +99,10 @@ def exec_cmd(env: dict[str, int], ctx: ExecContext, c: Cmd, sys: System) -> dict
         args = [eval_expr(env, a, sys, ctx.fuel) for a in c.args]
         env[c.name] = _invoke(sys, c.target, args, sys.theta[ctx.app], ctx.fuel)
         return env
-    if isinstance(c, Seq):
-        exec_cmd(env, ctx, c.first, sys)
-        return exec_cmd(env, ctx, c.second, sys)
+    if isinstance(c, Block):
+        for m in c.cmds:
+            exec_cmd(env, ctx, m, sys)
+        return env
     if isinstance(c, If):
         v = eval_expr(env, c.cond, sys, ctx.fuel)
         return exec_cmd(env, ctx, c.then if v != 0 else c.els, sys)

@@ -6,7 +6,7 @@ is a table lookup, so a loaded lattice answers leq/join/meet in O(1).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 MAX_LEVELS = 64
 
@@ -83,18 +83,6 @@ class Lattice:
     def meet(self, a: int, b: int) -> int:
         return self._meet[a][b]
 
-    def join_all(self, levels: Iterable[int]) -> int:
-        out = self.bottom
-        for l in levels:
-            out = self._join[out][l]
-        return out
-
-    def meet_all(self, levels: Iterable[int]) -> int:
-        out = self.top
-        for l in levels:
-            out = self._meet[out][l]
-        return out
-
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (a, b) with a < b and nothing strictly between."""
         out = []
@@ -124,7 +112,7 @@ def load_lattice(names: Sequence[str], order: Sequence[tuple[str, str]]) -> Latt
         raise NotALattice(f"too many levels ({len(names)} > {MAX_LEVELS})")
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
-        raise NotALattice(f"duplicate level name {name_repr(dup)}")
+        raise NotALattice(f"duplicate level name {dup!r}")
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
 
@@ -133,9 +121,9 @@ def load_lattice(names: Sequence[str], order: Sequence[tuple[str, str]]) -> Latt
         leq[i][i] = True
     for lo, hi in order:
         if lo not in index:
-            raise UnknownLevelName(f"unknown level name {name_repr(lo)} in order")
+            raise UnknownLevelName(f"unknown level name {lo!r} in order")
         if hi not in index:
-            raise UnknownLevelName(f"unknown level name {name_repr(hi)} in order")
+            raise UnknownLevelName(f"unknown level name {hi!r} in order")
         leq[index[lo]][index[hi]] = True
 
     # Warshall closure.
@@ -189,7 +177,3 @@ def load_lattice(names: Sequence[str], order: Sequence[tuple[str, str]]) -> Latt
         bottom,
         top,
     )
-
-
-def name_repr(name: str) -> str:
-    return repr(name)

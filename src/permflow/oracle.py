@@ -7,8 +7,9 @@ right-hand side is raised just enough to cover the left. All term forms
 are monotone in the unknowns, so the iteration reaches the least solution;
 a ground upper bound violated at the fixpoint refutes the set.
 
-This deliberately shares nothing with the symbolic pipeline beyond the
-term evaluator's shape.
+It shares only the term evaluator, and the constraint check built on it,
+with the symbolic pipeline. The checker solves letvar locals with the same
+fixpoint.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from .basetypes import BaseType
 from .constraints import (
     GenConstraint,
     TGround,
-    TJoin,
     TMeet,
     TMerge,
     TProj,
     TVar,
+    constraint_witness,
+    eval_term,
     generalize,
+    term_vars,
 )
 from .lattice import Lattice
 
@@ -42,33 +45,10 @@ class OracleUnsat(Exception):
         self.witness = witness
 
 
-def _eval(term, pset: int, tables, lattice) -> int:
-    if isinstance(term, TGround):
-        return term.type.at(pset)
-    if isinstance(term, TVar):
-        return tables[term.vid][pset]
-    if isinstance(term, TJoin):
-        return lattice.join(
-            _eval(term.lhs, pset, tables, lattice),
-            _eval(term.rhs, pset, tables, lattice),
-        )
-    if isinstance(term, TMeet):
-        return lattice.meet(
-            _eval(term.lhs, pset, tables, lattice),
-            _eval(term.rhs, pset, tables, lattice),
-        )
-    if isinstance(term, TMerge):
-        branch = term.then if pset >> term.perm & 1 else term.els
-        return _eval(branch, pset, tables, lattice)
-    if isinstance(term, TProj):
-        return _eval(term.term, term.pset, tables, lattice)
-    raise TypeError(f"not a term: {term!r}")
-
-
 def _raise_to(term, pset: int, level: int, tables, lattice) -> bool:
     """Raise variables under ``term`` so its value at ``pset`` covers ``level``."""
     if isinstance(term, TGround):
-        return False  # a cap; the final pass reports violations
+        return False  # a cap; violations are reported once the fixpoint is reached
     if isinstance(term, TVar):
         old = tables[term.vid][pset]
         new = lattice.join(old, level)
@@ -88,17 +68,26 @@ def _raise_to(term, pset: int, level: int, tables, lattice) -> bool:
     raise TypeError(f"join cannot appear on the right of a constraint: {term!r}")
 
 
-def _collect_vars(term, out: set[int]) -> None:
-    if isinstance(term, TVar):
-        out.add(term.vid)
-    elif isinstance(term, (TJoin, TMeet)):
-        _collect_vars(term.lhs, out)
-        _collect_vars(term.rhs, out)
-    elif isinstance(term, TMerge):
-        _collect_vars(term.then, out)
-        _collect_vars(term.els, out)
-    elif isinstance(term, TProj):
-        _collect_vars(term.term, out)
+def least_fixpoint(
+    gens: list[GenConstraint], vids, lattice: Lattice, nperms: int
+) -> dict[int, BaseType]:
+    """Least types for ``vids`` meeting every lower bound of ``gens``.
+
+    Upper bounds that stay violated at the fixpoint are left to the caller.
+    """
+    size = 1 << nperms
+    tables = {v: [lattice.bottom] * size for v in vids}
+    changed = True
+    while changed:
+        changed = False
+        for gc in gens:
+            for q in range(size):
+                vl = eval_term(gc.lhs, gc.lguard.remap(q), tables, lattice)
+                rp = gc.rguard.remap(q)
+                if not lattice.leq(vl, eval_term(gc.rhs, rp, tables, lattice)):
+                    if _raise_to(gc.rhs, rp, vl, tables, lattice):
+                        changed = True
+    return {v: BaseType(lattice, nperms, tuple(tbl)) for v, tbl in tables.items()}
 
 
 def oracle_solve(
@@ -115,30 +104,10 @@ def oracle_solve(
     gens = generalize(constraints)
     vids: set[int] = set(requested)
     for gc in gens:
-        _collect_vars(gc.lhs, vids)
-        _collect_vars(gc.rhs, vids)
-
-    size = 1 << nperms
-    tables = {v: [lattice.bottom] * size for v in vids}
-
-    changed = True
-    while changed:
-        changed = False
-        for gc in gens:
-            for q in range(size):
-                vl = _eval(gc.lhs, gc.lguard.remap(q), tables, lattice)
-                rp = gc.rguard.remap(q)
-                if not lattice.leq(vl, _eval(gc.rhs, rp, tables, lattice)):
-                    if _raise_to(gc.rhs, rp, vl, tables, lattice):
-                        changed = True
-
+        vids |= term_vars(gc.lhs) | term_vars(gc.rhs)
+    solution = least_fixpoint(gens, vids, lattice, nperms)
     for gc in gens:
-        for q in range(size):
-            vl = _eval(gc.lhs, gc.lguard.remap(q), tables, lattice)
-            vr = _eval(gc.rhs, gc.rguard.remap(q), tables, lattice)
-            if not lattice.leq(vl, vr):
-                raise OracleUnsat(gc, q)
-
-    return {
-        v: BaseType(lattice, nperms, tuple(tbl)) for v, tbl in tables.items()
-    }
+        q = constraint_witness(gc, solution, lattice, nperms)
+        if q is not None:
+            raise OracleUnsat(gc, q)
+    return solution

@@ -11,6 +11,10 @@ blocks use braces, and the command forms are::
 A base type annotation is either a bare level name (a constant type) or a
 literal like ``{ {p,q}: H, {p}: l1, _: L }`` where ``_`` supplies the level
 for every unlisted permission set.
+
+Nesting is bounded by ``MAX_DEPTH`` so that every recursive pass over the
+tree stays far below Python's recursion limit; a deeper input is a
+ParseError.
 """
 
 from __future__ import annotations
@@ -30,13 +34,19 @@ from .syntax import (
     If,
     IntLit,
     LetVar,
-    Seq,
     Span,
     Test,
     Var,
     While,
+    block,
 )
 from .system import System
+
+# Deepest nesting the parser accepts. Each command, each brace block that
+# is not the branch of a compound command, each parenthesis pair and each
+# binary operator counts one level; a command's own level covers the
+# expressions directly in it.
+MAX_DEPTH = 100
 
 KEYWORDS = {
     "lattice", "levels", "order", "permissions", "app", "perms", "const",
@@ -108,6 +118,7 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
         self.lattice: Lattice | None = None
         self.universe: PermUniverse | None = None
 
@@ -136,6 +147,12 @@ class Parser:
             raise ParseError(f"expected {text!r}, got {got!r}", tok.span)
         return self.next()
 
+    def descend(self, tok: Token) -> None:
+        """Enter one nesting level; the caller restores ``depth`` on exit."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", tok.span)
+
     def ident(self, what: str = "name") -> Token:
         tok = self.peek()
         if tok.kind != "ident" or tok.text in KEYWORDS:
@@ -163,7 +180,7 @@ class Parser:
         fun_order: list[str] = []
         while not self.peek().kind == "eof":
             self._parse_app(theta, fd, ft, constants, app_order, fun_order)
-        sys = System(
+        return System(
             self.lattice,
             self.universe,
             theta,
@@ -173,8 +190,6 @@ class Parser:
             tuple(app_order),
             tuple(fun_order),
         )
-        self._resolve_calls(sys)
-        return sys
 
     def _parse_lattice(self) -> None:
         kw = self.expect("lattice")
@@ -349,28 +364,29 @@ class Parser:
                 f"function returns {got.text!r} but initializes {ret_var!r}", got.span
             )
         self.accept(";")
-        body = None
-        for c in cmds:
-            body = c if body is None else Seq(body, c, c.span)
-        return body
+        return block(cmds) if cmds else None
 
     def _parse_cmd(self) -> Cmd:
         tok = self.peek()
+        self.descend(tok)
+        c = self._parse_cmd_form(tok)
+        self.depth -= 1
+        return c
+
+    def _parse_cmd_form(self, tok: Token) -> Cmd:
         if self.accept("{"):
-            inner = self._parse_cmd_seq()
-            self.expect("}")
-            return inner
+            return self._parse_cmd_seq()
         if self.accept("if"):
             cond = self._parse_expr()
             self.expect("then")
-            then = self._parse_cmd()
+            then = self._parse_branch()
             self.expect("else")
-            els = self._parse_cmd()
+            els = self._parse_branch()
             return If(cond, then, els, tok.span)
         if self.accept("while"):
             cond = self._parse_expr()
             self.expect("do")
-            body = self._parse_cmd()
+            body = self._parse_branch()
             return While(cond, body, tok.span)
         if self.accept("test"):
             self.expect("(")
@@ -378,16 +394,16 @@ class Parser:
             if perm.text not in self.universe.names:
                 raise UnknownReference(f"unknown permission {perm.text!r}", perm.span)
             self.expect(")")
-            then = self._parse_cmd()
+            then = self._parse_branch()
             self.expect("else")
-            els = self._parse_cmd()
+            els = self._parse_branch()
             return Test(perm.text, then, els, tok.span)
         if self.accept("letvar"):
             name = self.ident("variable name")
             self.expect("=")
             init = self._parse_expr()
             self.expect("in")
-            body = self._parse_cmd()
+            body = self._parse_branch()
             return LetVar(name.text, init, body, tok.span)
         name = self.ident("variable name")
         self.expect(":=")
@@ -405,16 +421,20 @@ class Parser:
             return CallAssign(name.text, app.text, fun.text, tuple(args), tok.span)
         return Assign(name.text, self._parse_expr(), tok.span)
 
+    def _parse_branch(self) -> Cmd:
+        """A branch of a compound command. Braces here, which the printer
+        always writes, add no nesting level, so printing keeps the depth."""
+        return self._parse_cmd_seq() if self.accept("{") else self._parse_cmd()
+
     def _parse_cmd_seq(self) -> Cmd:
+        """The members of a brace block, up to and including the ``}``."""
         cmds = [self._parse_cmd()]
         while self.accept(";"):
             if self.at("}"):
                 break
             cmds.append(self._parse_cmd())
-        body = cmds[0]
-        for c in cmds[1:]:
-            body = Seq(body, c, c.span)
-        return body
+        self.expect("}")
+        return block(cmds)
 
     # expressions
 
@@ -423,22 +443,30 @@ class Parser:
         tok = self.peek()
         if tok.text in ("==", "<"):
             self.next()
+            self.descend(tok)
             rhs = self._parse_add()
+            self.depth -= 1
             return BinOp(tok.text, lhs, rhs, tok.span)
         return lhs
 
     def _parse_add(self) -> Expr:
+        outer = self.depth
         e = self._parse_mul()
         while self.peek().text in ("+", "-") and self.peek().kind == "op":
             op = self.next()
+            self.descend(op)
             e = BinOp(op.text, e, self._parse_mul(), op.span)
+        self.depth = outer
         return e
 
     def _parse_mul(self) -> Expr:
+        outer = self.depth
         e = self._parse_atom()
         while self.at("*"):
             op = self.next()
+            self.descend(op)
             e = BinOp(op.text, e, self._parse_atom(), op.span)
+        self.depth = outer
         return e
 
     def _parse_atom(self) -> Expr:
@@ -450,8 +478,10 @@ class Parser:
             self.next()
             return Var(tok.text, tok.span)
         if self.accept("("):
+            self.descend(tok)
             e = self._parse_expr()
             self.expect(")")
+            self.depth -= 1
             return e
         raise ParseError(f"expected expression, got {tok.text!r}", tok.span)
 
@@ -514,35 +544,6 @@ class Parser:
         if tok.text not in self.lattice.names:
             raise UnknownReference(f"unknown level {tok.text!r}", tok.span)
         return self.lattice.level(tok.text)
-
-    # cross-references
-
-    def _resolve_calls(self, sys: System) -> None:
-        for qname in sys.fun_order:
-            decl = sys.fd[qname]
-
-            def walk(c):
-                if c is None:
-                    return
-                if isinstance(c, CallAssign):
-                    if c.target not in sys.fd:
-                        raise UnknownReference(
-                            f"call to unknown function {c.target}", c.span
-                        )
-                    if c.app not in sys.theta:
-                        raise UnknownReference(f"unknown app {c.app!r}", c.span)
-                elif isinstance(c, Seq):
-                    walk(c.first)
-                    walk(c.second)
-                elif isinstance(c, (If, Test)):
-                    walk(c.then)
-                    walk(c.els)
-                elif isinstance(c, While):
-                    walk(c.body)
-                elif isinstance(c, LetVar):
-                    walk(c.body)
-
-            walk(decl.body)
 
 
 def parse_system(text: str) -> System:

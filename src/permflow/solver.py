@@ -1,4 +1,4 @@
-"""Symbolic constraint solving: decompose, saturate, merge, unify.
+"""Symbolic constraint solving: decompose, saturate, sweep.
 
 The pipeline works on generalized constraints (each side guarded by its own
 trace) and reduces everything to atoms relating a variable or ground type
@@ -293,7 +293,7 @@ def _split_var(atoms, vid, ctx: _Ctx, lattice, nperms) -> list[GenConstraint]:
     return out
 
 
-# -------------------------------------------------------------- merge/unify
+# -------------------------------------------------------------------- sweep
 
 def _bound_roles(atoms):
     """Assign every atom to the variable it bounds.
@@ -403,25 +403,6 @@ def merge_bounds(
     vids = {v for a in atoms for v in term_vars(a.lhs) | term_vars(a.rhs)}
     _, intervals = _sweep(atoms, lattice, nperms, vids)
     return intervals
-
-
-def unify(intervals: list[Interval], lattice: Lattice, nperms: int) -> dict[int, BaseType]:
-    """Least substitution from a guard-disjoint interval family.
-
-    Residual slack variables take the lattice bottom, so each cell
-    contributes its lower bound.
-    """
-    by_var: dict[int, list[Interval]] = {}
-    for iv in intervals:
-        by_var.setdefault(iv.var, []).append(iv)
-    theta = {}
-    for vid, ivs in by_var.items():
-        table = []
-        for pset in range(1 << nperms):
-            cell = next(iv for iv in ivs if iv.guard.entailed_by(pset))
-            table.append(lattice.meet(cell.lo.at(pset), cell.hi.at(pset)))
-        theta[vid] = BaseType(lattice, nperms, tuple(table))
-    return theta
 
 
 # -------------------------------------------------------------------- solve

@@ -7,7 +7,7 @@ parse/print round-trip can be checked with plain ==.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 from .basetypes import BaseType, FunctionType, PermUniverse, format_type
 
@@ -85,9 +85,11 @@ class While:
 
 
 @dataclass(frozen=True)
-class Seq:
-    first: "Cmd"
-    second: "Cmd"
+class Block:
+    """``c1; ...; cn`` run in order; the parser builds only flat blocks of
+    two or more members (see :func:`block`)."""
+
+    cmds: tuple["Cmd", ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
@@ -107,7 +109,46 @@ class Test:
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-Cmd = Union[Assign, CallAssign, If, While, Seq, LetVar, Test]
+Cmd = Union[Assign, CallAssign, If, While, Block, LetVar, Test]
+
+
+def block(cmds: list[Cmd]) -> Cmd:
+    """Sequence ``cmds`` into one flat block, splicing in nested blocks.
+
+    A single command stands for itself. The block's span is its last
+    member's.
+    """
+    flat: list[Cmd] = []
+    for c in cmds:
+        if isinstance(c, Block):
+            flat.extend(c.cmds)
+        else:
+            flat.append(c)
+    if len(flat) == 1:
+        return flat[0]
+    return Block(tuple(flat), flat[-1].span)
+
+
+def _children(c: Cmd) -> tuple[Cmd, ...]:
+    if isinstance(c, Block):
+        return c.cmds
+    if isinstance(c, (If, Test)):
+        return (c.then, c.els)
+    if isinstance(c, (While, LetVar)):
+        return (c.body,)
+    return ()
+
+
+def subcommands(c: Cmd | None) -> Iterator[Cmd]:
+    """``c`` and every command nested in it, in source order.
+
+    Iterative, so nesting depth costs no Python stack.
+    """
+    stack = [] if c is None else [c]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
 
 
 @dataclass(frozen=True)
@@ -161,8 +202,8 @@ def format_cmd(c: Cmd, indent: int) -> str:
     if isinstance(c, CallAssign):
         args = ", ".join(format_expr(a) for a in c.args)
         return f"{pad}{c.name} := call {c.app}.{c.fun}({args})"
-    if isinstance(c, Seq):
-        return f"{format_cmd(c.first, indent)};\n{format_cmd(c.second, indent)}"
+    if isinstance(c, Block):
+        return ";\n".join(format_cmd(m, indent) for m in c.cmds)
     if isinstance(c, If):
         return (
             f"{pad}if {format_expr(c.cond)} then {{\n"

@@ -17,6 +17,7 @@ from .lattice import Lattice
 from .syntax import (
     Assign,
     BinOp,
+    Block,
     CallAssign,
     Cmd,
     ConstDecl,
@@ -25,12 +26,12 @@ from .syntax import (
     If,
     IntLit,
     LetVar,
-    Seq,
     Span,
     Test,
     Var,
     While,
     format_fun,
+    subcommands,
 )
 
 
@@ -76,28 +77,6 @@ class CheckedSystem:
 
     def __getattr__(self, item):
         return getattr(self.system, item)
-
-
-def _callees(c: Cmd | None) -> list[CallAssign]:
-    out: list[CallAssign] = []
-
-    def walk(node):
-        if isinstance(node, CallAssign):
-            out.append(node)
-        elif isinstance(node, Seq):
-            walk(node.first)
-            walk(node.second)
-        elif isinstance(node, (If, Test)):
-            walk(node.then)
-            walk(node.els)
-        elif isinstance(node, While):
-            walk(node.body)
-        elif isinstance(node, LetVar):
-            walk(node.body)
-
-    if c is not None:
-        walk(c)
-    return out
 
 
 def _free_expr_vars(e: Expr) -> set[str]:
@@ -166,9 +145,9 @@ def _validate_function(sys: System, decl: FunDecl) -> None:
                 )
             for a in c.args:
                 check_expr(a, scope)
-        elif isinstance(c, Seq):
-            walk(c.first, scope, tested)
-            walk(c.second, scope, tested)
+        elif isinstance(c, Block):
+            for m in c.cmds:
+                walk(m, scope, tested)
         elif isinstance(c, If):
             check_expr(c.cond, scope)
             walk(c.then, scope, tested)
@@ -211,7 +190,10 @@ def _validate_function(sys: System, decl: FunDecl) -> None:
 
 def _ranks(sys: System) -> tuple[dict[str, int], list[str]]:
     """Call ranks per the no-recursion assumption, plus a callee-first order."""
-    edges = {q: sorted({c.target for c in _callees(sys.fd[q].body)}) for q in sys.fun_order}
+    edges = {
+        q: sorted({c.target for c in subcommands(sys.fd[q].body) if isinstance(c, CallAssign)})
+        for q in sys.fun_order
+    }
 
     state: dict[str, int] = {}  # 1 = on stack, 2 = done
     rank: dict[str, int] = {}
@@ -229,12 +211,12 @@ def _ranks(sys: System) -> tuple[dict[str, int], list[str]]:
             )
         state[q] = 1
         stack.append(q)
+        # rank of a function is the rank of its body; calls add one level.
         r = 0
         for callee in edges[q]:
             visit(callee)
             r = max(r, rank[callee] + 1)
-        # rank of a function is the rank of its body; calls add one level.
-        rank[q] = _cmd_rank(sys.fd[q].body, rank)
+        rank[q] = r
         stack.pop()
         state[q] = 2
         topo.append(q)
@@ -242,24 +224,6 @@ def _ranks(sys: System) -> tuple[dict[str, int], list[str]]:
     for q in sys.fun_order:
         visit(q)
     return rank, topo
-
-
-def _cmd_rank(c: Cmd | None, rank: dict[str, int]) -> int:
-    if c is None:
-        return 0
-    if isinstance(c, Assign):
-        return 0
-    if isinstance(c, CallAssign):
-        return rank[c.target] + 1
-    if isinstance(c, Seq):
-        return max(_cmd_rank(c.first, rank), _cmd_rank(c.second, rank))
-    if isinstance(c, (If, Test)):
-        return max(_cmd_rank(c.then, rank), _cmd_rank(c.els, rank))
-    if isinstance(c, While):
-        return _cmd_rank(c.body, rank)
-    if isinstance(c, LetVar):
-        return _cmd_rank(c.body, rank)
-    raise TypeError(f"not a command: {c!r}")
 
 
 def to_source(sys: System, ft_override: dict[str, FunctionType] | None = None) -> str:

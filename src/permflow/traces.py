@@ -1,14 +1,10 @@
-"""Permission traces and trace formulas.
+"""Permission traces.
 
 A trace records the signed permissions accumulated from enclosing permission
 tests: positively checked permissions in ``pos``, negatively checked ones in
 ``neg``. Order and repetition are irrelevant for consistent traces, so the
 two bitmasks are a canonical form; applying a trace to a base type re-indexes
 it through P -> (P | pos) & ~neg.
-
-A trace formula is a DNF over traces. The authoritative semantics is the
-denotation bitset (which permission sets entail the formula); the disjunct
-list mirrors the symbolic manipulation.
 """
 
 from __future__ import annotations
@@ -68,22 +64,6 @@ class Trace:
     def compatible(self, other: "Trace") -> bool:
         return not (self.pos & other.neg or self.neg & other.pos)
 
-    def conjoin(self, other: "Trace") -> "Trace | None":
-        if not self.compatible(other):
-            return None
-        return Trace(self.pos | other.pos, self.neg | other.neg)
-
-    def negated_literals(self) -> list["Trace"]:
-        """One single-literal trace per flipped literal (the DNF of the negation)."""
-        out = []
-        for i in range(self.pos.bit_length()):
-            if self.pos >> i & 1:
-                out.append(Trace(0, 1 << i))
-        for i in range(self.neg.bit_length()):
-            if self.neg >> i & 1:
-                out.append(Trace(1 << i, 0))
-        return out
-
     def format(self, names: tuple[str, ...]) -> str:
         parts = []
         for i, name in enumerate(names):
@@ -112,86 +92,6 @@ def apply_trace(t: BaseType, trace: Trace) -> BaseType:
         t.nperms,
         tuple(t.table[trace.remap(p)] for p in range(len(t.table))),
     )
-
-
-def entails(pset: int, trace: Trace) -> bool:
-    return trace.entailed_by(pset)
-
-
-@dataclass(frozen=True)
-class TraceFormula:
-    """Disjunction of consistent traces."""
-
-    disjuncts: tuple[Trace, ...]
-
-    @staticmethod
-    def true() -> "TraceFormula":
-        return TraceFormula((EPSILON,))
-
-    @staticmethod
-    def false() -> "TraceFormula":
-        return TraceFormula(())
-
-    @staticmethod
-    def of(trace: Trace) -> "TraceFormula":
-        return TraceFormula((trace,))
-
-    def denotation(self, nperms: int) -> int:
-        """Bitset over permission sets: bit P is set iff P entails the formula."""
-        bits = 0
-        for pset in range(1 << nperms):
-            if any(d.entailed_by(pset) for d in self.disjuncts):
-                bits |= 1 << pset
-        return bits
-
-    def sat(self, nperms: int) -> bool:
-        return self.denotation(nperms) != 0
-
-
-def formula_and(a: TraceFormula, b: TraceFormula) -> TraceFormula:
-    out = []
-    for da in a.disjuncts:
-        for db in b.disjuncts:
-            c = da.conjoin(db)
-            if c is not None and c not in out:
-                out.append(c)
-    return TraceFormula(tuple(out))
-
-
-def formula_or(a: TraceFormula, b: TraceFormula) -> TraceFormula:
-    out = list(a.disjuncts)
-    for d in b.disjuncts:
-        if d not in out:
-            out.append(d)
-    return TraceFormula(tuple(out))
-
-
-def formula_neg(a: TraceFormula) -> TraceFormula:
-    """Negate and redistribute to DNF."""
-    result = TraceFormula.true()
-    for d in a.disjuncts:
-        result = formula_and(result, TraceFormula(tuple(d.negated_literals())))
-    return result
-
-
-def neg_dnf(trace: Trace) -> TraceFormula:
-    return TraceFormula(tuple(trace.negated_literals()))
-
-
-def trace_and(a: Trace, b: Trace) -> TraceFormula:
-    c = a.conjoin(b)
-    return TraceFormula(()) if c is None else TraceFormula((c,))
-
-
-def trace_diff(a: Trace, b: Trace) -> Trace:
-    """The CS-LU difference: literals of a ∧ b missing from b."""
-    return a.diff(b)
-
-
-def trace_sat(value, nperms: int) -> bool:
-    if isinstance(value, Trace):
-        return True  # a constructed trace is consistent, hence satisfiable
-    return value.sat(nperms)
 
 
 def minterms(support: int) -> list[Trace]:

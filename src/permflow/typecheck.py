@@ -16,20 +16,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .basetypes import BaseType, embed, merge
+from .constraints import (
+    Constraint,
+    FunSignature,
+    TGround,
+    VarSupply,
+    _gen_cmd,
+    generalize,
+)
+from .oracle import least_fixpoint
 from .syntax import (
     Assign,
     BinOp,
+    Block,
     CallAssign,
     Cmd,
     Expr,
     If,
     IntLit,
     LetVar,
-    Seq,
     Span,
     Test,
     Var,
     While,
+    subcommands,
 )
 from .system import CheckedSystem
 from .traces import EPSILON, Trace, apply_trace
@@ -69,10 +79,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return all(v.ok for v in self.verdicts)
-
-
-def partial_leq(s: BaseType, t: BaseType, trace: Trace) -> bool:
-    return apply_trace(s, trace).leq(apply_trace(t, trace))
 
 
 def partial_leq_witness(s: BaseType, t: BaseType, trace: Trace) -> int | None:
@@ -115,18 +121,6 @@ def type_expr_trace(gamma: dict[str, BaseType], trace: Trace, e: Expr, csys: Che
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _has_letvar(c: Cmd) -> bool:
-    if isinstance(c, LetVar):
-        return True
-    if isinstance(c, Seq):
-        return _has_letvar(c.first) or _has_letvar(c.second)
-    if isinstance(c, (If, Test)):
-        return _has_letvar(c.then) or _has_letvar(c.els)
-    if isinstance(c, While):
-        return _has_letvar(c.body)
-    return False
-
-
 def _local_least_types(
     gamma: dict[str, BaseType],
     trace: Trace,
@@ -143,85 +137,27 @@ def _local_least_types(
     over exactly those conditions (upper bounds are left to the subsequent
     trace-rule walk, which reports the first violated one).
     """
-    from .constraints import (
-        Constraint,
-        FunSignature,
-        TGround,
-        TJoin,
-        TMeet,
-        TMerge,
-        TProj,
-        TVar,
-        VarSupply,
-        _gen_cmd,
-    )
-
-    supply = VarSupply()
+    called = {n.target for n in subcommands(c) if isinstance(n, CallAssign)}
     sigs = {
         q: FunSignature(
             tuple(TGround(t) for t in csys.ft[q].params),
             TGround(csys.ft[q].ret),
             (),
         )
-        for q in csys.fd
+        for q in called
         if csys.ft[q] is not None
     }
+    supply = VarSupply()
     term_gamma = {name: TGround(t) for name, t in gamma.items()}
     out: list[Constraint] = []
     _gen_cmd(term_gamma, trace, app, c, csys, sigs, supply, out, fun)
-
-    lat = csys.lattice
-    size = 1 << csys.universe.count
-    tables = {info.vid: [lat.bottom] * size for info in supply.infos}
-
-    def eval_term(term, pset):
-        if isinstance(term, TGround):
-            return term.type.at(pset)
-        if isinstance(term, TVar):
-            return tables[term.vid][pset]
-        if isinstance(term, TJoin):
-            return lat.join(eval_term(term.lhs, pset), eval_term(term.rhs, pset))
-        if isinstance(term, TMeet):
-            return lat.meet(eval_term(term.lhs, pset), eval_term(term.rhs, pset))
-        if isinstance(term, TMerge):
-            return eval_term(term.then if pset >> term.perm & 1 else term.els, pset)
-        return eval_term(term.term, term.pset)
-
-    def raise_to(term, pset, level) -> bool:
-        if isinstance(term, TGround):
-            return False  # a cap; the trace-rule walk reports violations
-        if isinstance(term, TVar):
-            old = tables[term.vid][pset]
-            new = lat.join(old, level)
-            tables[term.vid][pset] = new
-            return new != old
-        if isinstance(term, TMeet):
-            a = raise_to(term.lhs, pset, level)
-            b = raise_to(term.rhs, pset, level)
-            return a or b
-        if isinstance(term, TMerge):
-            branch = term.then if pset >> term.perm & 1 else term.els
-            return raise_to(branch, pset, level)
-        if isinstance(term, TProj):
-            return raise_to(term.term, term.pset, level)
-        raise TypeError(f"unexpected bound shape {term!r}")
-
-    changed = True
-    while changed:
-        changed = False
-        for con in out:
-            for q in range(size):
-                vl = eval_term(con.lhs, con.guard.remap(q))
-                rp = con.guard.remap(q)
-                if not lat.leq(vl, eval_term(con.rhs, rp)):
-                    if raise_to(con.rhs, rp, vl):
-                        changed = True
-
-    n = csys.universe.count
-    return {
-        supply.info(vid).name: BaseType(lat, n, tuple(tbl))
-        for vid, tbl in tables.items()
-    }
+    solution = least_fixpoint(
+        generalize(out),
+        [info.vid for info in supply.infos],
+        csys.lattice,
+        csys.universe.count,
+    )
+    return {supply.info(vid).name: t for vid, t in solution.items()}
 
 
 def check_cmd_trace(
@@ -238,7 +174,7 @@ def check_cmd_trace(
         # Solve the letvar locals over the whole command: their bounds come
         # from anywhere in it (guards of enclosing loops included).
         locals_map = {}
-        if _has_letvar(c):
+        if any(isinstance(n, LetVar) for n in subcommands(c)):
             try:
                 locals_map = _local_least_types(gamma, trace, app, c, csys, fun)
             except KeyError:
@@ -286,10 +222,11 @@ def check_cmd_trace(
                 witness=w,
             )
         return gamma[c.name]
-    if isinstance(c, Seq):
-        t1 = check_cmd_trace(gamma, trace, app, c.first, csys, fun, locals_map)
-        t2 = check_cmd_trace(gamma, trace, app, c.second, csys, fun, locals_map)
-        return t1.meet(t2)
+    if isinstance(c, Block):
+        effect = check_cmd_trace(gamma, trace, app, c.cmds[0], csys, fun, locals_map)
+        for m in c.cmds[1:]:
+            effect = effect.meet(check_cmd_trace(gamma, trace, app, m, csys, fun, locals_map))
+        return effect
     if isinstance(c, If):
         t = type_expr_trace(gamma, trace, c.cond, csys)
         t1 = check_cmd_trace(gamma, trace, app, c.then, csys, fun, locals_map)

@@ -16,12 +16,12 @@ from permflow.basetypes import BaseType, embed, merge
 from permflow.syntax import (
     Assign,
     BinOp,
+    Block,
     Cmd,
     Expr,
     If,
     IntLit,
     LetVar,
-    Seq,
     Test,
     Var,
     While,
@@ -77,10 +77,8 @@ class DeclarativeSearch:
     def _cmd_base(self, gamma, c, t) -> bool:
         if isinstance(c, Assign):
             return t == gamma[c.name] and self.expr_has_type(gamma, c.expr, gamma[c.name])
-        if isinstance(c, Seq):
-            return self.cmd_has_type(gamma, c.first, t) and self.cmd_has_type(
-                gamma, c.second, t
-            )
+        if isinstance(c, Block):
+            return all(self.cmd_has_type(gamma, m, t) for m in c.cmds)
         if isinstance(c, If):
             return (
                 self.expr_has_type(gamma, c.cond, t)

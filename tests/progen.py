@@ -15,13 +15,13 @@ from permflow.basetypes import PermUniverse, embed
 from permflow.syntax import (
     Assign,
     BinOp,
+    Block,
     CallAssign,
     ConstDecl,
     FunDecl,
     If,
     IntLit,
     LetVar,
-    Seq,
     Test,
     Var,
 )
@@ -62,10 +62,10 @@ class _Gen:
                 return CallAssign(target, callee.app, callee.name, args)
             return Assign(target, self.expr(scope, consts, rnd.randint(0, 2)))
         if roll < 0.55:
-            return Seq(
+            return Block((
                 self.cmd(scope, consts, callables, tested, depth - 1),
                 self.cmd(scope, consts, callables, tested, depth - 1),
-            )
+            ))
         if roll < 0.7:
             return If(
                 self.expr(scope, consts, 1),

@@ -8,7 +8,7 @@ from permflow.constraints import (
     TJoin,
     TProj,
     TVar,
-    constraint_holds,
+    constraint_witness,
     gen_constraints,
     generalize,
 )
@@ -127,15 +127,15 @@ def test_constraint_holds_semantics(two_point):
     H = embed(lat.level("H"), lat, 1)
     L = embed(lat.level("L"), lat, 1)
     c = Constraint(EPSILON, TGround(H), TGround(L))
-    assert not constraint_holds(c, {}, lat, 1)
+    assert constraint_witness(c, {}, lat, 1) is not None
     c2 = Constraint(EPSILON, TGround(L), TGround(H))
-    assert constraint_holds(c2, {}, lat, 1)
+    assert constraint_witness(c2, {}, lat, 1) is None
     # guard remap: H <= x under +p only constrains the {p} column
     t = TVar(0)
     c3 = Constraint(Trace(pos=0b1), TGround(H), t)
     from permflow.basetypes import BaseType
 
     ok = BaseType(lat, 1, (lat.level("L"), lat.level("H")))
-    assert constraint_holds(c3, {0: ok}, lat, 1)
+    assert constraint_witness(c3, {0: ok}, lat, 1) is None
     bad = BaseType(lat, 1, (lat.level("H"), lat.level("L")))
-    assert not constraint_holds(c3, {0: bad}, lat, 1)
+    assert constraint_witness(c3, {0: bad}, lat, 1) is not None

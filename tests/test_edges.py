@@ -36,14 +36,6 @@ def test_basetype_table_size(two_point):
         BaseType(two_point, 2, (0, 1))
 
 
-def test_lattice_fold_helpers(diamond):
-    l1, l2 = diamond.level("l1"), diamond.level("l2")
-    assert diamond.join_all([l1, l2]) == diamond.level("H")
-    assert diamond.meet_all([l1, l2]) == diamond.level("L")
-    assert diamond.join_all([]) == diamond.bottom
-    assert diamond.meet_all([]) == diamond.top
-
-
 def test_parser_duplicate_blocks():
     header = "lattice { levels L, H; order L < H; }\npermissions { p }\n"
     with pytest.raises(DuplicateName):

@@ -12,7 +12,7 @@ from itertools import product
 
 from permflow.basetypes import FunctionType, PermUniverse
 from permflow.lattice import load_lattice
-from permflow.syntax import Assign, BinOp, FunDecl, If, IntLit, LetVar, Seq, Var, While
+from permflow.syntax import Assign, BinOp, Block, FunDecl, If, IntLit, LetVar, Var, While
 from permflow.syntax import Test as PermTest
 from permflow.system import System, validate_system
 from permflow.typecheck import check_function
@@ -44,7 +44,7 @@ def _cmds(scope, budget, fresh, tested_p):
         parts = _cmds(scope, budget - 3, fresh, tested_p)
         for (c1, s1), (c2, s2) in product(parts, parts):
             if 1 + s1 + s2 <= budget:
-                out.append((Seq(c1, c2), 1 + s1 + s2))
+                out.append((Block((c1, c2)), 1 + s1 + s2))
         if not tested_p:
             inner = _cmds(scope, budget - 3, fresh, True)
             for (c1, s1), (c2, s2) in product(inner, inner):

@@ -1,0 +1,92 @@
+"""Long and deeply nested programs through every CLI command.
+
+A long block is a flat list, so its length costs no stack. Nesting is
+bounded by ``MAX_DEPTH``: a program exactly that deep works everywhere,
+and one level more is a clean parse error (exit 2), never a traceback.
+"""
+
+import re
+
+import pytest
+
+from permflow.cli import main
+from permflow.parser import MAX_DEPTH, parse_system
+
+LONG = 2000
+
+
+def _source(stmt: str, annotated: bool) -> str:
+    sig = "x : L) : L" if annotated else "x)"
+    return f"""lattice {{ levels L, H; order L < H; }}
+permissions {{ p }}
+app A perms {{p}} {{
+  fun f({sig} {{
+    init r = 0 in {{
+      {stmt};
+      return r
+    }}
+  }}
+}}
+"""
+
+
+def _long_body() -> str:
+    return ";\n      ".join(
+        "r := r + x" if i % 2 == 0 else "x := x + 1" for i in range(LONG)
+    )
+
+
+def _if_nest(depth: int) -> str:
+    # depth - 1 nested ifs around one assignment: one level per command
+    return "if x then " * (depth - 1) + "r := x" + " else r := 0" * (depth - 1)
+
+
+def _run_all(tmp_path, capsys, stmt: str) -> dict[str, tuple[int, str, str]]:
+    plain = tmp_path / "plain.pf"
+    annotated = tmp_path / "annotated.pf"
+    plain.write_text(_source(stmt, False), encoding="utf-8")
+    annotated.write_text(_source(stmt, True), encoding="utf-8")
+    runs = {
+        "check": ["check", str(annotated)],
+        "infer": ["infer", "--json", str(plain)],
+        "run": ["run", str(plain), "--entry", "A.f", "--args", "0"],
+        "nitest": ["nitest", "--json", str(plain)],
+        "fmt": ["fmt", str(plain)],
+    }
+    out = {}
+    for name, argv in runs.items():
+        code = main(argv)
+        captured = capsys.readouterr()
+        out[name] = (code, captured.out, captured.err)
+    return out
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [_long_body(), "while x < 1 do {\n" + _long_body() + "\n}", _if_nest(MAX_DEPTH)],
+    ids=["long-body", "long-while-body", "if-nest-at-max-depth"],
+)
+def test_every_command_works(tmp_path, capsys, stmt):
+    results = _run_all(tmp_path, capsys, stmt)
+    for name, (code, _out, err) in results.items():
+        assert code == 0, (name, err)
+    printed = results["fmt"][1]
+    assert parse_system(printed).fd == parse_system(_source(stmt, False)).fd
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [
+        _if_nest(MAX_DEPTH + 1),
+        "r := " + "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+        "r := x" + " + x" * MAX_DEPTH,
+    ],
+    ids=["if-nest", "parentheses", "plus-chain"],
+)
+def test_one_level_too_deep_exits_two(tmp_path, capsys, stmt):
+    for name, (code, out, err) in _run_all(tmp_path, capsys, stmt).items():
+        assert code == 2, name
+        assert out == ""
+        assert re.fullmatch(
+            rf"error: \d+:\d+: nesting deeper than {MAX_DEPTH} levels\n", err
+        ), (name, err)

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from permflow.parser import DuplicateName, ParseError, UnknownReference, parse_system
-from permflow.syntax import Assign, CallAssign, LetVar, Seq
+from permflow.syntax import Assign, Block, CallAssign, LetVar
 from permflow.syntax import Test as PermTest
 from permflow.system import (
     ArityMismatch,
@@ -26,10 +26,11 @@ def load(name: str) -> str:
 def test_illustrative_shape():
     sys = parse_system(load("illustrative.pf"))
     decl = sys.fd["A.f"]
-    assert isinstance(decl.body, Seq)
-    assert isinstance(decl.body.first, PermTest)
-    assert isinstance(decl.body.first.then, Assign)
-    assert decl.body.first.perm == "p"
+    assert isinstance(decl.body, Block) and len(decl.body.cmds) == 2
+    first = decl.body.cmds[0]
+    assert isinstance(first, PermTest)
+    assert isinstance(first.then, Assign)
+    assert first.perm == "p"
     assert sys.theta == {"A": 0}
     assert set(sys.constants) == {"info_p", "info_q"}
 
@@ -46,14 +47,28 @@ def test_four_function_system():
     assert sys.theta == {"A": 0, "B": 0, "C": p, "M": p}
     main = sys.fd["M.main"]
     assert isinstance(main.body, LetVar)
-    assert isinstance(main.body.body, Seq)
-    assert isinstance(main.body.body.second, CallAssign)
+    assert isinstance(main.body.body, Block)
+    assert isinstance(main.body.body.cmds[-1], CallAssign)
+
+
+# A block nested on the right of another prints flat, so it must parse flat.
+RIGHT_NESTED = """
+lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun f() { init r = 0 in { r := 1; { r := 2; r := 3 }; return r } }
+}
+"""
 
 
 def test_roundtrip_all_programs():
+    sources = []
     for path in sorted(glob.glob(os.path.join(PROGRAMS, "*.pf"))):
         with open(path, "r", encoding="utf-8") as fh:
-            sys1 = parse_system(fh.read())
+            sources.append((path, fh.read()))
+    sources.append(("right-nested block", RIGHT_NESTED))
+    for path, text in sources:
+        sys1 = parse_system(text)
         src = to_source(sys1)
         sys2 = parse_system(src)
         assert sys1.fd == sys2.fd, path
@@ -106,12 +121,15 @@ app A perms {} {
 
 
 def test_unknown_call_target():
-    with pytest.raises(UnknownReference):
-        _sys("""
+    from permflow.system import ValidationError
+
+    sys = _sys("""
 app A perms {} {
   fun f() { init r = 0 in { r := call B.g(); return r } }
 }
 """)
+    with pytest.raises(ValidationError, match="call to unknown function B.g"):
+        validate_system(sys)
 
 
 def test_unknown_permission_in_test():

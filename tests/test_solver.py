@@ -9,7 +9,7 @@ from permflow.constraints import (
     TGround,
     TMerge,
     TVar,
-    constraint_holds,
+    constraint_witness,
     gen_constraints,
     generalize,
 )
@@ -17,13 +17,11 @@ from permflow.parser import parse_system
 from permflow.solver import (
     EMPTY_INTERVAL,
     GROUND_VIOLATION,
-    Interval,
     UnsatError,
     decompose,
     merge_bounds,
     saturate,
     solve,
-    unify,
 )
 from permflow.system import validate_system
 from permflow.traces import EPSILON, Trace
@@ -172,17 +170,6 @@ def test_merge_bounds_empty_interval(two_point):
     assert err.value.var == 0 and err.value.witness is not None
 
 
-def test_unify_from_intervals(two_point):
-    lat = two_point
-    t = bt(lat, "L", "H")
-    ivs = [
-        Interval(0, Trace(pos=1), t, embed(lat.top, lat, 1)),
-        Interval(0, Trace(neg=1), embed(lat.bottom, lat, 1), embed(lat.top, lat, 1)),
-    ]
-    theta = unify(ivs, lat, 1)
-    assert theta[0] == bt(lat, "L", "H")
-
-
 def test_solve_illustrative(diamond):
     csys = load("illustrative.pf")
     gen = gen_constraints(csys)
@@ -245,7 +232,7 @@ def test_solution_satisfies_original_set(rng):
             continue
         checked += 1
         for c in constraints:
-            assert constraint_holds(c, res.substitution, lat, nperms)
+            assert constraint_witness(c, res.substitution, lat, nperms) is None
     assert checked > 20
 
 
@@ -304,7 +291,7 @@ def test_least_solution_dominated_by_random_solutions(rng):
             continue
         for _ in range(10):
             cand = {v: random_basetype(rng, lat, nperms) for v in range(nvars)}
-            if all(constraint_holds(c, cand, lat, nperms) for c in constraints):
+            if all(constraint_witness(c, cand, lat, nperms) is None for c in constraints):
                 hits += 1
                 for v in range(nvars):
                     assert res.substitution[v].leq(cand[v])

@@ -5,17 +5,9 @@ from permflow.traces import (
     EPSILON,
     InconsistentTrace,
     Trace,
-    TraceFormula,
     apply_trace,
-    formula_and,
-    formula_neg,
-    formula_or,
     minterms,
-    neg_dnf,
-    trace_and,
-    trace_diff,
     trace_of_set,
-    trace_sat,
 )
 
 from .conftest import bt, lattice_family, random_basetype, random_trace
@@ -41,51 +33,16 @@ def test_first_application_wins(two_point):
 def test_entails_and_sat():
     assert Trace(pos=0b01).entailed_by(0b01)
     assert not Trace(pos=0b11).entailed_by(0b01)
-    assert trace_sat(trace_and(Trace(pos=0b1), Trace(neg=0b1)), 1) is False
-    # {p} is a witness over the two-permission universe
-    f = trace_and(Trace(pos=0b01), Trace(neg=0b10))
-    assert [pset for pset in range(4) if any(d.entailed_by(pset) for d in f.disjuncts)] == [0b01]
-    assert trace_sat(f, 2)
+    # +p and -p have no common model; +p and -q have {p} as their only one
+    assert not Trace(pos=0b1).compatible(Trace(neg=0b1))
+    a, b = Trace(pos=0b01), Trace(neg=0b10)
+    assert a.compatible(b)
+    assert [pset for pset in range(4) if a.entailed_by(pset) and b.entailed_by(pset)] == [0b01]
 
 
 def test_inconsistent_trace_rejected():
     with pytest.raises(InconsistentTrace):
         Trace(pos=0b1, neg=0b1)
-
-
-def test_dnf_example():
-    # distribute +p over the negation of (+q and -r)
-    f = formula_and(
-        TraceFormula.of(Trace(pos=0b001)),
-        neg_dnf(Trace(pos=0b010, neg=0b100)),
-    )
-    assert set(f.disjuncts) == {
-        Trace(pos=0b001, neg=0b010),
-        Trace(pos=0b101),
-    }
-
-
-def test_and_of_disjoint_literals():
-    f = trace_and(Trace(pos=0b01), Trace(neg=0b10))
-    assert f.disjuncts == (Trace(pos=0b01, neg=0b10),)
-
-
-def test_neg_of_epsilon_unsat():
-    f = neg_dnf(EPSILON)
-    assert f.disjuncts == ()
-    assert not trace_sat(f, 2)
-
-
-def test_formula_bitset_consistency(rng):
-    nperms = 3
-    for _ in range(200):
-        a = random_trace(rng, nperms)
-        b = random_trace(rng, nperms)
-        fa, fb = TraceFormula.of(a), TraceFormula.of(b)
-        assert formula_and(fa, fb).denotation(nperms) == fa.denotation(nperms) & fb.denotation(nperms)
-        assert formula_or(fa, fb).denotation(nperms) == fa.denotation(nperms) | fb.denotation(nperms)
-        full = (1 << (1 << nperms)) - 1
-        assert formula_neg(fa).denotation(nperms) == full & ~fa.denotation(nperms)
 
 
 def test_minterms_partition():
@@ -99,7 +56,7 @@ def test_minterms_partition():
 def test_diff_is_literal_set_difference():
     a = Trace(pos=0b011, neg=0b100)
     b = Trace(pos=0b001)
-    d = trace_diff(a, b)
+    d = a.diff(b)
     assert d == Trace(pos=0b010, neg=0b100)
 
 
