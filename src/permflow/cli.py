@@ -153,8 +153,11 @@ def cmd_infer(args) -> int:
 
     if args.emit_annotated:
         annotated_src = to_source(csys.system, result.types())
-        with open(args.emit_annotated, "w", encoding="utf-8") as fh:
-            fh.write(annotated_src)
+        try:
+            with open(args.emit_annotated, "w", encoding="utf-8") as fh:
+                fh.write(annotated_src)
+        except OSError as e:
+            raise SystemExit2(f"cannot write {args.emit_annotated}: {e}")
         lines.append(f"annotated source written to {args.emit_annotated}")
 
     _emit(doc, args.json, lines)
@@ -162,6 +165,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _require_non_negative("--fuel", args.fuel)
     csys = _load(args.file)
     if args.entry not in csys.fd:
         raise SystemExit2(f"unknown entry function {args.entry}")
@@ -192,6 +196,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_nitest(args) -> int:
+    _require_non_negative("--fuel", args.fuel)
+    _require_non_negative("--pair-cap", args.pair_cap)
     csys = _load(args.file)
     lat = csys.lattice
 
@@ -284,7 +290,14 @@ def _parse_domain(spec: str) -> tuple[int, ...]:
         raise SystemExit2(f"bad --domain value {spec!r}; expected lo..hi")
     if hi_i < lo_i:
         raise SystemExit2("empty --domain range")
+    if hi_i == lo_i:
+        raise SystemExit2("--domain must offer at least two values")
     return tuple(range(lo_i, hi_i + 1))
+
+
+def _require_non_negative(flag: str, value: int) -> None:
+    if value < 0:
+        raise SystemExit2(f"{flag} must be non-negative, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -198,31 +198,35 @@ def _ranks(sys: System) -> tuple[dict[str, int], list[str]]:
     state: dict[str, int] = {}  # 1 = on stack, 2 = done
     rank: dict[str, int] = {}
     topo: list[str] = []
-    stack: list[str] = []
-
-    def visit(q: str):
-        if state.get(q) == 2:
-            return
-        if state.get(q) == 1:
-            cycle = stack[stack.index(q):] + [q]
-            raise RecursiveCall(
-                "recursive call chain: " + " -> ".join(cycle),
-                sys.fd[q].span,
-            )
-        state[q] = 1
-        stack.append(q)
-        # rank of a function is the rank of its body; calls add one level.
-        r = 0
-        for callee in edges[q]:
-            visit(callee)
-            r = max(r, rank[callee] + 1)
-        rank[q] = r
-        stack.pop()
-        state[q] = 2
-        topo.append(q)
-
-    for q in sys.fun_order:
-        visit(q)
+    # Depth-first with an explicit stack, so call chains cost no Python
+    # frames: stack[k] is on the current path and pending[k] holds its
+    # callees not yet visited.
+    for root in sys.fun_order:
+        if root in state:
+            continue
+        state[root] = 1
+        stack, pending = [root], [iter(edges[root])]
+        while stack:
+            q = stack[-1]
+            for callee in pending[-1]:
+                if state.get(callee) == 1:
+                    cycle = stack[stack.index(callee):] + [callee]
+                    raise RecursiveCall(
+                        "recursive call chain: " + " -> ".join(cycle),
+                        sys.fd[callee].span,
+                    )
+                if callee not in state:
+                    state[callee] = 1
+                    stack.append(callee)
+                    pending.append(iter(edges[callee]))
+                    break
+            else:
+                # rank of a function is the rank of its body; calls add one level.
+                rank[q] = max((rank[c] + 1 for c in edges[q]), default=0)
+                state[q] = 2
+                stack.pop()
+                pending.pop()
+                topo.append(q)
     return rank, topo
 
 

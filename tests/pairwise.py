@@ -1,0 +1,50 @@
+"""Pairwise reference for the noninterference harness's cell loop.
+
+Runs both sides of every pair of environments that agree on the observable
+part, in (observable, hidden 1, hidden 2) order, and stops at the first pair
+whose outputs differ.  Used only as a test oracle for
+``permflow.nitest._test_cell``, which runs each environment once and must
+report the same verdicts, counts and witnesses.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from permflow.interp import FuelExhausted
+from permflow.nitest import CellVerdict, Violation, _observable_split, _run
+
+
+def pairwise_cell(csys, qname, decl, gamma, perms, cfg) -> CellVerdict:
+    obs, hidden = _observable_split(gamma, perms, cfg.observer)
+    d = len(cfg.domain)
+    pair_count = d ** len(obs) * d ** (2 * len(hidden))
+    if pair_count > cfg.pair_cap:
+        return CellVerdict(
+            qname, perms, cfg.observer, 0, "inconclusive",
+            note=f"{pair_count} pairs exceed the cap of {cfg.pair_cap}",
+        )
+    tested = inconclusive = 0
+    for obs_vals in product(cfg.domain, repeat=len(obs)):
+        for hid1 in product(cfg.domain, repeat=len(hidden)):
+            for hid2 in product(cfg.domain, repeat=len(hidden)):
+                env1 = dict(zip(obs, obs_vals)) | dict(zip(hidden, hid1))
+                env2 = dict(zip(obs, obs_vals)) | dict(zip(hidden, hid2))
+                tested += 1
+                try:
+                    out1 = _run(csys, decl, dict(env1), perms, cfg.fuel)
+                    out2 = _run(csys, decl, dict(env2), perms, cfg.fuel)
+                except FuelExhausted:
+                    inconclusive += 1
+                    continue
+                if out1 != out2:
+                    return CellVerdict(
+                        qname, perms, cfg.observer, tested, "violation",
+                        witness=Violation(qname, perms, cfg.observer, env1, env2, out1, out2),
+                    )
+    if inconclusive:
+        return CellVerdict(
+            qname, perms, cfg.observer, tested, "inconclusive",
+            note=f"{inconclusive} pair(s) ran out of fuel",
+        )
+    return CellVerdict(qname, perms, cfg.observer, tested, "ok")

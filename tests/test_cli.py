@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from permflow.cli import main
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
@@ -159,3 +161,24 @@ def test_emit_annotated_then_check(capsys, tmp_path):
 def test_unknown_entry_exit_two(capsys):
     code, _, err = run(capsys, "run", p("identity.pf"), "--entry", "A.nope")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nitest", p("leaky.pf"), "--domain", "0..0"], "--domain must offer at least two values"),
+        (["run", p("while_loop.pf"), "--entry", "A.sum", "--args", "3", "--fuel", "-5"],
+         "--fuel must be non-negative, got -5"),
+        (["nitest", p("leaky.pf"), "--fuel", "-5"], "--fuel must be non-negative, got -5"),
+        (["nitest", p("leaky.pf"), "--pair-cap", "-1"], "--pair-cap must be non-negative, got -1"),
+        (["infer", p("getinfo.pf"), "--emit-annotated", "/nonexistent/x.pf"],
+         "cannot write /nonexistent/x.pf"),
+    ],
+    ids=["domain-one-value", "run-negative-fuel", "nitest-negative-fuel",
+         "nitest-negative-pair-cap", "emit-annotated-unwritable"],
+)
+def test_bad_arguments_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err

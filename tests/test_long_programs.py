@@ -90,3 +90,29 @@ def test_one_level_too_deep_exits_two(tmp_path, capsys, stmt):
         assert re.fullmatch(
             rf"error: \d+:\d+: nesting deeper than {MAX_DEPTH} levels\n", err
         ), (name, err)
+
+
+CHAIN = 1200
+
+
+def _chain_source() -> str:
+    # callers first: f1199 calls f1198 ... calls f0
+    funs = [
+        f"  fun f{i}(x : L) : L {{ init r = 0 in {{ r := call A.f{i - 1}(x); return r }} }}"
+        for i in range(CHAIN - 1, 0, -1)
+    ]
+    funs.append("  fun f0(x : L) : L { init r = 0 in { r := x; return r } }")
+    return (
+        "lattice { levels L, H; order L < H; }\npermissions { p }\n"
+        "app A perms {} {\n" + "\n".join(funs) + "\n}\n"
+    )
+
+
+def test_long_call_chain_declared_callers_first(tmp_path, capsys):
+    path = tmp_path / "chain.pf"
+    path.write_text(_chain_source(), encoding="utf-8")
+    assert main(["fmt", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert parse_system(printed).fd == parse_system(_chain_source()).fd
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("well-typed\n")

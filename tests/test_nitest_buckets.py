@@ -1,0 +1,131 @@
+"""The bucketed NI harness against its pairwise reference, and its cost.
+
+``nitest._test_cell`` runs each environment once per bucket of equal
+observable parts; ``tests/pairwise.py`` runs both sides of every pair.
+Both must give field-for-field equal cells: verdicts, pair counts, fuel
+notes and witnesses, down to the key order of the witness environments.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from permflow import nitest
+from permflow.basetypes import BaseType, FunctionType
+from permflow.interp import DEFAULT_FUEL
+from permflow.nitest import NIConfig, nitest_function, nitest_system
+from permflow.parser import parse_system
+from permflow.system import System, validate_system
+
+from .conftest import SEED
+from .pairwise import pairwise_cell
+from .progen import _Gen
+
+
+def _bucketed_matching_pairwise(monkeypatch, csys, **kwargs):
+    """The harness's cells, checked against the pairwise reference's."""
+    cells = nitest_system(csys, **kwargs).cells
+    with monkeypatch.context() as m:
+        m.setattr(nitest, "_test_cell", pairwise_cell)
+        reference = nitest_system(csys, **kwargs).cells
+    # reprs show the key order of the witness environments too
+    assert [repr(c) for c in cells] == [repr(c) for c in reference]
+    return cells
+
+
+def _randomly_annotated(rnd):
+    # random annotations, checked or not, so that violations show up
+    gen = _Gen(rnd)
+    sys0 = gen.system()
+    size = 1 << gen.nperms
+
+    def rand_type():
+        return BaseType(gen.lat, gen.nperms,
+                        tuple(rnd.randrange(len(gen.lat)) for _ in range(size)))
+
+    fd, ft = {}, {}
+    for q, decl in sys0.fd.items():
+        ft[q] = FunctionType(tuple(rand_type() for _ in decl.params), rand_type())
+        fd[q] = replace(decl, annotation=ft[q])
+    return validate_system(
+        System(sys0.lattice, sys0.universe, sys0.theta, fd, ft,
+               sys0.constants, sys0.app_order, sys0.fun_order)
+    )
+
+
+@pytest.mark.parametrize("domain", [(0, 1), (0, 1, 2)], ids=["0..1", "0..2"])
+def test_generated_systems_match_pairwise(monkeypatch, domain):
+    rnd = random.Random(SEED + 40 + len(domain))
+    verdicts = set()
+    for _ in range(60):
+        csys = _randomly_annotated(rnd)
+        for fuel in (DEFAULT_FUEL, 12):
+            cells = _bucketed_matching_pairwise(monkeypatch, csys, domain=domain,
+                                                fuel=fuel, strict=True)
+            verdicts |= {c.verdict for c in cells}
+    assert {"ok", "violation", "inconclusive"} <= verdicts
+
+
+# The loop runs 4 - n times, so a bucket's first hidden valuations (n = 0)
+# cost the most fuel; x * h makes the output depend on h when x != 0.
+HIDDEN_LOOP = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun f(x : L, n : H, h : H) : L {
+    init r = 0 in {
+      letvar i = 0 in {
+        while i + n < 4 do { i := i + 1 }
+      };
+      r := r + x * h;
+      return r
+    }
+  }
+}
+"""
+
+
+def test_fuel_sweep_on_hidden_loop_matches_pairwise(monkeypatch):
+    csys = validate_system(parse_system(HIDDEN_LOOP))
+    cells = []
+    for fuel in range(0, 60):
+        for domain in ((0, 1), (0, 1, 2)):
+            cells += _bucketed_matching_pairwise(monkeypatch, csys,
+                                                 domain=domain, fuel=fuel)
+    # partly exhausted buckets: some pairs ran out of fuel, others finished
+    assert any(c.verdict == "inconclusive"
+               and 0 < int(c.note.split()[0]) < c.pairs_tested for c in cells)
+    # a violation whose first finished run follows exhausted ones
+    assert any(c.verdict == "violation" and c.witness.env1["n"] != 0 for c in cells)
+    assert any(c.verdict == "ok" for c in cells)
+
+
+WIDE = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun f(a : L, b : L, h1 : H, h2 : H, h3 : H) : L {
+    init r = 0 in { r := r + a * b; return r }
+  }
+}
+"""
+
+
+def test_one_interpreter_run_per_environment(monkeypatch):
+    csys = validate_system(parse_system(WIDE))
+    calls = []
+    real = nitest.exec_cmd
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(nitest, "exec_cmd", counting)
+    L = csys.lattice.level("L")
+    domain = (0, 1, 2)
+    cfg = NIConfig(L, domain, caller_perm_sets=(0,))
+    (cell,) = nitest_function(csys, "A.f", cfg)
+    assert cell.verdict == "ok"
+    obs, hidden = 3, 3  # a, b and the return variable r; h1, h2, h3
+    d = len(domain)
+    assert len(calls) == d ** (obs + hidden)
+    assert cell.pairs_tested == d ** obs * d ** (2 * hidden)
