@@ -95,15 +95,6 @@ class BaseType:
         lat = self.lattice
         return all(lat.leq(a, b) for a, b in zip(self.table, other.table))
 
-    def leq_witness(self, other: "BaseType") -> int | None:
-        """First permission set (bitmask order) where the order fails."""
-        self._check(other)
-        lat = self.lattice
-        for pset, (a, b) in enumerate(zip(self.table, other.table)):
-            if not lat.leq(a, b):
-                return pset
-        return None
-
     def join(self, other: "BaseType") -> "BaseType":
         self._check(other)
         j = self.lattice.join

@@ -21,6 +21,11 @@ from .system import CheckedSystem, ValidationError, to_source, validate_system
 from .typecheck import CheckReport, check_system
 
 
+# The interpreter recurses once per call level, so a long enough call chain
+# exhausts the Python stack.
+TOO_DEEP = "call chain too deep for the interpreter"
+
+
 class SystemExit2(Exception):
     """Raised for usage, IO, parse, and validation failures (exit code 2)."""
 
@@ -187,6 +192,8 @@ def cmd_run(args) -> int:
         return 1
     except ValueError as e:
         raise SystemExit2(str(e))
+    except RecursionError:
+        raise SystemExit2(TOO_DEEP) from None
     _emit(
         {"command": "run", "file": args.file, "entry": args.entry, "result": value},
         args.json,
@@ -216,14 +223,17 @@ def cmd_nitest(args) -> int:
         except ValueError as e:
             raise SystemExit2(str(e))
     domain = _parse_domain(args.domain)
-    report: NIReport = nitest_system(
-        csys,
-        observers=observers,
-        domain=domain,
-        fuel=args.fuel,
-        pair_cap=args.pair_cap,
-        strict=args.strict,
-    )
+    try:
+        report: NIReport = nitest_system(
+            csys,
+            observers=observers,
+            domain=domain,
+            fuel=args.fuel,
+            pair_cap=args.pair_cap,
+            strict=args.strict,
+        )
+    except RecursionError:
+        raise SystemExit2(TOO_DEEP) from None
     cells = []
     lines = []
     for c in report.cells:

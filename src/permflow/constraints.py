@@ -5,17 +5,19 @@ appear on the left of ≤, meets, merges and projections on the right.
 Ground subterms fold eagerly, so a term containing no variable is always a
 single ground type.
 
-Generation walks a function body exactly like the trace rules but records
-every partial-subtyping side condition as a guarded constraint instead of
-checking it, handing unknown function and local types fresh variables.
+Generation is the one walk that applies the trace rules: it records every
+partial-subtyping side condition as a guarded constraint, tagged with its
+provenance (rule and source span), instead of checking it, and hands
+unknown function and local types fresh variables. Inference solves the
+constraints; the checker evaluates them over the annotations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
-from .basetypes import BaseType, embed, merge
+from .basetypes import BaseType, FunctionType, embed, merge
 from .syntax import (
     Assign,
     BinOp,
@@ -26,6 +28,7 @@ from .syntax import (
     If,
     IntLit,
     LetVar,
+    Span,
     Test,
     Var,
     While,
@@ -140,12 +143,33 @@ def eval_term(t: Term, pset: int, tables, lattice) -> int:
 
 
 @dataclass(frozen=True)
+class Provenance:
+    """The trace rule and command a constraint's side condition comes from.
+
+    ``rule`` is one of assign, call-arg, call-ret, if-guard, while-guard and
+    letvar-init; ``name`` is the variable written or bound, ``callee`` and
+    ``arg`` (0-based) locate a call's argument.
+    """
+
+    rule: str
+    span: Span
+    name: str = ""
+    callee: str = ""
+    arg: int | None = None
+
+
+@dataclass(frozen=True)
 class Constraint:
-    """(Λ, lhs ≤ rhs): both sides guarded by the same trace."""
+    """(Λ, lhs ≤ rhs): both sides guarded by the same trace.
+
+    Provenance takes no part in equality or hashing, so deduplication keeps
+    the first occurrence of a side condition.
+    """
 
     guard: Trace
     lhs: Term
     rhs: Term
+    provenance: Provenance | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -215,14 +239,12 @@ class GenOutput:
     supply: VarSupply
 
     def all_constraints(self) -> list[Constraint]:
-        seen = set()
-        out = []
-        for qname, cs in self.by_function.items():
-            for c in cs:
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-        return out
+        return list(dict.fromkeys(c for cs in self.by_function.values() for c in cs))
+
+
+def ground_signature(ft: FunctionType) -> FunSignature:
+    """The signature of an annotated function: its types, no constraints."""
+    return FunSignature(tuple(TGround(t) for t in ft.params), TGround(ft.ret), ())
 
 
 def gen_constraints(csys: CheckedSystem) -> GenOutput:
@@ -241,11 +263,7 @@ def gen_constraints(csys: CheckedSystem) -> GenOutput:
         decl = csys.fd[qname]
         annotation = csys.ft[qname]
         if annotation is not None:
-            signatures[qname] = FunSignature(
-                tuple(TGround(t) for t in annotation.params),
-                TGround(annotation.ret),
-                (),
-            )
+            signatures[qname] = ground_signature(annotation)
             by_function[qname] = []
             continue
         gamma: dict[str, Term] = {
@@ -256,12 +274,7 @@ def gen_constraints(csys: CheckedSystem) -> GenOutput:
         if decl.body is not None:
             _gen_cmd(gamma, EPSILON, decl.app, decl.body, csys, signatures, supply,
                      collected, qname)
-        dedup: list[Constraint] = []
-        seen = set()
-        for c in collected:
-            if c not in seen:
-                seen.add(c)
-                dedup.append(c)
+        dedup = list(dict.fromkeys(collected))
         signatures[qname] = FunSignature(
             tuple(gamma[p] for p in decl.params),
             gamma[decl.ret_var],
@@ -289,16 +302,19 @@ def _gen_expr(gamma, trace, e: Expr, csys) -> Term:
 def _gen_cmd(gamma, trace, app, c: Cmd, csys, signatures, supply, out, fun) -> Term:
     if isinstance(c, Assign):
         t = _gen_expr(gamma, trace, c.expr, csys)
-        out.append(Constraint(trace, t, gamma[c.name]))
+        out.append(Constraint(trace, t, gamma[c.name],
+                              Provenance("assign", c.span, c.name)))
         return gamma[c.name]
     if isinstance(c, CallAssign):
         sig = signatures[c.target]
         out.extend(sig.constraints)
         theta_a = csys.theta[app]
-        for arg, pt in zip(c.args, sig.params):
+        for i, (arg, pt) in enumerate(zip(c.args, sig.params)):
             s = _gen_expr(gamma, trace, arg, csys)
-            out.append(Constraint(trace, s, tproj(pt, theta_a)))
-        out.append(Constraint(trace, tproj(sig.ret, theta_a), gamma[c.name]))
+            out.append(Constraint(trace, s, tproj(pt, theta_a),
+                                  Provenance("call-arg", c.span, c.name, c.target, i)))
+        out.append(Constraint(trace, tproj(sig.ret, theta_a), gamma[c.name],
+                              Provenance("call-ret", c.span, c.name, c.target)))
         return gamma[c.name]
     if isinstance(c, Block):
         # Meet is idempotent: folding only the distinct member terms keeps
@@ -315,12 +331,12 @@ def _gen_cmd(gamma, trace, app, c: Cmd, csys, signatures, supply, out, fun) -> T
         te = _gen_expr(gamma, trace, c.cond, csys)
         t1 = _gen_cmd(gamma, trace, app, c.then, csys, signatures, supply, out, fun)
         t2 = _gen_cmd(gamma, trace, app, c.els, csys, signatures, supply, out, fun)
-        out.append(Constraint(trace, te, tmeet(t1, t2)))
+        out.append(Constraint(trace, te, tmeet(t1, t2), Provenance("if-guard", c.span)))
         return tmeet(t1, t2)
     if isinstance(c, While):
         te = _gen_expr(gamma, trace, c.cond, csys)
         t = _gen_cmd(gamma, trace, app, c.body, csys, signatures, supply, out, fun)
-        out.append(Constraint(trace, te, t))
+        out.append(Constraint(trace, te, t, Provenance("while-guard", c.span)))
         return t
     if isinstance(c, Test):
         p = csys.universe.index(c.perm)
@@ -332,7 +348,7 @@ def _gen_cmd(gamma, trace, app, c: Cmd, csys, signatures, supply, out, fun) -> T
     if isinstance(c, LetVar):
         s = _gen_expr(gamma, trace, c.init, csys)
         alpha = supply.fresh("local", c.name, fun)
-        out.append(Constraint(trace, s, alpha))
+        out.append(Constraint(trace, s, alpha, Provenance("letvar-init", c.span, c.name)))
         inner = dict(gamma)
         inner[c.name] = alpha
         return _gen_cmd(inner, trace, app, c.body, csys, signatures, supply, out, fun)

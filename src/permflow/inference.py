@@ -3,7 +3,7 @@
 Generates the joint constraint system over every unannotated function
 (annotated ones contribute ground signatures), solves it for the least
 substitution, instantiates the function-type table, and re-checks the
-result with the trace-rule checker as a final guard.
+result with the checker as a final guard.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ are monotone in the unknowns, so the iteration reaches the least solution;
 a ground upper bound violated at the fixpoint refutes the set.
 
 It shares only the term evaluator, and the constraint check built on it,
-with the symbolic pipeline. The checker solves letvar locals with the same
-fixpoint.
+with the symbolic pipeline. The checker solves the letvar locals of an
+annotated body with ``least_fixpoint`` before it evaluates the body's
+constraints.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ and the result substitutes into the remaining variables' bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .basetypes import BaseType, embed
 from .constraints import (
@@ -76,7 +76,6 @@ class Interval:
 class SolveResult:
     substitution: dict[int, BaseType]
     intervals: list[Interval]
-    stage_timings: dict[str, float] = field(default_factory=dict)
 
 
 class _Ctx:

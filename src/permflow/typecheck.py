@@ -1,48 +1,38 @@
-"""Algorithmic type checking via the syntax-directed trace rules.
+"""Type checking of annotated functions against the trace rules.
 
-Judgments carry the permission trace accumulated from enclosing tests, and
-every side condition is the partial subtyping check s·Λ ≤ t·Λ. Checking a
-fully annotated system walks functions in callee-first order so call sites
-always see ground function types.
+The rules' side conditions are exactly the guarded constraints that
+``constraints._gen_cmd`` generates, so checking a fully annotated function
+is that same walk over ground types: generate the body's constraints and
+report the first one, in generation order, that the annotations refute.
+Functions are checked in callee-first order, so call sites always see
+ground function types.
 
 The one non-syntax-directed point of the rules is the type chosen for a
-letvar-bound local; it is resolved by a local least fixpoint over the
-writes to the local, which is complete: if any choice admits a derivation,
-the least one does.
+letvar-bound local. It is resolved by the least fixpoint of the body's
+constraints, which is complete: if any choice admits a derivation, the
+least one does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .basetypes import BaseType, embed, merge
+from .basetypes import BaseType
 from .constraints import (
     Constraint,
     FunSignature,
     TGround,
     VarSupply,
     _gen_cmd,
+    constraint_witness,
+    eval_term,
     generalize,
+    ground_signature,
 )
 from .oracle import least_fixpoint
-from .syntax import (
-    Assign,
-    BinOp,
-    Block,
-    CallAssign,
-    Cmd,
-    Expr,
-    If,
-    IntLit,
-    LetVar,
-    Span,
-    Test,
-    Var,
-    While,
-    subcommands,
-)
+from .syntax import CallAssign, Span, subcommands
 from .system import CheckedSystem
-from .traces import EPSILON, Trace, apply_trace
+from .traces import EPSILON, Trace
 
 SUBTYPE = "SubtypeViolation"
 CALL_ARG = "CallArgViolation"
@@ -81,177 +71,35 @@ class CheckReport:
         return all(v.ok for v in self.verdicts)
 
 
-def partial_leq_witness(s: BaseType, t: BaseType, trace: Trace) -> int | None:
-    """First permission set entailing ``trace`` where the order fails."""
-    q = apply_trace(s, trace).leq_witness(apply_trace(t, trace))
-    if q is None:
-        return None
-    return trace.remap(q)
-
-
-def _require(kind, s, t, trace, span, fun, what) -> None:
-    w = partial_leq_witness(s, t, trace)
-    if w is not None:
-        raise TypeViolation(
-            kind,
-            f"{what}: required type is not dominated at permission set index {w}",
-            span,
-            fun,
-            lhs=s,
-            rhs=t,
-            trace=trace,
-            witness=w,
-        )
-
-
-def type_expr_trace(gamma: dict[str, BaseType], trace: Trace, e: Expr, csys: CheckedSystem) -> BaseType:
-    """Minimal type of an expression; literals sit at the lattice bottom."""
+def _violation(c: Constraint, q: int, locals_: dict[int, BaseType],
+               csys: CheckedSystem, fun: str) -> TypeViolation:
+    """The report for constraint ``c`` refuted at permission set ``q``."""
     lat = csys.lattice
     n = csys.universe.count
-    if isinstance(e, IntLit):
-        return embed(lat.bottom, lat, n)
-    if isinstance(e, Var):
-        if e.name in gamma:
-            return gamma[e.name]
-        return csys.constants[e.name].type
-    if isinstance(e, BinOp):
-        t1 = type_expr_trace(gamma, trace, e.lhs, csys)
-        t2 = type_expr_trace(gamma, trace, e.rhs, csys)
-        return t1.join(t2)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _local_least_types(
-    gamma: dict[str, BaseType],
-    trace: Trace,
-    app: str,
-    c: Cmd,
-    csys: CheckedSystem,
-    fun: str,
-) -> dict[str, BaseType]:
-    """Least types for the letvar locals of ``c``.
-
-    The trace rules leave the local's type open; every choice that admits a
-    derivation dominates the least solution of the command's own side
-    conditions, so the locals are solved by raise-only fixpoint iteration
-    over exactly those conditions (upper bounds are left to the subsequent
-    trace-rule walk, which reports the first violated one).
-    """
-    called = {n.target for n in subcommands(c) if isinstance(n, CallAssign)}
-    sigs = {
-        q: FunSignature(
-            tuple(TGround(t) for t in csys.ft[q].params),
-            TGround(csys.ft[q].ret),
-            (),
-        )
-        for q in called
-        if csys.ft[q] is not None
-    }
-    supply = VarSupply()
-    term_gamma = {name: TGround(t) for name, t in gamma.items()}
-    out: list[Constraint] = []
-    _gen_cmd(term_gamma, trace, app, c, csys, sigs, supply, out, fun)
-    solution = least_fixpoint(
-        generalize(out),
-        [info.vid for info in supply.infos],
-        csys.lattice,
-        csys.universe.count,
+    tables = {vid: t.table for vid, t in locals_.items()}
+    lhs, rhs = (
+        BaseType(lat, n, tuple(eval_term(t, p, tables, lat) for p in range(1 << n)))
+        for t in (c.lhs, c.rhs)
     )
-    return {supply.info(vid).name: t for vid, t in solution.items()}
-
-
-def check_cmd_trace(
-    gamma: dict[str, BaseType],
-    trace: Trace,
-    app: str,
-    c: Cmd,
-    csys: CheckedSystem,
-    fun: str = "",
-    locals_map: dict[str, BaseType] | None = None,
-) -> BaseType:
-    """Writing-effect type of the command; raises TypeViolation on failure."""
-    if locals_map is None:
-        # Solve the letvar locals over the whole command: their bounds come
-        # from anywhere in it (guards of enclosing loops included).
-        locals_map = {}
-        if any(isinstance(n, LetVar) for n in subcommands(c)):
-            try:
-                locals_map = _local_least_types(gamma, trace, app, c, csys, fun)
-            except KeyError:
-                raise TypeViolation(
-                    ANNOTATION, "a called function has no type", c.span, fun
-                ) from None
-    if isinstance(c, Assign):
-        t = type_expr_trace(gamma, trace, c.expr, csys)
-        _require(SUBTYPE, t, gamma[c.name], trace, c.span, fun,
-                 f"assignment to {c.name!r}")
-        return gamma[c.name]
-    if isinstance(c, CallAssign):
-        ft = csys.ft[c.target]
-        if ft is None:
-            raise TypeViolation(
-                ANNOTATION, f"called function {c.target} has no type", c.span, fun
-            )
-        theta_a = csys.theta[app]
-        for i, (arg, pt) in enumerate(zip(c.args, ft.params)):
-            s = type_expr_trace(gamma, trace, arg, csys)
-            w = partial_leq_witness(s, pt.project(theta_a), trace)
-            if w is not None:
-                raise TypeViolation(
-                    CALL_ARG,
-                    f"argument {i + 1} of call to {c.target} exceeds the "
-                    f"callee's view of its parameter",
-                    c.span,
-                    fun,
-                    lhs=s,
-                    rhs=pt.project(theta_a),
-                    trace=trace,
-                    witness=w,
-                )
-        ret_view = ft.ret.project(theta_a)
-        w = partial_leq_witness(ret_view, gamma[c.name], trace)
-        if w is not None:
-            raise TypeViolation(
-                RETURN,
-                f"result of call to {c.target} does not fit {c.name!r}",
-                c.span,
-                fun,
-                lhs=ret_view,
-                rhs=gamma[c.name],
-                trace=trace,
-                witness=w,
-            )
-        return gamma[c.name]
-    if isinstance(c, Block):
-        effect = check_cmd_trace(gamma, trace, app, c.cmds[0], csys, fun, locals_map)
-        for m in c.cmds[1:]:
-            effect = effect.meet(check_cmd_trace(gamma, trace, app, m, csys, fun, locals_map))
-        return effect
-    if isinstance(c, If):
-        t = type_expr_trace(gamma, trace, c.cond, csys)
-        t1 = check_cmd_trace(gamma, trace, app, c.then, csys, fun, locals_map)
-        t2 = check_cmd_trace(gamma, trace, app, c.els, csys, fun, locals_map)
-        _require(SUBTYPE, t, t1.meet(t2), trace, c.span, fun, "if guard")
-        return t1.meet(t2)
-    if isinstance(c, While):
-        s = type_expr_trace(gamma, trace, c.cond, csys)
-        t = check_cmd_trace(gamma, trace, app, c.body, csys, fun, locals_map)
-        _require(SUBTYPE, s, t, trace, c.span, fun, "while guard")
-        return t
-    if isinstance(c, Test):
-        p = csys.universe.index(c.perm)
-        t1 = check_cmd_trace(gamma, trace.append(p, True), app, c.then, csys, fun, locals_map)
-        t2 = check_cmd_trace(gamma, trace.append(p, False), app, c.els, csys, fun, locals_map)
-        return merge(p, t1, t2)
-    if isinstance(c, LetVar):
-        s = type_expr_trace(gamma, trace, c.init, csys)
-        local = locals_map[c.name]
-        _require(SUBTYPE, s, local, trace, c.span, fun,
-                 f"initializer of letvar {c.name!r}")
-        inner = dict(gamma)
-        inner[c.name] = local
-        return check_cmd_trace(inner, trace, app, c.body, csys, fun, locals_map)
-    raise TypeError(f"not a command: {c!r}")
+    w = c.guard.remap(q)
+    prov = c.provenance
+    if prov.rule == "call-arg":
+        kind = CALL_ARG
+        message = (f"argument {prov.arg + 1} of call to {prov.callee} exceeds the "
+                   f"callee's view of its parameter")
+    elif prov.rule == "call-ret":
+        kind = RETURN
+        message = f"result of call to {prov.callee} does not fit {prov.name!r}"
+    else:
+        kind = SUBTYPE
+        what = {
+            "assign": f"assignment to {prov.name!r}",
+            "if-guard": "if guard",
+            "while-guard": "while guard",
+            "letvar-init": f"initializer of letvar {prov.name!r}",
+        }[prov.rule]
+        message = f"{what}: required type is not dominated at permission set index {w}"
+    return TypeViolation(kind, message, prov.span, fun, lhs, rhs, c.guard, w)
 
 
 def check_function(csys: CheckedSystem, qname: str) -> TypeViolation | None:
@@ -261,13 +109,34 @@ def check_function(csys: CheckedSystem, qname: str) -> TypeViolation | None:
         return TypeViolation(
             ANNOTATION, f"{qname} lacks a type annotation", decl.span, qname
         )
-    gamma = dict(zip(decl.params, ft.params))
-    gamma[decl.ret_var] = ft.ret
-    try:
-        if decl.body is not None:
-            check_cmd_trace(gamma, EPSILON, decl.app, decl.body, csys, qname)
-    except TypeViolation as err:
-        return err
+    if decl.body is None:
+        return None
+    signatures: dict[str, FunSignature] = {}
+    for node in subcommands(decl.body):
+        if isinstance(node, CallAssign) and node.target not in signatures:
+            callee = csys.ft[node.target]
+            if callee is None:
+                return TypeViolation(
+                    ANNOTATION, f"called function {node.target} has no type",
+                    node.span, qname,
+                )
+            signatures[node.target] = ground_signature(callee)
+    gamma = {p: TGround(t) for p, t in zip(decl.params, ft.params)}
+    gamma[decl.ret_var] = TGround(ft.ret)
+    supply = VarSupply()
+    out: list[Constraint] = []
+    _gen_cmd(gamma, EPSILON, decl.app, decl.body, csys, signatures, supply, out, qname)
+    lat = csys.lattice
+    n = csys.universe.count
+    locals_ = {}
+    if supply.infos:
+        locals_ = least_fixpoint(
+            generalize(out), [info.vid for info in supply.infos], lat, n
+        )
+    for c in out:
+        q = constraint_witness(c, locals_, lat, n)
+        if q is not None:
+            return _violation(c, q, locals_, csys, qname)
     return None
 
 

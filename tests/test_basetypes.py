@@ -145,9 +145,3 @@ def test_permission_cap():
         PermUniverse(tuple(f"p{i}" for i in range(13)))
     PermUniverse(tuple(f"p{i}" for i in range(12)))
 
-
-def test_leq_witness(two_point):
-    s = bt(two_point, "L", "H")
-    L = embed(two_point.level("L"), two_point, 1)
-    assert s.leq_witness(L) == 0b1  # fails exactly at {p}
-    assert L.leq_witness(s) is None

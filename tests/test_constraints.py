@@ -4,6 +4,7 @@ from permflow.basetypes import embed
 from permflow.constraints import (
     Constraint,
     GenConstraint,
+    Provenance,
     TGround,
     TJoin,
     TProj,
@@ -13,6 +14,7 @@ from permflow.constraints import (
     generalize,
 )
 from permflow.parser import parse_system
+from permflow.syntax import Span
 from permflow.system import validate_system
 from permflow.traces import EPSILON, Trace
 
@@ -139,3 +141,32 @@ def test_constraint_holds_semantics(two_point):
     assert constraint_witness(c3, {0: ok}, lat, 1) is None
     bad = BaseType(lat, 1, (lat.level("H"), lat.level("L")))
     assert constraint_witness(c3, {0: bad}, lat, 1) is not None
+
+
+RULES = {"assign", "call-arg", "call-ret", "if-guard", "while-guard", "letvar-init"}
+
+
+def test_provenance_is_not_part_of_identity(two_point):
+    g = TGround(embed(two_point.bottom, two_point, 1))
+    first = Constraint(EPSILON, g, TVar(0), Provenance("assign", Span(3, 5), "r"))
+    again = Constraint(EPSILON, g, TVar(0), Provenance("if-guard", Span(7, 1)))
+    assert first == again and hash(first) == hash(again)
+    assert first == Constraint(EPSILON, g, TVar(0))
+    # deduplication keeps the first occurrence, provenance included
+    kept = list(dict.fromkeys([first, again]))
+    assert len(kept) == 1 and kept[0].provenance.span == Span(3, 5)
+
+
+def test_generated_constraints_carry_provenance():
+    rules = set()
+    for name in sorted(os.listdir(PROGRAMS)):
+        gen = gen_constraints(load(name))
+        for c in gen.all_constraints():
+            prov = c.provenance
+            assert prov.rule in RULES, (name, c)
+            assert prov.span.line > 0 and prov.span.col > 0, (name, c)
+            if prov.rule.startswith("call-"):
+                assert prov.callee in gen.signatures
+            assert (prov.arg is not None) == (prov.rule == "call-arg")
+            rules.add(prov.rule)
+    assert rules == RULES

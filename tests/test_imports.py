@@ -1,0 +1,70 @@
+"""Stale imports and exports in ``src/permflow``.
+
+No linter is a dependency, so this parses every module with ``ast``: each
+imported name must be used in its module (a name listed in the module's
+``__all__`` counts as used), and every ``permflow.__all__`` entry must
+resolve.
+"""
+
+import ast
+import os
+
+import pytest
+
+import permflow
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "permflow")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import in the module."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):  # quoted annotations name types too
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+    for node in tree.body:  # re-exports
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    used = _used(tree)
+    unused = {n: line for n, line in _imported(tree).items() if n not in used}
+    assert not unused, f"{module}: unused imports {unused}"
+
+
+def test_package_exports_resolve():
+    missing = [name for name in permflow.__all__ if not hasattr(permflow, name)]
+    assert not missing
+    assert len(set(permflow.__all__)) == len(permflow.__all__)

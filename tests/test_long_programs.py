@@ -116,3 +116,23 @@ def test_long_call_chain_declared_callers_first(tmp_path, capsys):
     assert parse_system(printed).fd == parse_system(_chain_source()).fd
     assert main(["check", str(path)]) == 0
     assert capsys.readouterr().out.endswith("well-typed\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--entry", "A.f1199", "--args", "3"],
+        ["nitest", "--observer", "L", "--domain", "0..1"],
+    ],
+    ids=["run", "nitest"],
+)
+def test_call_chain_too_deep_to_interpret_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "chain.pf"
+    path.write_text(_chain_source(), encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: call chain too deep for the interpreter\n"
+    # a shorter prefix of the same chain runs
+    assert main(["run", str(path), "--entry", "A.f100", "--args", "3"]) == 0
+    assert capsys.readouterr().out == "3\n"

@@ -1,18 +1,24 @@
 import os
 
 from permflow.basetypes import embed
+from permflow.constraints import (
+    Constraint,
+    TGround,
+    VarSupply,
+    _gen_cmd,
+    _gen_expr,
+    constraint_witness,
+)
 from permflow.parser import parse_system
 from permflow.system import validate_system
 from permflow.traces import EPSILON, apply_trace
 from permflow.typecheck import (
+    ANNOTATION,
     CALL_ARG,
     RETURN,
     SUBTYPE,
-    check_cmd_trace,
     check_function,
     check_system,
-    partial_leq_witness,
-    type_expr_trace,
 )
 
 from .conftest import bt, random_basetype, random_trace
@@ -34,7 +40,7 @@ def test_var_rule(diamond):
     t = bt(csys.lattice, "L", "l1", "l2", "H")
     from permflow.syntax import Var
 
-    assert type_expr_trace({"x": t}, EPSILON, Var("x"), csys) == t
+    assert _gen_expr({"x": TGround(t)}, EPSILON, Var("x"), csys) == TGround(t)
 
 
 def test_op_rule_joins(diamond):
@@ -43,19 +49,19 @@ def test_op_rule_joins(diamond):
     from permflow.syntax import BinOp, Var
 
     gamma = {
-        "x": embed(lat.level("l1"), lat, 2),
-        "y": embed(lat.level("l2"), lat, 2),
+        "x": TGround(embed(lat.level("l1"), lat, 2)),
+        "y": TGround(embed(lat.level("l2"), lat, 2)),
     }
-    t = type_expr_trace(gamma, EPSILON, BinOp("+", Var("x"), Var("y")), csys)
-    assert t == embed(lat.level("H"), lat, 2)
+    t = _gen_expr(gamma, EPSILON, BinOp("+", Var("x"), Var("y")), csys)
+    assert t == TGround(embed(lat.level("H"), lat, 2))
 
 
 def test_literal_is_bottom():
     csys = load("getinfo.pf")
     from permflow.syntax import IntLit
 
-    t = type_expr_trace({}, EPSILON, IntLit(0), csys)
-    assert t == embed(csys.lattice.bottom, csys.lattice, 2)
+    t = _gen_expr({}, EPSILON, IntLit(0), csys)
+    assert t == TGround(embed(csys.lattice.bottom, csys.lattice, 2))
 
 
 def test_getsecret_body_typechecks():
@@ -133,9 +139,11 @@ app A perms {p} {
 }
 """)
     decl = csys.fd["A.f"]
-    gamma = {"r": csys.ft["A.f"].ret}
-    t = check_cmd_trace(gamma, EPSILON, "A", decl.body, csys)
+    gamma = {"r": TGround(csys.ft["A.f"].ret)}
+    out = []
+    t = _gen_cmd(gamma, EPSILON, "A", decl.body, csys, {}, VarSupply(), out, "A.f")
     assert t == gamma["r"]
+    assert all(constraint_witness(c, {}, csys.lattice, 1) is None for c in out)
 
 
 def test_letvar_fixpoint_completes_check():
@@ -182,7 +190,8 @@ def test_partial_subtyping_is_definitional(rng):
             s = random_basetype(rng, lat, 2)
             t = random_basetype(rng, lat, 2)
             trace = random_trace(rng, 2)
-            assert (partial_leq_witness(s, t, trace) is None) == apply_trace(
+            c = Constraint(trace, TGround(s), TGround(t))
+            assert (constraint_witness(c, {}, lat, 2) is None) == apply_trace(
                 s, trace
             ).leq(apply_trace(t, trace))
 
@@ -202,3 +211,29 @@ def test_check_requires_annotations():
     rep = check_system(csys)
     assert not rep.ok
     assert rep.verdicts[0].error.kind == "AnnotationMismatch"
+
+
+def test_unannotated_callee_reported_at_its_call():
+    # the same report whatever the body's shape, before any side condition
+    csys = _sys("""
+lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun g(y) { init r = 0 in { r := y; return r } }
+  fun f(x : H) : L {
+    init r = 0 in {
+      letvar t = 0 in { t := x; r := t };
+      r := call A.g(x);
+      return r
+    }
+  }
+  fun h(x : H) : L {
+    init r = 0 in { r := x; r := call A.g(x); return r }
+  }
+}
+""")
+    for qname, span in (("A.f", "9:7"), ("A.h", "14:29")):
+        err = check_function(csys, qname)
+        assert err.kind == ANNOTATION
+        assert err.message == "called function A.g has no type"
+        assert str(err.span) == span
