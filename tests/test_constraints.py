@@ -4,11 +4,13 @@ from permflow.basetypes import embed
 from permflow.constraints import (
     Constraint,
     GenConstraint,
+    GenOutput,
     Provenance,
     TGround,
     TJoin,
     TProj,
     TVar,
+    VarSupply,
     constraint_witness,
     gen_constraints,
     generalize,
@@ -153,7 +155,8 @@ def test_provenance_is_not_part_of_identity(two_point):
     assert first == again and hash(first) == hash(again)
     assert first == Constraint(EPSILON, g, TVar(0))
     # deduplication keeps the first occurrence, provenance included
-    kept = list(dict.fromkeys([first, again]))
+    gen = GenOutput({}, {"A.f": [first], "A.g": [again]}, VarSupply())
+    kept = gen.all_constraints()
     assert len(kept) == 1 and kept[0].provenance.span == Span(3, 5)
 
 
