@@ -3,8 +3,9 @@
 Security types map permission sets to lattice levels, so what a function
 reveals can depend on the permissions of its caller. The package bundles a
 type checker for annotated systems, a constraint-based inference engine
-with an independent semantic oracle, a reference interpreter, and an
-executable noninterference test harness, all behind the ``permflow`` CLI.
+with a worklist solver checked against the paper's symbolic one, a
+reference interpreter, and an executable noninterference test harness, all
+behind the ``permflow`` CLI.
 """
 
 from .basetypes import (
@@ -29,9 +30,17 @@ from .lattice import (
     load_lattice,
 )
 from .nitest import NIConfig, NIReport, Violation, indistinguishable, nitest_function, nitest_system
-from .oracle import OracleUnsat, UniverseTooLarge, oracle_solve
+from .oracle import OracleUnsat, oracle_solve
 from .parser import ParseError, parse_system
-from .solver import Interval, UnsatError, decompose, merge_bounds, saturate, solve
+from .solver import (
+    Interval,
+    UnsatError,
+    decompose,
+    merge_bounds,
+    saturate,
+    solve,
+    symbolic_solve,
+)
 from .system import (
     CheckedSystem,
     RecursiveCall,
@@ -52,10 +61,10 @@ __all__ = [
     "UnknownLevelName", "load_lattice",
     "NIConfig", "NIReport", "Violation", "indistinguishable",
     "nitest_function", "nitest_system",
-    "OracleUnsat", "UniverseTooLarge", "oracle_solve",
+    "OracleUnsat", "oracle_solve",
     "ParseError", "parse_system",
     "Interval", "UnsatError", "decompose", "merge_bounds", "saturate",
-    "solve",
+    "solve", "symbolic_solve",
     "CheckedSystem", "RecursiveCall", "System", "ValidationError",
     "to_source", "validate_system",
     "EPSILON", "InconsistentTrace", "Trace", "apply_trace",

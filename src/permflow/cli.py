@@ -121,7 +121,7 @@ def cmd_infer(args) -> int:
             "ok": False,
             "unsat": {
                 "functions": e.functions,
-                "message": str(e.cause),
+                "message": e.reason,
             },
         }
         _emit(doc, args.json, [f"unsatisfiable: {e}"])

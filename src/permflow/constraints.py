@@ -157,6 +157,19 @@ class Provenance:
     callee: str = ""
     arg: int | None = None
 
+    def describe(self) -> str:
+        """What the side condition constrains, e.g. ``assignment to 'r'``."""
+        if self.rule == "call-arg":
+            return f"argument {self.arg + 1} of call to {self.callee}"
+        if self.rule == "call-ret":
+            return f"result of call to {self.callee}"
+        return {
+            "assign": f"assignment to {self.name!r}",
+            "if-guard": "if guard",
+            "while-guard": "while guard",
+            "letvar-init": f"initializer of letvar {self.name!r}",
+        }[self.rule]
+
 
 @dataclass(frozen=True)
 class Constraint:
@@ -192,11 +205,27 @@ def generalize(constraints) -> list[GenConstraint]:
     return out
 
 
+def point_classes(gc: GenConstraint, nperms: int):
+    """The least permission set of each class that ``gc``'s two remaps send
+    to one (left point, right point) pair, in ascending order.
+
+    Both remaps overwrite the permissions in both guards' supports, so the
+    classes are the subsets of the other permissions.
+    """
+    free = ((1 << nperms) - 1) & ~(gc.lguard.support & gc.rguard.support)
+    q = 0
+    while True:
+        yield q
+        if q == free:
+            return
+        q = ((q | ~free) + 1) & free
+
+
 def constraint_witness(c, subst: dict[int, BaseType], lattice, nperms: int) -> int | None:
-    """Permission set where the constraint fails under ``subst``, if any."""
+    """Least permission set where the constraint fails under ``subst``, if any."""
     gc = c if isinstance(c, GenConstraint) else GenConstraint(c.guard, c.lhs, c.guard, c.rhs)
     tables = {v: subst[v].table for v in term_vars(gc.lhs) | term_vars(gc.rhs)}
-    for q in range(1 << nperms):
+    for q in point_classes(gc, nperms):
         vl = eval_term(gc.lhs, gc.lguard.remap(q), tables, lattice)
         vr = eval_term(gc.rhs, gc.rguard.remap(q), tables, lattice)
         if not lattice.leq(vl, vr):

@@ -42,11 +42,15 @@ class InferResult:
 
 
 class InferUnsat(Exception):
-    def __init__(self, err: UnsatError, functions: list[str]):
+    """``reason`` names the refuted constraint's rule, source location and
+    witness permission set."""
+
+    def __init__(self, err: UnsatError, functions: list[str], reason: str):
         names = ", ".join(functions) if functions else "the system"
-        super().__init__(f"no type assignment satisfies {names}: {err}")
+        super().__init__(f"no type assignment satisfies {names}: {reason}")
         self.cause = err
         self.functions = functions
+        self.reason = reason
 
 
 def infer_system(csys: CheckedSystem) -> InferResult:
@@ -67,7 +71,7 @@ def infer_system(csys: CheckedSystem) -> InferResult:
     try:
         result: SolveResult = solve(all_constraints, lattice, nperms, requested)
     except UnsatError as err:
-        raise InferUnsat(err, _blamed_functions(err, gen)) from err
+        raise InferUnsat(err, _blamed_functions(err, gen), _reason(err, csys)) from err
     t2 = time.perf_counter()
 
     theta = result.substitution
@@ -111,6 +115,16 @@ def _resolve(term, theta) -> BaseType:
     if isinstance(term, TGround):
         return term.type
     return theta[term.vid]
+
+
+def _reason(err: UnsatError, csys: CheckedSystem) -> str:
+    c = err.constraint
+    prov = getattr(c, "provenance", None)
+    if prov is None:
+        return str(err)
+    witness = csys.universe.format_set(c.guard.remap(err.witness))
+    return (f"{prov.rule} constraint at {prov.span} ({prov.describe()}) "
+            f"is refuted at permission set {witness}")
 
 
 def _blamed_functions(err: UnsatError, gen) -> list[str]:

@@ -1,24 +1,37 @@
-"""Independent semantic constraint solver used as a differential oracle.
+"""Least and greatest solutions by a dependency-indexed worklist.
 
-Treats every (variable, permission set) pair as an unknown lattice element
-and runs Kleene iteration from bottom: each constraint is evaluated
-pointwise through the semantic trace map P -> (P | pos) & ~neg, and the
-right-hand side is raised just enough to cover the left. All term forms
-are monotone in the unknowns, so the iteration reaches the least solution;
-a ground upper bound violated at the fixpoint refutes the set.
+Every (variable, permission set) pair is one unknown lattice element, a
+*cell*. A generalized constraint (Λl, lhs ≤ Λr, rhs) holds when, at every
+permission set q, lhs at Λl(q) lies below rhs at Λr(q); each distinct pair
+of remapped points (Λl(q), Λr(q)) is one *instance* of it. The least
+solution starts every cell at bottom and raises the cells under an
+instance's right side just enough to cover its left side. An index maps
+each cell to the instances whose left side reads it, and only the readers
+of a raised cell go back on the worklist, so an instance is re-examined at
+most once per raise of a cell it reads. This is the textbook least-solution
+algorithm for atomic inequalities over a finite lattice (Rehof & Mogensen,
+"Tractable constraints in finite semilattices", SCP 1999).
 
-It shares only the term evaluator, and the constraint check built on it,
-with the symbolic pipeline. The checker solves the letvar locals of an
-annotated body with ``least_fixpoint`` before it evaluates the body's
-constraints.
+Ground parts of a right side are never raised: a constraint they leave
+violated at the least fixpoint is violated by every solution, which the
+caller checks with ``constraint_witness``. The greatest solution is the
+dual: every cell starts at top and the cells under an instance's left side
+are lowered to its right side.
+
+Inference (``solver.solve``), ``oracle_solve`` and the checker's letvar
+locals all use these fixpoints; the symbolic pipeline in ``solver`` is the
+independent reference that the differential suite checks them against.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .basetypes import BaseType
 from .constraints import (
     GenConstraint,
     TGround,
+    TJoin,
     TMeet,
     TMerge,
     TProj,
@@ -26,15 +39,10 @@ from .constraints import (
     constraint_witness,
     eval_term,
     generalize,
+    point_classes,
     term_vars,
 )
 from .lattice import Lattice
-
-ORACLE_MAX_PERMISSIONS = 4
-
-
-class UniverseTooLarge(ValueError):
-    pass
 
 
 class OracleUnsat(Exception):
@@ -46,49 +54,93 @@ class OracleUnsat(Exception):
         self.witness = witness
 
 
-def _raise_to(term, pset: int, level: int, tables, lattice) -> bool:
-    """Raise variables under ``term`` so its value at ``pset`` covers ``level``."""
-    if isinstance(term, TGround):
-        return False  # a cap; violations are reported once the fixpoint is reached
+def _reads(term, pset: int, forbid=()) -> list[tuple[int, int]]:
+    """The cells ``eval_term(term, pset, ...)`` reads.
+
+    They are also the cells to write when the term's value must move: a
+    right side rises to cover a level when every cell under its meets does,
+    and a left side falls below a level when every cell under its joins
+    does. ``forbid`` names the term class that makes such a write inexact.
+    """
     if isinstance(term, TVar):
-        old = tables[term.vid][pset]
-        new = lattice.join(old, level)
-        if new != old:
-            tables[term.vid][pset] = new
-            return True
-        return False
-    if isinstance(term, TMeet):
-        a = _raise_to(term.lhs, pset, level, tables, lattice)
-        b = _raise_to(term.rhs, pset, level, tables, lattice)
-        return a or b
+        return [(term.vid, pset)]
+    if isinstance(term, TGround):
+        return []
+    if isinstance(term, forbid):
+        raise TypeError(f"cannot solve through this side of a constraint: {term!r}")
+    if isinstance(term, (TJoin, TMeet)):
+        return _reads(term.lhs, pset, forbid) + _reads(term.rhs, pset, forbid)
     if isinstance(term, TMerge):
         branch = term.then if pset >> term.perm & 1 else term.els
-        return _raise_to(branch, pset, level, tables, lattice)
+        return _reads(branch, pset, forbid)
     if isinstance(term, TProj):
-        return _raise_to(term.term, term.pset, level, tables, lattice)
-    raise TypeError(f"join cannot appear on the right of a constraint: {term!r}")
+        return _reads(term.term, term.pset, forbid)
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _fixpoint(gens, requested, lattice: Lattice, nperms: int, up: bool):
+    """Raise right sides from bottom (``up``) or lower left sides from top."""
+    vids = set(requested)
+    for gc in gens:
+        vids |= term_vars(gc.lhs) | term_vars(gc.rhs)
+    start, bound = (lattice.bottom, lattice.join) if up else (lattice.top, lattice.meet)
+    tables = {v: [start] * (1 << nperms) for v in vids}
+
+    items: list[tuple] = []  # (source term, source point, cells it writes)
+    readers: dict[tuple[int, int], list[int]] = {}
+    for gc in gens:
+        for q in point_classes(gc, nperms):
+            lp, rp = gc.lguard.remap(q), gc.rguard.remap(q)
+            if up:
+                src, sp, writes = gc.lhs, lp, _reads(gc.rhs, rp, TJoin)
+            else:
+                src, sp, writes = gc.rhs, rp, _reads(gc.lhs, lp, TMeet)
+            if not writes:
+                continue  # a ground side: left to the final check
+            for cell in _reads(src, sp):
+                readers.setdefault(cell, []).append(len(items))
+            items.append((src, sp, writes))
+
+    queue = deque(range(len(items)))
+    queued = [True] * len(items)
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        src, sp, writes = items[i]
+        level = eval_term(src, sp, tables, lattice)
+        for cell in writes:
+            vid, p = cell
+            row = tables[vid]
+            new = bound(row[p], level)
+            if new != row[p]:
+                row[p] = new
+                for j in readers.get(cell, ()):
+                    if not queued[j]:
+                        queued[j] = True
+                        queue.append(j)
+    return {v: BaseType(lattice, nperms, tuple(tbl)) for v, tbl in tables.items()}
 
 
 def least_fixpoint(
-    gens: list[GenConstraint], vids, lattice: Lattice, nperms: int
+    gens: list[GenConstraint], requested, lattice: Lattice, nperms: int
 ) -> dict[int, BaseType]:
-    """Least types for ``vids`` meeting every lower bound of ``gens``.
+    """Least types for ``requested`` and every variable of ``gens`` meeting
+    every lower bound of ``gens``.
 
     Upper bounds that stay violated at the fixpoint are left to the caller.
     """
-    size = 1 << nperms
-    tables = {v: [lattice.bottom] * size for v in vids}
-    changed = True
-    while changed:
-        changed = False
-        for gc in gens:
-            for q in range(size):
-                vl = eval_term(gc.lhs, gc.lguard.remap(q), tables, lattice)
-                rp = gc.rguard.remap(q)
-                if not lattice.leq(vl, eval_term(gc.rhs, rp, tables, lattice)):
-                    if _raise_to(gc.rhs, rp, vl, tables, lattice):
-                        changed = True
-    return {v: BaseType(lattice, nperms, tuple(tbl)) for v, tbl in tables.items()}
+    return _fixpoint(gens, requested, lattice, nperms, True)
+
+
+def greatest_fixpoint(
+    gens: list[GenConstraint], requested, lattice: Lattice, nperms: int
+) -> dict[int, BaseType]:
+    """Greatest types for ``requested`` and every variable of ``gens``
+    meeting every upper bound of ``gens``.
+
+    Lower bounds with no variable on the left are left to the caller.
+    """
+    return _fixpoint(gens, requested, lattice, nperms, False)
 
 
 def oracle_solve(
@@ -97,16 +149,9 @@ def oracle_solve(
     nperms: int,
     requested: tuple[int, ...] = (),
 ) -> dict[int, BaseType]:
-    """Least solution by pointwise fixpoint iteration, or OracleUnsat."""
-    if nperms > ORACLE_MAX_PERMISSIONS:
-        raise UniverseTooLarge(
-            f"oracle supports at most {ORACLE_MAX_PERMISSIONS} permissions"
-        )
+    """Least solution by the worklist fixpoint, or OracleUnsat."""
     gens = generalize(constraints)
-    vids: set[int] = set(requested)
-    for gc in gens:
-        vids |= term_vars(gc.lhs) | term_vars(gc.rhs)
-    solution = least_fixpoint(gens, vids, lattice, nperms)
+    solution = least_fixpoint(gens, requested, lattice, nperms)
     for gc in gens:
         q = constraint_witness(gc, solution, lattice, nperms)
         if q is not None:

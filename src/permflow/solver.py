@@ -1,13 +1,25 @@
-"""Symbolic constraint solving: decompose, saturate, sweep.
+"""Constraint solving: the worklist solver, and the symbolic reference.
 
-The pipeline works on generalized constraints (each side guarded by its own
-trace) and reduces everything to atoms relating a variable or ground type
-to a variable or ground type. Saturation closes the atom set under
-transitivity through shared variables; because a guard's remap collapses
-permission-set fibers, the transitive consequence of a lower and an upper
-bound is a family of constraints, one per sign assignment of each side's
-collapsed permissions. Self-guarded variables are regrouped into fresh
-piece variables, one per sign assignment over the support of their guards.
+``solve`` finds the least solution of a guarded constraint set with the
+dependency-indexed worklist of ``oracle.least_fixpoint`` over (variable,
+permission set) cells, then checks the original constraints against it: a
+constraint the least solution violates is violated by every solution, so
+the set is unsatisfiable and is reported with that constraint, its witness
+and a greedily minimized core. Each variable's interval runs from its type
+in the least solution to its type in the greatest one
+(``oracle.greatest_fixpoint``).
+
+``symbolic_solve`` is the paper's symbolic pipeline, kept as the
+independent reference the differential suite checks ``solve`` against at
+small permission counts; it is exponential in the permission count. It
+works on generalized constraints (each side guarded by its own trace) and
+reduces everything to atoms relating a variable or ground type to a
+variable or ground type. Saturation closes the atom set under transitivity
+through shared variables; because a guard's remap collapses permission-set
+fibers, the transitive consequence of a lower and an upper bound is a
+family of constraints, one per sign assignment of each side's collapsed
+permissions. Self-guarded variables are regrouped into fresh piece
+variables, one per sign assignment over the support of their guards.
 
 Merging and unification run as one sweep in decreasing variable order: a
 variable's least type is the pointwise join of its (by then ground) lower
@@ -34,7 +46,8 @@ from .constraints import (
     term_vars,
 )
 from .lattice import Lattice
-from .traces import Trace, apply_trace, minterms, trace_of_set
+from .oracle import greatest_fixpoint, least_fixpoint
+from .traces import EPSILON, Trace, apply_trace, minterms, trace_of_set
 
 GROUND_VIOLATION = "GroundViolation"
 EMPTY_INTERVAL = "EmptyInterval"
@@ -404,9 +417,19 @@ def merge_bounds(
     return intervals
 
 
-# -------------------------------------------------------------------- solve
+# ------------------------------------------------------- symbolic reference
 
-def _pipeline(constraints, lattice, nperms, requested):
+def symbolic_solve(
+    constraints,
+    lattice: Lattice,
+    nperms: int,
+    requested: tuple[int, ...] = (),
+) -> SolveResult:
+    """Least solution by decompose, saturate and sweep, or UnsatError.
+
+    The reference for ``solve``: exponential in ``nperms``, and its
+    intervals are guard-disjoint bound families from the saturated atoms.
+    """
     gens = generalize(constraints)
     atoms = decompose(gens, lattice, nperms)
     vids = {v for a in atoms for v in term_vars(a.lhs) | term_vars(a.rhs)}
@@ -435,8 +458,10 @@ def _pipeline(constraints, lattice, nperms, requested):
 
     for vid in set(requested) | vids:
         resolve(vid)
-    return theta, intervals
+    return SolveResult(theta, intervals)
 
+
+# -------------------------------------------------------------------- solve
 
 def solve(
     constraints,
@@ -446,23 +471,36 @@ def solve(
 ) -> SolveResult:
     """Least solution of a guarded constraint set, or UnsatError.
 
-    The returned substitution is verified against the original constraints
-    by direct evaluation before being handed back; an unsatisfiable set is
-    reported with a greedily minimized core.
+    The worklist's least fixpoint is checked against the original
+    constraints; the first one it violates refutes the set and is reported
+    with its witness and a greedily minimized core. Each variable gets one
+    interval under the empty guard, from its least to its greatest type.
     """
     constraints = list(constraints)
-    try:
-        theta, intervals = _pipeline(constraints, lattice, nperms, requested)
-    except UnsatError as err:
-        err.core = _minimize_core(constraints, lattice, nperms)
-        raise
-    for c in constraints:
-        witness = constraint_witness(c, theta, lattice, nperms)
-        if witness is not None:
-            raise AssertionError(
-                f"solver bug: computed substitution violates {c!r} at {witness}"
-            )
+    gens = generalize(constraints)
+    theta = least_fixpoint(gens, requested, lattice, nperms)
+    refuted = _refuted(constraints, theta, lattice, nperms)
+    if refuted is not None:
+        c, q = refuted
+        raise UnsatError(
+            GROUND_VIOLATION,
+            f"constraint refuted at permission set {q}",
+            constraint=c,
+            witness=q,
+            core=_minimize_core(constraints, lattice, nperms),
+        )
+    hi = greatest_fixpoint(gens, requested, lattice, nperms)
+    intervals = [Interval(v, EPSILON, theta[v], hi[v]) for v in sorted(theta)]
     return SolveResult(theta, intervals)
+
+
+def _refuted(constraints, theta, lattice, nperms):
+    """The first constraint ``theta`` violates, with its witness, or None."""
+    for c in constraints:
+        q = constraint_witness(c, theta, lattice, nperms)
+        if q is not None:
+            return c, q
+    return None
 
 
 def _minimize_core(constraints, lattice, nperms):
@@ -478,8 +516,5 @@ def _minimize_core(constraints, lattice, nperms):
 
 
 def _is_unsat(constraints, lattice, nperms) -> bool:
-    try:
-        _pipeline(constraints, lattice, nperms, ())
-        return False
-    except UnsatError:
-        return True
+    theta = least_fixpoint(generalize(constraints), (), lattice, nperms)
+    return _refuted(constraints, theta, lattice, nperms) is not None

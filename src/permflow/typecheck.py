@@ -85,20 +85,14 @@ def _violation(c: Constraint, q: int, locals_: dict[int, BaseType],
     prov = c.provenance
     if prov.rule == "call-arg":
         kind = CALL_ARG
-        message = (f"argument {prov.arg + 1} of call to {prov.callee} exceeds the "
-                   f"callee's view of its parameter")
+        message = f"{prov.describe()} exceeds the callee's view of its parameter"
     elif prov.rule == "call-ret":
         kind = RETURN
-        message = f"result of call to {prov.callee} does not fit {prov.name!r}"
+        message = f"{prov.describe()} does not fit {prov.name!r}"
     else:
         kind = SUBTYPE
-        what = {
-            "assign": f"assignment to {prov.name!r}",
-            "if-guard": "if guard",
-            "while-guard": "while guard",
-            "letvar-init": f"initializer of letvar {prov.name!r}",
-        }[prov.rule]
-        message = f"{what}: required type is not dominated at permission set index {w}"
+        message = (f"{prov.describe()}: required type is not dominated at "
+                   f"permission set index {w}")
     return TypeViolation(kind, message, prov.span, fun, lhs, rhs, c.guard, w)
 
 

@@ -1,9 +1,10 @@
-"""Random constraint-set generator for the solver/oracle differential.
+"""Random constraint-set generator for the solver differential.
 
 Terms honor the constraint grammar: joins and projections of variables may
 appear only on the left of an inequality, meets, merges and projections
 only on the right. Sets are kept small (few permissions, few variables) so
-the semantic oracle stays exact.
+the symbolic reference solver, exponential in the permission count, stays
+fast.
 """
 
 from __future__ import annotations

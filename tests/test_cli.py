@@ -46,6 +46,43 @@ def test_infer_getinfo_json(capsys):
     assert fn["intervals"]
 
 
+PLANTED_LEAK = """\
+lattice { levels L, H; order L < H; }
+permissions { p }
+app S perms {p} {
+  const SEC : H = 7;
+  fun sink(y : L) : L { init r = 0 in { r := y; return r } }
+}
+app A perms {p} {
+  fun f(x) {
+    init r = 0 in {
+      letvar v = 0 in {
+        test(p) v := SEC else v := 0;
+        v := call S.sink(v)
+      };
+      return r
+    }
+  }
+  fun g(x) { init r = 0 in { r := call A.f(x); return r } }
+}
+"""
+
+
+def test_infer_unsat_names_source_location(capsys, tmp_path):
+    # the refuted constraint is the call-arg side condition of the sink call
+    # (line 12, column 9), refuted where p is held and v carries SEC
+    path = tmp_path / "leak.pf"
+    path.write_text(PLANTED_LEAK)
+    code, out, _ = run(capsys, "infer", str(path), "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["unsat"] == {
+        "functions": ["A.f", "A.g"],
+        "message": "call-arg constraint at 12:9 (argument 1 of call to S.sink) "
+                   "is refuted at permission set {p}",
+    }
+
+
 def test_run_getsecret(capsys):
     code, out, _ = run(
         capsys, "run", p("getsecret.pf"),

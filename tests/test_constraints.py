@@ -173,3 +173,34 @@ def test_generated_constraints_carry_provenance():
             assert (prov.arg is not None) == (prov.rule == "call-arg")
             rules.add(prov.rule)
     assert rules == RULES
+
+
+def test_witness_is_least_failing_permission_set(rng):
+    # constraint_witness visits one permission set per pair of remapped
+    # points; it must still return the least q the full scan would
+    from permflow.constraints import eval_term
+
+    from .conftest import random_basetype, random_trace
+    from .diffgen import random_instance
+
+    def full_scan(gc, subst, lat, nperms):
+        tables = {v: t.table for v, t in subst.items()}
+        for q in range(1 << nperms):
+            vl = eval_term(gc.lhs, gc.lguard.remap(q), tables, lat)
+            if not lat.leq(vl, eval_term(gc.rhs, gc.rguard.remap(q), tables, lat)):
+                return q
+        return None
+
+    failing = 0
+    for _ in range(300):
+        constraints, lat, nperms, nvars = random_instance(rng)
+        subst = {v: random_basetype(rng, lat, nperms) for v in range(nvars)}
+        for c in constraints:
+            split = GenConstraint(random_trace(rng, nperms), c.lhs,
+                                  random_trace(rng, nperms), c.rhs)
+            for item in (c, split):
+                (gc,) = generalize([item])
+                want = full_scan(gc, subst, lat, nperms)
+                assert constraint_witness(item, subst, lat, nperms) == want
+                failing += want is not None
+    assert failing > 100

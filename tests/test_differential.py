@@ -1,15 +1,15 @@
-"""Differential testing of the symbolic solver against the semantic oracle.
+"""Differential testing of the worklist solver against the symbolic one.
 
-Both must agree on satisfiability, and on satisfiable instances their least
-solutions must be extensionally equal on every variable. The acceptance
+``solve`` (the worklist least fixpoint) and ``symbolic_solve`` (decompose,
+saturate, sweep) must agree on satisfiability, and on satisfiable instances
+their least solutions must be extensionally equal on every variable. The acceptance
 suite runs the full 1,000-instance budget; this module keeps a quicker
 smoke slice for everyday development.
 """
 
 import random
 
-from permflow.oracle import OracleUnsat, oracle_solve
-from permflow.solver import UnsatError, solve
+from permflow.solver import UnsatError, solve, symbolic_solve
 
 from .conftest import SEED
 from .diffgen import random_instance
@@ -22,26 +22,26 @@ def run_differential(count: int, seed: int = SEED) -> dict:
         constraints, lat, nperms, nvars = random_instance(rnd)
         requested = tuple(range(nvars))
         try:
-            sym = solve(constraints, lat, nperms, requested).substitution
-            sym_sat = True
+            got = solve(constraints, lat, nperms, requested).substitution
+            got_sat = True
         except UnsatError:
-            sym_sat = False
+            got_sat = False
         try:
-            sem = oracle_solve(constraints, lat, nperms, requested)
-            sem_sat = True
-        except OracleUnsat:
-            sem_sat = False
+            ref = symbolic_solve(constraints, lat, nperms, requested).substitution
+            ref_sat = True
+        except UnsatError:
+            ref_sat = False
 
-        assert sym_sat == sem_sat, (
-            f"instance {i}: solver says {'sat' if sym_sat else 'unsat'}, "
-            f"oracle says {'sat' if sem_sat else 'unsat'}: {constraints}"
+        assert got_sat == ref_sat, (
+            f"instance {i}: solver says {'sat' if got_sat else 'unsat'}, "
+            f"symbolic reference says {'sat' if ref_sat else 'unsat'}: {constraints}"
         )
-        if sym_sat:
+        if got_sat:
             stats["sat"] += 1
             for v in requested:
-                assert sym[v] == sem[v], (
+                assert got[v] == ref[v], (
                     f"instance {i}: least solutions differ on variable {v}: "
-                    f"{sym[v]} vs {sem[v]}"
+                    f"{got[v]} vs {ref[v]}"
                 )
         else:
             stats["unsat"] += 1
@@ -57,20 +57,20 @@ def test_differential_smoke():
 def _agree(constraints, lat, nperms, nvars, tag):
     requested = tuple(range(nvars))
     try:
-        sym = solve(constraints, lat, nperms, requested).substitution
-        sym_sat = True
+        got = solve(constraints, lat, nperms, requested).substitution
+        got_sat = True
     except UnsatError:
-        sym_sat = False
+        got_sat = False
     try:
-        sem = oracle_solve(constraints, lat, nperms, requested)
-        sem_sat = True
-    except OracleUnsat:
-        sem_sat = False
-    assert sym_sat == sem_sat, (tag, constraints)
-    if sym_sat:
+        ref = symbolic_solve(constraints, lat, nperms, requested).substitution
+        ref_sat = True
+    except UnsatError:
+        ref_sat = False
+    assert got_sat == ref_sat, (tag, constraints)
+    if got_sat:
         for v in requested:
-            assert sym[v] == sem[v], (tag, v, constraints)
-    return sym_sat
+            assert got[v] == ref[v], (tag, v, constraints)
+    return got_sat
 
 
 def test_differential_cycle_heavy():

@@ -1,8 +1,8 @@
 import pytest
 
-from permflow.basetypes import embed
-from permflow.constraints import Constraint, TGround, TVar, gen_constraints
-from permflow.oracle import OracleUnsat, UniverseTooLarge, oracle_solve
+from permflow.basetypes import BaseType, embed
+from permflow.constraints import Constraint, TGround, TMerge, TProj, TVar, gen_constraints
+from permflow.oracle import OracleUnsat, oracle_solve
 from permflow.parser import parse_system
 from permflow.system import validate_system
 from permflow.traces import EPSILON, Trace
@@ -46,9 +46,52 @@ def test_oracle_single_guarded_lower_bound(two_point):
     assert theta[0] == bt(lat, "L", "H")
 
 
-def test_oracle_universe_cap(two_point):
-    with pytest.raises(UniverseTooLarge):
-        oracle_solve([], two_point, 5)
+def test_eight_permissions_least_types_by_hand(diamond):
+    # k=8, past the old 4-permission oracle cap: both the oracle and the
+    # solver return the least types worked out from the constraints
+    from permflow.solver import UnsatError, solve
+
+    lat, k = diamond, 8
+    L, l1, l2, H = (lat.level(x) for x in ("L", "l1", "l2", "H"))
+    full = (1 << k) - 1
+    p0, p3, p5, p7 = (1 << i for i in (0, 3, 5, 7))
+
+    def g(level):
+        return TGround(embed(level, lat, k))
+
+    cs = [
+        Constraint(Trace(pos=p0), g(l1), TVar(0)),
+        Constraint(Trace(pos=p7), g(l2), TVar(0)),
+        Constraint(EPSILON, TProj(TVar(0), full), TVar(1)),
+        Constraint(Trace(neg=p3), TVar(0), TVar(2)),
+        Constraint(EPSILON, TProj(TVar(0), p0), TMerge(5, TVar(3), g(H))),
+        Constraint(EPSILON, TVar(1), g(H)),
+    ]
+
+    def table(f):
+        return BaseType(lat, k, tuple(f(pset) for pset in range(1 << k)))
+
+    def a0(pset):
+        return lat.join(l1 if pset & p0 else L, l2 if pset & p7 else L)
+
+    want = {
+        0: table(a0),                                   # l1 with p0, l2 with p7
+        1: embed(H, lat, k),                            # a0 at the full set
+        2: table(lambda s: L if s & p3 else a0(s)),     # a0 where p3 is absent
+        3: table(lambda s: l1 if s & p5 else L),        # a0 at {p0}, where p5 holds
+    }
+    requested = tuple(want)
+    assert oracle_solve(cs, lat, k, requested) == want
+    assert solve(cs, lat, k, requested).substitution == want
+
+    # an upper bound of l1 on a2 fails first at {p7}, where a2 is l2
+    leak = Constraint(EPSILON, TVar(2), g(l1))
+    with pytest.raises(OracleUnsat) as err:
+        oracle_solve(cs + [leak], lat, k, requested)
+    assert err.value.witness == p7
+    with pytest.raises(UnsatError) as err:
+        solve(cs + [leak], lat, k, requested)
+    assert err.value.constraint == leak and err.value.witness == p7
 
 
 def test_oracle_iteration_reaches_fixpoint_through_chain(two_point):

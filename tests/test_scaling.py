@@ -1,0 +1,102 @@
+"""Inference on shapes whose cost once grew exponentially, against known answers.
+
+The symbolic pipeline needed over 100 s for the 100-function call chain
+and over 60 s for the k=8 fan; the worklist solver takes well under a
+second on both. The time bounds are generous, so only a return to
+exponential behaviour fails them.
+"""
+
+import time
+
+from permflow.basetypes import BaseType, embed
+from permflow.inference import infer_system
+from permflow.parser import parse_system
+from permflow.system import validate_system
+
+DIAMOND = "lattice { levels L, l1, l2, H; order L < l1, L < l2, l1 < H, l2 < H; }"
+BOUND_S = 10.0
+
+
+def _infer_timed(src: str):
+    t0 = time.perf_counter()
+    csys = validate_system(parse_system(src))
+    result = infer_system(csys)
+    return csys, result, time.perf_counter() - t0
+
+
+def chain_source(n: int) -> str:
+    """f_i(x) returns call f_{i-1}(x); f0 adds an H constant under test(p)."""
+    funs = ["  fun f0(x) { init r = 0 in { test(p) r := x + S else r := x; return r } }"]
+    funs += [
+        f"  fun f{i}(x) {{ init r = 0 in {{ r := call A.f{i - 1}(x); return r }} }}"
+        for i in range(1, n)
+    ]
+    return "\n".join([
+        "lattice { levels L, H; order L < H; }",
+        "permissions { p }",
+        "app A perms {p} {",
+        "  const S : H = 5;",
+        *funs,
+        "}",
+    ]) + "\n"
+
+
+def fan_source(k: int, n: int) -> str:
+    """N functions alternating between app A (all k permissions) and app B
+    (the even-indexed ones); f_i calls f_{i-1}(0) into a letvar and returns
+    its app's constant under k nested tests, its parameter otherwise."""
+    perms = [f"p{i}" for i in range(k)]
+    apps = {"A": [], "B": []}
+    for i in range(n):
+        app = "A" if i % 2 == 0 else "B"
+        stmts = []
+        if i > 0:
+            stmts.append(f"v := call {'A' if (i - 1) % 2 == 0 else 'B'}.f{i - 1}(0)")
+        cmd = f"r := {app.lower()}{1 if i % 4 < 2 else 2}"
+        for p in reversed(perms):
+            cmd = f"test({p}) {{ {cmd} }} else r := x"
+        stmts.append(cmd)
+        apps[app].append(
+            f"  fun f{i}(x) {{ init r = 0 in {{ letvar v = 0 in {{ {'; '.join(stmts)} }}; "
+            f"return r }} }}"
+        )
+    lines = [DIAMOND, f"permissions {{ {', '.join(perms)} }}"]
+    for app, held in (("B", perms[::2]), ("A", perms)):
+        lines += [f"app {app} perms {{{', '.join(held)}}} {{",
+                  f"  const {app.lower()}1 : l1 = 1;", f"  const {app.lower()}2 : l2 = 2;",
+                  *apps[app], "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_unannotated_call_chain_of_100():
+    csys, result, elapsed = _infer_timed(chain_source(100))
+    assert result.ok
+    lat = csys.lattice
+    L, H = lat.level("L"), lat.level("H")
+    types = result.types()
+    # f0 returns H to callers holding p; every caller holds p, so from f1 on
+    # the chain returns H everywhere. Nothing flows into a parameter.
+    assert types["A.f0"].ret == BaseType(lat, 1, (L, H))
+    for i in range(1, 100):
+        assert types[f"A.f{i}"].ret == embed(H, lat, 1)
+    for ft in types.values():
+        assert ft.params == (embed(L, lat, 1),)
+    assert elapsed < BOUND_S, f"{elapsed:.1f} s"
+
+
+def test_fan_with_eight_permissions():
+    k, n = 8, 10
+    csys, result, elapsed = _infer_timed(fan_source(k, n))
+    assert result.ok
+    lat = csys.lattice
+    full = (1 << k) - 1
+    types = result.types()
+    assert len(types) == n
+    for i in range(n):
+        ft = types[f"{'A' if i % 2 == 0 else 'B'}.f{i}"]
+        # the constant reaches only callers holding every tested permission
+        level = lat.level("l1" if i % 4 < 2 else "l2")
+        want = tuple(level if pset == full else lat.level("L") for pset in range(1 << k))
+        assert ft.ret == BaseType(lat, k, want)
+        assert ft.params == (embed(lat.level("L"), lat, k),)
+    assert elapsed < BOUND_S, f"{elapsed:.1f} s"

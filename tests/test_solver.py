@@ -321,6 +321,36 @@ def test_substitution_lies_within_reported_intervals(rng):
     assert solved > 20
 
 
+def test_intervals_are_least_and_greatest_solutions(rng):
+    # one interval per variable under the empty guard: lo is the least
+    # solution, hi a solution too, and every solution lies between them
+    from .conftest import random_basetype
+    from .diffgen import random_instance
+
+    solved = hits = 0
+    for _ in range(150):
+        constraints, lat, nperms, nvars = random_instance(rng)
+        try:
+            res = solve(constraints, lat, nperms, tuple(range(nvars)))
+        except UnsatError:
+            continue
+        solved += 1
+        assert [iv.var for iv in res.intervals] == sorted(res.substitution)
+        assert all(iv.guard == EPSILON for iv in res.intervals)
+        lo = {iv.var: iv.lo for iv in res.intervals}
+        hi = {iv.var: iv.hi for iv in res.intervals}
+        assert lo == res.substitution
+        for c in constraints:
+            assert constraint_witness(c, hi, lat, nperms) is None
+        for _ in range(10):
+            cand = {v: random_basetype(rng, lat, nperms) for v in lo}
+            if all(constraint_witness(c, cand, lat, nperms) is None for c in constraints):
+                hits += 1
+                for v in lo:
+                    assert lo[v].leq(cand[v]) and cand[v].leq(hi[v])
+    assert solved > 20 and hits > 20
+
+
 def test_decompose_output_is_atomic_and_bounded(rng):
     from .diffgen import random_instance
 
