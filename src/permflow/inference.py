@@ -119,9 +119,7 @@ def _resolve(term, theta) -> BaseType:
 
 def _reason(err: UnsatError, csys: CheckedSystem) -> str:
     c = err.constraint
-    prov = getattr(c, "provenance", None)
-    if prov is None:
-        return str(err)
+    prov = c.provenance
     witness = csys.universe.format_set(c.guard.remap(err.witness))
     return (f"{prov.rule} constraint at {prov.span} ({prov.describe()}) "
             f"is refuted at permission set {witness}")
