@@ -8,6 +8,7 @@ operations are pointwise table loops; equality is extensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .lattice import Lattice
@@ -67,8 +68,13 @@ class PermUniverse:
     def sets(self) -> range:
         return range(1 << len(self.names))
 
+    @cached_property
+    def set_labels(self) -> tuple[str, ...]:
+        """Every permission set's name, e.g. ``{p,q}``, indexed by mask."""
+        return tuple("{" + ",".join(self.set_names(m)) + "}" for m in self.sets())
+
     def format_set(self, mask: int) -> str:
-        return "{" + ",".join(self.set_names(mask)) + "}"
+        return self.set_labels[mask]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ def _load(path: str) -> CheckedSystem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SystemExit2(f"cannot read {path}: {e}")
     try:
         sys_ = parse_system(text)
@@ -52,9 +52,8 @@ def _emit(doc, as_json: bool, human_lines) -> None:
 
 
 def _type_table(t, csys) -> dict:
-    uni = csys.universe
-    lat = csys.lattice
-    return {uni.format_set(p): lat.name(t.at(p)) for p in uni.sets()}
+    name = csys.lattice.name
+    return {label: name(v) for label, v in zip(csys.universe.set_labels, t.table)}
 
 
 def _violation_doc(err, csys) -> dict:
@@ -292,7 +291,7 @@ def _parse_perms(spec: str | None, csys) -> int:
     return mask
 
 
-def _parse_domain(spec: str) -> tuple[int, ...]:
+def _parse_domain(spec: str) -> range:
     try:
         lo, hi = spec.split("..")
         lo_i, hi_i = int(lo), int(hi)
@@ -302,7 +301,9 @@ def _parse_domain(spec: str) -> tuple[int, ...]:
         raise SystemExit2("empty --domain range")
     if hi_i == lo_i:
         raise SystemExit2("--domain must offer at least two values")
-    return tuple(range(lo_i, hi_i + 1))
+    if hi_i - lo_i >= sys.maxsize:
+        raise SystemExit2("--domain range too large")
+    return range(lo_i, hi_i + 1)
 
 
 def _require_non_negative(flag: str, value: int) -> None:

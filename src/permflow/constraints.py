@@ -233,56 +233,45 @@ def constraint_witness(c, subst: dict[int, BaseType], lattice, nperms: int) -> i
     return None
 
 
-@dataclass
-class VarInfo:
-    vid: int
-    role: str  # "param" | "ret" | "local"
-    name: str
-    function: str
-
-
 class VarSupply:
+    """Numbers fresh type variables 0, 1, 2, ..."""
+
     def __init__(self):
-        self.infos: list[VarInfo] = []
+        self.count = 0
 
-    def fresh(self, role: str, name: str, function: str) -> TVar:
-        info = VarInfo(len(self.infos), role, name, function)
-        self.infos.append(info)
-        return TVar(info.vid)
-
-    def info(self, vid: int) -> VarInfo:
-        return self.infos[vid]
+    def fresh(self) -> TVar:
+        self.count += 1
+        return TVar(self.count - 1)
 
 
 @dataclass
 class FunSignature:
     params: tuple[Term, ...]
     ret: Term
-    constraints: tuple  # the function's own constraints, generation order
 
 
 @dataclass
 class GenOutput:
     signatures: dict[str, FunSignature]
-    by_function: dict[str, list[Constraint]]
-    supply: VarSupply
+    by_function: dict[str, list[Constraint]]  # each function's own, deduplicated
 
     def all_constraints(self) -> list[Constraint]:
         return list(dict.fromkeys(c for cs in self.by_function.values() for c in cs))
 
 
 def ground_signature(ft: FunctionType) -> FunSignature:
-    """The signature of an annotated function: its types, no constraints."""
-    return FunSignature(tuple(TGround(t) for t in ft.params), TGround(ft.ret), ())
+    """The signature of an annotated function: its types."""
+    return FunSignature(tuple(TGround(t) for t in ft.params), TGround(ft.ret))
 
 
 def gen_constraints(csys: CheckedSystem) -> GenOutput:
-    """Constraint sets for every function, callee-first.
+    """Each function's signature and own constraint set, callee-first.
 
-    Annotated functions contribute ground signatures with empty constraint
-    sets; unannotated ones get fresh parameter/return variables and their
-    body's side conditions. A call imports the callee's set and adds the
-    projection constraints onto the calling app's permissions.
+    Annotated functions contribute ground signatures and no constraints;
+    unannotated ones get fresh parameter/return variables and their body's
+    side conditions. A call site contributes the projection constraints
+    onto the calling app's permissions; the callee's body constraints stay
+    with the callee.
     """
     supply = VarSupply()
     signatures: dict[str, FunSignature] = {}
@@ -295,25 +284,19 @@ def gen_constraints(csys: CheckedSystem) -> GenOutput:
             signatures[qname] = ground_signature(annotation)
             by_function[qname] = []
             continue
-        gamma: dict[str, Term] = {
-            p: supply.fresh("param", p, qname) for p in decl.params
-        }
-        gamma[decl.ret_var] = supply.fresh("ret", decl.ret_var, qname)
+        gamma: dict[str, Term] = {p: supply.fresh() for p in decl.params}
+        gamma[decl.ret_var] = supply.fresh()
         collected: list[Constraint] = []
         if decl.body is not None:
-            _gen_cmd(gamma, EPSILON, decl.app, decl.body, csys, signatures, supply,
-                     collected, qname)
-        dedup = list(dict.fromkeys(collected))
+            _gen_cmd(gamma, EPSILON, decl.app, decl.body, csys, signatures, supply, collected)
         signatures[qname] = FunSignature(
-            tuple(gamma[p] for p in decl.params),
-            gamma[decl.ret_var],
-            tuple(dedup),
+            tuple(gamma[p] for p in decl.params), gamma[decl.ret_var]
         )
-        by_function[qname] = dedup
-    return GenOutput(signatures, by_function, supply)
+        by_function[qname] = list(dict.fromkeys(collected))
+    return GenOutput(signatures, by_function)
 
 
-def _gen_expr(gamma, trace, e: Expr, csys) -> Term:
+def _gen_expr(gamma, e: Expr, csys) -> Term:
     lat = csys.lattice
     n = csys.universe.count
     if isinstance(e, IntLit):
@@ -323,23 +306,22 @@ def _gen_expr(gamma, trace, e: Expr, csys) -> Term:
             return gamma[e.name]
         return TGround(csys.constants[e.name].type)
     if isinstance(e, BinOp):
-        return tjoin(_gen_expr(gamma, trace, e.lhs, csys),
-                     _gen_expr(gamma, trace, e.rhs, csys))
+        return tjoin(_gen_expr(gamma, e.lhs, csys),
+                     _gen_expr(gamma, e.rhs, csys))
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _gen_cmd(gamma, trace, app, c: Cmd, csys, signatures, supply, out, fun) -> Term:
+def _gen_cmd(gamma, trace, app, c: Cmd, csys, signatures, supply, out) -> Term:
     if isinstance(c, Assign):
-        t = _gen_expr(gamma, trace, c.expr, csys)
+        t = _gen_expr(gamma, c.expr, csys)
         out.append(Constraint(trace, t, gamma[c.name],
                               Provenance("assign", c.span, c.name)))
         return gamma[c.name]
     if isinstance(c, CallAssign):
         sig = signatures[c.target]
-        out.extend(sig.constraints)
         theta_a = csys.theta[app]
         for i, (arg, pt) in enumerate(zip(c.args, sig.params)):
-            s = _gen_expr(gamma, trace, arg, csys)
+            s = _gen_expr(gamma, arg, csys)
             out.append(Constraint(trace, s, tproj(pt, theta_a),
                                   Provenance("call-arg", c.span, c.name, c.target, i)))
         out.append(Constraint(trace, tproj(sig.ret, theta_a), gamma[c.name],
@@ -349,7 +331,7 @@ def _gen_cmd(gamma, trace, app, c: Cmd, csys, signatures, supply, out, fun) -> T
         # Meet is idempotent: folding only the distinct member terms keeps
         # the effect term's depth at the number of variables written.
         terms = list(dict.fromkeys(
-            _gen_cmd(gamma, trace, app, m, csys, signatures, supply, out, fun)
+            _gen_cmd(gamma, trace, app, m, csys, signatures, supply, out)
             for m in c.cmds
         ))
         effect = terms[0]
@@ -357,28 +339,28 @@ def _gen_cmd(gamma, trace, app, c: Cmd, csys, signatures, supply, out, fun) -> T
             effect = tmeet(effect, t)
         return effect
     if isinstance(c, If):
-        te = _gen_expr(gamma, trace, c.cond, csys)
-        t1 = _gen_cmd(gamma, trace, app, c.then, csys, signatures, supply, out, fun)
-        t2 = _gen_cmd(gamma, trace, app, c.els, csys, signatures, supply, out, fun)
+        te = _gen_expr(gamma, c.cond, csys)
+        t1 = _gen_cmd(gamma, trace, app, c.then, csys, signatures, supply, out)
+        t2 = _gen_cmd(gamma, trace, app, c.els, csys, signatures, supply, out)
         out.append(Constraint(trace, te, tmeet(t1, t2), Provenance("if-guard", c.span)))
         return tmeet(t1, t2)
     if isinstance(c, While):
-        te = _gen_expr(gamma, trace, c.cond, csys)
-        t = _gen_cmd(gamma, trace, app, c.body, csys, signatures, supply, out, fun)
+        te = _gen_expr(gamma, c.cond, csys)
+        t = _gen_cmd(gamma, trace, app, c.body, csys, signatures, supply, out)
         out.append(Constraint(trace, te, t, Provenance("while-guard", c.span)))
         return t
     if isinstance(c, Test):
         p = csys.universe.index(c.perm)
         t1 = _gen_cmd(gamma, trace.append(p, True), app, c.then, csys, signatures,
-                      supply, out, fun)
+                      supply, out)
         t2 = _gen_cmd(gamma, trace.append(p, False), app, c.els, csys, signatures,
-                      supply, out, fun)
+                      supply, out)
         return tmerge(p, t1, t2)
     if isinstance(c, LetVar):
-        s = _gen_expr(gamma, trace, c.init, csys)
-        alpha = supply.fresh("local", c.name, fun)
+        s = _gen_expr(gamma, c.init, csys)
+        alpha = supply.fresh()
         out.append(Constraint(trace, s, alpha, Provenance("letvar-init", c.span, c.name)))
         inner = dict(gamma)
         inner[c.name] = alpha
-        return _gen_cmd(inner, trace, app, c.body, csys, signatures, supply, out, fun)
+        return _gen_cmd(inner, trace, app, c.body, csys, signatures, supply, out)
     raise TypeError(f"not a command: {c!r}")

@@ -91,7 +91,7 @@ def infer_system(csys: CheckedSystem) -> InferResult:
                 qname,
                 ftype,
                 inferred=csys.ft[qname] is None,
-                constraint_count=len(sig.constraints),
+                constraint_count=len(gen.by_function[qname]),
                 intervals=[iv for iv in result.intervals if iv.var in own_vids],
             )
         )

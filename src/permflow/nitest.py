@@ -19,6 +19,7 @@ there is none), the fuel note counts the pairs with an exhausted side, and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -32,7 +33,7 @@ DEFAULT_PAIR_CAP = 10**6
 @dataclass
 class NIConfig:
     observer: int  # level id
-    domain: tuple[int, ...] = (0, 1, 2)
+    domain: Sequence[int] = (0, 1, 2)
     fuel: int = DEFAULT_FUEL
     caller_perm_sets: tuple[int, ...] | None = None  # None: all of them
     pair_cap: int = DEFAULT_PAIR_CAP
@@ -194,7 +195,7 @@ def nitest_system(
     cfg: NIConfig | None = None,
     observers: tuple[int, ...] | None = None,
     functions: tuple[str, ...] | None = None,
-    domain: tuple[int, ...] = (0, 1, 2),
+    domain: Sequence[int] = (0, 1, 2),
     fuel: int = DEFAULT_FUEL,
     pair_cap: int = DEFAULT_PAIR_CAP,
     strict: bool = False,

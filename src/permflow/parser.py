@@ -72,6 +72,16 @@ class ParseError(ValueError):
         super().__init__(f"{span}: {message}")
 
 
+def _int_literal(tok) -> int:
+    """The value of an ``int`` token; a literal past Python's digit limit
+    for ``int`` is a ParseError."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                         tok.span) from None
+
+
 class DuplicateName(ParseError):
     pass
 
@@ -284,7 +294,8 @@ class Parser:
         if tok.kind != "int":
             raise ParseError(f"expected integer, got {tok.text!r}", tok.span)
         self.next()
-        return -int(tok.text) if neg else int(tok.text)
+        value = _int_literal(tok)
+        return -value if neg else value
 
     def _parse_fun(self, app: str) -> FunDecl:
         kw = self.expect("fun")
@@ -339,7 +350,7 @@ class Parser:
             raise DuplicateName(f"return variable {ret_var.text!r} shadows a parameter", ret_var.span)
         self.expect("=")
         zero = self.peek()
-        if zero.kind != "int" or int(zero.text) != 0:
+        if zero.kind != "int" or _int_literal(zero) != 0:
             raise ParseError("the return variable must be initialized to 0", zero.span)
         self.next()
         self.expect("in")
@@ -473,7 +484,7 @@ class Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return IntLit(int(tok.text), tok.span)
+            return IntLit(_int_literal(tok), tok.span)
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             self.next()
             return Var(tok.text, tok.span)

@@ -119,14 +119,12 @@ def check_function(csys: CheckedSystem, qname: str) -> TypeViolation | None:
     gamma[decl.ret_var] = TGround(ft.ret)
     supply = VarSupply()
     out: list[Constraint] = []
-    _gen_cmd(gamma, EPSILON, decl.app, decl.body, csys, signatures, supply, out, qname)
+    _gen_cmd(gamma, EPSILON, decl.app, decl.body, csys, signatures, supply, out)
     lat = csys.lattice
     n = csys.universe.count
     locals_ = {}
-    if supply.infos:
-        locals_ = least_fixpoint(
-            generalize(out), [info.vid for info in supply.infos], lat, n
-        )
+    if supply.count:
+        locals_ = least_fixpoint(generalize(out), range(supply.count), lat, n)
     for c in out:
         q = constraint_witness(c, locals_, lat, n)
         if q is not None:

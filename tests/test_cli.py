@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -70,14 +71,15 @@ app A perms {p} {
 
 def test_infer_unsat_names_source_location(capsys, tmp_path):
     # the refuted constraint is the call-arg side condition of the sink call
-    # (line 12, column 9), refuted where p is held and v carries SEC
+    # (line 12, column 9), refuted where p is held and v carries SEC; only
+    # A.f owns a core constraint, so its caller A.g is not blamed
     path = tmp_path / "leak.pf"
     path.write_text(PLANTED_LEAK)
     code, out, _ = run(capsys, "infer", str(path), "--json")
     assert code == 1
     doc = json.loads(out)
     assert doc["unsat"] == {
-        "functions": ["A.f", "A.g"],
+        "functions": ["A.f"],
         "message": "call-arg constraint at 12:9 (argument 1 of call to S.sink) "
                    "is refuted at permission set {p}",
     }
@@ -200,6 +202,13 @@ def test_unknown_entry_exit_two(capsys):
     assert code == 2
 
 
+NON_UTF8 = b"lattice { levels L; }\xff\n"
+PROLOGUE = "lattice { levels L; }\npermissions { }\napp A perms {} {\n"
+LONG_LITERAL = (PROLOGUE + "  fun f() { init r = 0 in { r := " + "9" * 5000
+                + "; return r } }\n}\n").encode()
+LONG_CONST = (PROLOGUE + "  const C : L = " + "9" * 5000 + ";\n}\n").encode()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -210,12 +219,38 @@ def test_unknown_entry_exit_two(capsys):
         (["nitest", p("leaky.pf"), "--pair-cap", "-1"], "--pair-cap must be non-negative, got -1"),
         (["infer", p("getinfo.pf"), "--emit-annotated", "/nonexistent/x.pf"],
          "cannot write /nonexistent/x.pf"),
+        (["nitest", p("identity.pf"), "--domain", f"0..{sys.maxsize}"],
+         "--domain range too large"),
+        # a bytes argument is the content of the input file, named INPUT
+        (["check", NON_UTF8], "cannot read INPUT: 'utf-8' codec can't decode byte 0xff"),
+        (["infer", NON_UTF8], "cannot read INPUT: 'utf-8' codec can't decode byte 0xff"),
+        (["fmt", NON_UTF8], "cannot read INPUT: 'utf-8' codec can't decode byte 0xff"),
+        (["nitest", NON_UTF8], "cannot read INPUT: 'utf-8' codec can't decode byte 0xff"),
+        (["infer", LONG_LITERAL], "4:34: integer literal of 5000 digits is too long"),
+        (["check", LONG_CONST], "4:17: integer literal of 5000 digits is too long"),
     ],
     ids=["domain-one-value", "run-negative-fuel", "nitest-negative-fuel",
-         "nitest-negative-pair-cap", "emit-annotated-unwritable"],
+         "nitest-negative-pair-cap", "emit-annotated-unwritable", "domain-too-large",
+         "check-non-utf8", "infer-non-utf8", "fmt-non-utf8", "nitest-non-utf8",
+         "long-literal", "long-const"],
 )
-def test_bad_arguments_exit_two(capsys, argv, message):
+def test_bad_arguments_exit_two(capsys, tmp_path, argv, message):
+    argv = list(argv)
+    if isinstance(argv[1], bytes):
+        path = tmp_path / "input.pf"
+        path.write_bytes(argv[1])
+        argv[1] = str(path)
+        message = message.replace("INPUT", str(path))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_huge_domain_is_not_materialised(capsys):
+    # a trillion values put every cell over the default pair cap, so none runs
+    code, out, err = run(capsys, "nitest", p("identity.pf"), "--json",
+                         "--domain", "0..1000000000000")
+    assert code == 0 and err == ""
+    cells = json.loads(out)["cells"]
+    assert cells and {c["verdict"] for c in cells} <= {"inconclusive", "skipped"}

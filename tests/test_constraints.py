@@ -10,7 +10,6 @@ from permflow.constraints import (
     TJoin,
     TProj,
     TVar,
-    VarSupply,
     constraint_witness,
     gen_constraints,
     generalize,
@@ -98,14 +97,14 @@ def test_annotated_functions_are_ground():
     gen = gen_constraints(csys)
     sig = gen.signatures["C.getsecret"]
     assert isinstance(sig.ret, TGround)
-    assert sig.constraints == ()
+    assert gen.by_function["C.getsecret"] == []
 
 
-def test_call_imports_callee_constraints():
+def test_call_to_annotated_callee_folds_projections():
     csys = load("mixed_annot.pf")
     gen = gen_constraints(csys)
-    # Lib.double is annotated: ground, empty set; Use.quad gets projections
-    assert gen.signatures["Lib.double"].constraints == ()
+    # Lib.double is annotated: ground, no constraints; Use.quad gets projections
+    assert gen.by_function["Lib.double"] == []
     quad = gen.by_function["Use.quad"]
     projs = [c for c in quad if isinstance(c.lhs, TProj) or isinstance(c.rhs, TProj)]
     # projections fold onto grounds when the callee type is annotated
@@ -155,7 +154,7 @@ def test_provenance_is_not_part_of_identity(two_point):
     assert first == again and hash(first) == hash(again)
     assert first == Constraint(EPSILON, g, TVar(0))
     # deduplication keeps the first occurrence, provenance included
-    gen = GenOutput({}, {"A.f": [first], "A.g": [again]}, VarSupply())
+    gen = GenOutput({}, {"A.f": [first], "A.g": [again]})
     kept = gen.all_constraints()
     assert len(kept) == 1 and kept[0].provenance.span == Span(3, 5)
 
@@ -164,6 +163,13 @@ def test_generated_constraints_carry_provenance():
     rules = set()
     for name in sorted(os.listdir(PROGRAMS)):
         gen = gen_constraints(load(name))
+        # each side condition belongs to the one function whose body has it
+        owner = {}
+        for qname, cs in gen.by_function.items():
+            for c in cs:
+                prov = c.provenance
+                key = (prov.rule, prov.span, prov.arg)
+                assert owner.setdefault(key, qname) == qname, (name, key)
         for c in gen.all_constraints():
             prov = c.provenance
             assert prov.rule in RULES, (name, c)

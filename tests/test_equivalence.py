@@ -113,7 +113,6 @@ def test_trace_rules_match_declarative_search():
 def test_expression_types_are_minimal():
     # the checker's expression type is below every declaratively derivable one
     from permflow.constraints import TGround, _gen_expr
-    from permflow.traces import EPSILON
 
     lattice = load_lattice(["L", "H"], [("L", "H")])
     universe = PermUniverse(("p",))
@@ -130,7 +129,7 @@ def test_expression_types_are_minimal():
         for t_x, t_r in product(types, types):
             gamma = {"x": t_x, "r": t_r}
             term_gamma = {name: TGround(t) for name, t in gamma.items()}
-            minimal = _gen_expr(term_gamma, EPSILON, e, csys).type
+            minimal = _gen_expr(term_gamma, e, csys).type
             assert minimal == search.min_expr_type(gamma, e)
             for t in types:
                 if search.expr_has_type(gamma, e, t):

@@ -40,7 +40,7 @@ def test_var_rule(diamond):
     t = bt(csys.lattice, "L", "l1", "l2", "H")
     from permflow.syntax import Var
 
-    assert _gen_expr({"x": TGround(t)}, EPSILON, Var("x"), csys) == TGround(t)
+    assert _gen_expr({"x": TGround(t)}, Var("x"), csys) == TGround(t)
 
 
 def test_op_rule_joins(diamond):
@@ -52,7 +52,7 @@ def test_op_rule_joins(diamond):
         "x": TGround(embed(lat.level("l1"), lat, 2)),
         "y": TGround(embed(lat.level("l2"), lat, 2)),
     }
-    t = _gen_expr(gamma, EPSILON, BinOp("+", Var("x"), Var("y")), csys)
+    t = _gen_expr(gamma, BinOp("+", Var("x"), Var("y")), csys)
     assert t == TGround(embed(lat.level("H"), lat, 2))
 
 
@@ -60,7 +60,7 @@ def test_literal_is_bottom():
     csys = load("getinfo.pf")
     from permflow.syntax import IntLit
 
-    t = _gen_expr({}, EPSILON, IntLit(0), csys)
+    t = _gen_expr({}, IntLit(0), csys)
     assert t == TGround(embed(csys.lattice.bottom, csys.lattice, 2))
 
 
@@ -141,7 +141,7 @@ app A perms {p} {
     decl = csys.fd["A.f"]
     gamma = {"r": TGround(csys.ft["A.f"].ret)}
     out = []
-    t = _gen_cmd(gamma, EPSILON, "A", decl.body, csys, {}, VarSupply(), out, "A.f")
+    t = _gen_cmd(gamma, EPSILON, "A", decl.body, csys, {}, VarSupply(), out)
     assert t == gamma["r"]
     assert all(constraint_witness(c, {}, csys.lattice, 1) is None for c in out)
 
