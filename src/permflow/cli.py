@@ -121,6 +121,16 @@ def cmd_infer(args) -> int:
             "unsat": {
                 "functions": e.functions,
                 "message": e.reason,
+                "core": [
+                    {
+                        "rule": c.provenance.rule,
+                        "line": c.provenance.span.line,
+                        "col": c.provenance.span.col,
+                        "function": owner,
+                        "what": c.provenance.describe(),
+                    }
+                    for owner, c in e.core
+                ],
             },
         }
         _emit(doc, args.json, [f"unsatisfiable: {e}"])

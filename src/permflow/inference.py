@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .basetypes import BaseType, FunctionType
-from .constraints import TGround, TVar, gen_constraints
+from .constraints import Constraint, TGround, TVar, gen_constraints
 from .solver import Interval, SolveResult, UnsatError, solve
 from .system import CheckedSystem
 from .typecheck import CheckReport, check_system
@@ -43,14 +43,17 @@ class InferResult:
 
 class InferUnsat(Exception):
     """``reason`` names the refuted constraint's rule, source location and
-    witness permission set."""
+    witness permission set; ``core`` pairs each core constraint, in core
+    order, with the function that owns it."""
 
-    def __init__(self, err: UnsatError, functions: list[str], reason: str):
+    def __init__(self, err: UnsatError, functions: list[str], reason: str,
+                 core: list[tuple[str, Constraint]]):
         names = ", ".join(functions) if functions else "the system"
         super().__init__(f"no type assignment satisfies {names}: {reason}")
         self.cause = err
         self.functions = functions
         self.reason = reason
+        self.core = core
 
 
 def infer_system(csys: CheckedSystem) -> InferResult:
@@ -71,7 +74,8 @@ def infer_system(csys: CheckedSystem) -> InferResult:
     try:
         result: SolveResult = solve(all_constraints, lattice, nperms, requested)
     except UnsatError as err:
-        raise InferUnsat(err, _blamed_functions(err, gen), _reason(err, csys)) from err
+        functions, core = _blame(err, gen)
+        raise InferUnsat(err, functions, _reason(err, csys), core) from err
     t2 = time.perf_counter()
 
     theta = result.substitution
@@ -125,13 +129,18 @@ def _reason(err: UnsatError, csys: CheckedSystem) -> str:
             f"is refuted at permission set {witness}")
 
 
-def _blamed_functions(err: UnsatError, gen) -> list[str]:
-    core = set(err.core)
-    blamed = []
+def _blame(err: UnsatError, gen) -> tuple[list[str], list[tuple[str, Constraint]]]:
+    """The functions holding a core constraint, in ``by_function`` order,
+    and each core constraint paired with the first of them to hold it (the
+    one whose copy ``all_constraints`` kept)."""
+    holders: dict[Constraint, list[str]] = {c: [] for c in err.core}
     for qname, cs in gen.by_function.items():
-        if core & set(cs):
-            blamed.append(qname)
-    return blamed
+        for c in cs:
+            if c in holders:
+                holders[c].append(qname)
+    blamed = {q for qs in holders.values() for q in qs}
+    functions = [q for q in gen.by_function if q in blamed]
+    return functions, [(holders[c][0], c) for c in err.core]
 
 
 def annotate(csys: CheckedSystem, ft: dict[str, FunctionType]) -> CheckedSystem:

@@ -58,7 +58,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*|\#[^\n]*)
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>:=|==|[{}(),;:=<.\+\-\*])
     """,

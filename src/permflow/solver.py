@@ -5,8 +5,10 @@ dependency-indexed worklist of ``oracle.least_fixpoint`` over (variable,
 permission set) cells, then checks the original constraints against it: a
 constraint the least solution violates is violated by every solution, so
 the set is unsatisfiable and is reported with that constraint, its witness
-and a greedily minimized core. Each variable's interval runs from its type
-in the least solution to its type in the greatest one
+and an irreducible core: the one that deleting constraints one at a time in
+generation order would keep, found by bisection in O(c log n) reruns of the
+fixpoint for a core of c out of n constraints. Each variable's interval
+runs from its type in the least solution to its type in the greatest one
 (``oracle.greatest_fixpoint``).
 
 ``symbolic_solve`` is the paper's symbolic pipeline, kept as the
@@ -473,7 +475,8 @@ def solve(
 
     The worklist's least fixpoint is checked against the original
     constraints; the first one it violates refutes the set and is reported
-    with its witness and a greedily minimized core. Each variable gets one
+    with its witness and the core that greedy deletion in generation order
+    keeps, found by bisection (``_minimize_core``). Each variable gets one
     interval under the empty guard, from its least to its greatest type.
     """
     constraints = list(constraints)
@@ -504,17 +507,37 @@ def _refuted(constraints, theta, lattice, nperms):
 
 
 def _minimize_core(constraints, lattice, nperms):
-    core = list(constraints)
-    i = 0
-    while i < len(core):
-        trial = core[:i] + core[i + 1:]
-        if _is_unsat(trial, lattice, nperms):
-            core = trial
-        else:
-            i += 1
-    return core
+    """The core that greedy deletion in generation order keeps, found by
+    bisection.
 
+    Greedy deletion drops ``constraints[i]`` when the constraints it has kept
+    so far together with ``constraints[i + 1:]`` are still unsatisfiable.
+    Unsatisfiability is monotone in the constraint set, so the next
+    constraint it keeps is the largest ``j`` for which ``kept +
+    constraints[j:]`` is unsatisfiable, and a binary search finds ``j`` in
+    about log2(n) least-fixpoint reruns. The search stops as soon as
+    ``kept`` alone is unsatisfiable: a core of c constraints costs at most
+    c·(⌈log2 n⌉ + 1) reruns instead of one per constraint.
+    """
+    gens = generalize(constraints)
+    n = len(constraints)
+    kept: list[int] = []
 
-def _is_unsat(constraints, lattice, nperms) -> bool:
-    theta = least_fixpoint(generalize(constraints), (), lattice, nperms)
-    return _refuted(constraints, theta, lattice, nperms) is not None
+    def unsat_from(start: int) -> bool:
+        picked = kept + list(range(start, n))
+        theta = least_fixpoint([gens[i] for i in picked], (), lattice, nperms)
+        return _refuted([constraints[i] for i in picked], theta, lattice, nperms) is not None
+
+    lo = 0  # kept + constraints[lo:] is unsatisfiable; kept alone is not
+    while True:
+        hi = n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if unsat_from(mid):
+                lo = mid
+            else:
+                hi = mid
+        kept.append(lo)
+        lo += 1
+        if lo == n or unsat_from(n):
+            return [constraints[i] for i in kept]

@@ -53,12 +53,13 @@ def random_right(rnd: random.Random, lat: Lattice, nperms: int, nvars: int, dept
                  rnd.randrange(1 << nperms))
 
 
-def random_instance(rnd: random.Random):
-    """(constraints, lattice, nperms, nvars) within the differential bounds."""
+def random_instance(rnd: random.Random, max_count: int = 10):
+    """(constraints, lattice, nperms, nvars) within the differential bounds,
+    with 1 to ``max_count`` constraints."""
     lat = rnd.choice(lattice_family())
     nperms = rnd.randint(1, 3)
     nvars = rnd.randint(1, 4)
-    count = rnd.randint(1, 10)
+    count = rnd.randint(1, max_count)
     constraints = []
     for _ in range(count):
         guard = random_trace(rnd, nperms)

@@ -1,0 +1,27 @@
+"""The one-at-a-time deletion loop that ``solver._minimize_core`` replaced.
+
+It reruns the least fixpoint once per constraint. The bisection in
+``solver._minimize_core`` must return exactly the core this loop returns,
+list for list; ``tests/test_core.py`` checks that.
+"""
+
+from permflow.constraints import generalize
+from permflow.oracle import least_fixpoint
+from permflow.solver import _refuted
+
+
+def greedy_core(constraints, lattice, nperms):
+    core = list(constraints)
+    i = 0
+    while i < len(core):
+        trial = core[:i] + core[i + 1:]
+        if _is_unsat(trial, lattice, nperms):
+            core = trial
+        else:
+            i += 1
+    return core
+
+
+def _is_unsat(constraints, lattice, nperms) -> bool:
+    theta = least_fixpoint(generalize(constraints), (), lattice, nperms)
+    return _refuted(constraints, theta, lattice, nperms) is not None

@@ -71,8 +71,9 @@ app A perms {p} {
 
 def test_infer_unsat_names_source_location(capsys, tmp_path):
     # the refuted constraint is the call-arg side condition of the sink call
-    # (line 12, column 9), refuted where p is held and v carries SEC; only
-    # A.f owns a core constraint, so its caller A.g is not blamed
+    # (line 12, column 9), refuted where p is held and v carries SEC; the
+    # core adds the assignment of SEC to v (line 11, column 17); only A.f
+    # owns a core constraint, so its caller A.g is not blamed
     path = tmp_path / "leak.pf"
     path.write_text(PLANTED_LEAK)
     code, out, _ = run(capsys, "infer", str(path), "--json")
@@ -82,6 +83,12 @@ def test_infer_unsat_names_source_location(capsys, tmp_path):
         "functions": ["A.f"],
         "message": "call-arg constraint at 12:9 (argument 1 of call to S.sink) "
                    "is refuted at permission set {p}",
+        "core": [
+            {"rule": "assign", "line": 11, "col": 17, "function": "A.f",
+             "what": "assignment to 'v'"},
+            {"rule": "call-arg", "line": 12, "col": 9, "function": "A.f",
+             "what": "argument 1 of call to S.sink"},
+        ],
     }
 
 
@@ -207,6 +214,7 @@ PROLOGUE = "lattice { levels L; }\npermissions { }\napp A perms {} {\n"
 LONG_LITERAL = (PROLOGUE + "  fun f() { init r = 0 in { r := " + "9" * 5000
                 + "; return r } }\n}\n").encode()
 LONG_CONST = (PROLOGUE + "  const C : L = " + "9" * 5000 + ";\n}\n").encode()
+NON_ASCII_DIGIT = (PROLOGUE + "  fun f() { init r = \u0660 in { return r } }\n}\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -228,11 +236,12 @@ LONG_CONST = (PROLOGUE + "  const C : L = " + "9" * 5000 + ";\n}\n").encode()
         (["nitest", NON_UTF8], "cannot read INPUT: 'utf-8' codec can't decode byte 0xff"),
         (["infer", LONG_LITERAL], "4:34: integer literal of 5000 digits is too long"),
         (["check", LONG_CONST], "4:17: integer literal of 5000 digits is too long"),
+        (["fmt", NON_ASCII_DIGIT], "4:22: unexpected character '\u0660'"),
     ],
     ids=["domain-one-value", "run-negative-fuel", "nitest-negative-fuel",
          "nitest-negative-pair-cap", "emit-annotated-unwritable", "domain-too-large",
          "check-non-utf8", "infer-non-utf8", "fmt-non-utf8", "nitest-non-utf8",
-         "long-literal", "long-const"],
+         "long-literal", "long-const", "non-ascii-digit"],
 )
 def test_bad_arguments_exit_two(capsys, tmp_path, argv, message):
     argv = list(argv)

@@ -159,6 +159,16 @@ app A perms {} {
 """)
 
 
+def test_integer_literals_are_ascii():
+    # other Unicode decimal digits (here Arabic-Indic zero) are not literals
+    with pytest.raises(ParseError, match="unexpected character '\u0660'"):
+        _sys("""
+app A perms {} {
+  fun f() { init r = \u0660 in { return r } }
+}
+""")
+
+
 def test_return_var_must_match():
     with pytest.raises(ParseError):
         _sys("""

@@ -4,16 +4,21 @@ The symbolic pipeline needed over 100 s for the 100-function call chain
 and over 60 s for the k=8 fan; the worklist solver takes well under a
 second on both. Generation once copied every callee's constraints into its
 callers, which took the 1,280-function fan about 20 s; each function's own
-constraints take it under 2 s. The time bounds are generous, so only a
-return to exponential or quadratic behaviour fails them.
+constraints take it under 2 s. Minimising the unsat core of a 160-function
+fan with a planted leak once reran the fixpoint per constraint, 5-8 s;
+bisection takes well under a second. The time bounds are generous, so only
+a return to exponential or quadratic behaviour fails them.
 """
 
+import math
 import time
 
 import pytest
 
+from permflow import solver
 from permflow.basetypes import BaseType, embed
-from permflow.inference import infer_system
+from permflow.constraints import gen_constraints
+from permflow.inference import InferUnsat, infer_system
 from permflow.parser import parse_system
 from permflow.system import validate_system
 
@@ -45,10 +50,14 @@ def chain_source(n: int) -> str:
     ]) + "\n"
 
 
-def fan_source(k: int, n: int) -> str:
+def fan_source(k: int, n: int, leak_at: int | None = None) -> str:
     """N functions alternating between app A (all k permissions) and app B
     (the even-indexed ones); f_i calls f_{i-1}(0) into a letvar and returns
-    its app's constant under k nested tests, its parameter otherwise."""
+    its app's constant under k nested tests, its parameter otherwise.
+
+    ``f_{leak_at}``, an A function, also passes an H constant to the
+    annotated ``A.sink(y : L)`` where p0 is held; A holds p0, so no typing
+    exists."""
     perms = [f"p{i}" for i in range(k)]
     apps = {"A": [], "B": []}
     for i in range(n):
@@ -56,6 +65,8 @@ def fan_source(k: int, n: int) -> str:
         stmts = []
         if i > 0:
             stmts.append(f"v := call {'A' if (i - 1) % 2 == 0 else 'B'}.f{i - 1}(0)")
+        if i == leak_at:
+            stmts += ["test(p0) v := sec else v := 0", "v := call A.sink(v)"]
         cmd = f"r := {app.lower()}{1 if i % 4 < 2 else 2}"
         for p in reversed(perms):
             cmd = f"test({p}) {{ {cmd} }} else r := x"
@@ -64,6 +75,9 @@ def fan_source(k: int, n: int) -> str:
             f"  fun f{i}(x) {{ init r = 0 in {{ letvar v = 0 in {{ {'; '.join(stmts)} }}; "
             f"return r }} }}"
         )
+    if leak_at is not None:
+        apps["A"] += ["  const sec : H = 9;",
+                      "  fun sink(y : L) : L { init r = 0 in { r := 0; return r } }"]
     lines = [DIAMOND, f"permissions {{ {', '.join(perms)} }}"]
     for app, held in (("B", perms[::2]), ("A", perms)):
         lines += [f"app {app} perms {{{', '.join(held)}}} {{",
@@ -103,4 +117,31 @@ def test_fan(k, n):
         want = tuple(level if pset == full else lat.level("L") for pset in range(1 << k))
         assert ft.ret == BaseType(lat, k, want)
         assert ft.params == (embed(lat.level("L"), lat, k),)
+    assert elapsed < BOUND_S, f"{elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("n", [40, 160], ids=["n40", "n160"])
+def test_planted_leak_core(n, monkeypatch):
+    # The core is found by bisection: one least-fixpoint run for the solve,
+    # then at most ceil(log2(m + 1)) + 1 reruns per core constraint, for m
+    # constraints. The one-at-a-time deletion loop made one rerun per
+    # constraint: 242 runs at N=40 and 962 at N=160.
+    calls = []
+    real = solver.least_fixpoint
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "least_fixpoint", counting)
+    leak_at = n - 2  # the topmost A function
+    csys = validate_system(parse_system(fan_source(2, n, leak_at)))
+    m = len(gen_constraints(csys).all_constraints())
+    t0 = time.perf_counter()
+    with pytest.raises(InferUnsat) as info:
+        infer_system(csys)
+    elapsed = time.perf_counter() - t0
+    assert info.value.functions == [f"A.f{leak_at}"]
+    core = len(info.value.cause.core)
+    assert len(calls) <= 1 + core * (math.ceil(math.log2(m + 1)) + 1), (len(calls), core, m)
     assert elapsed < BOUND_S, f"{elapsed:.1f} s"

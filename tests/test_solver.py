@@ -214,7 +214,7 @@ def test_solve_laundering_variant_unsat():
         solve(gen.all_constraints(), csys.lattice, 1)
     assert err.value.core  # a minimized inconsistent core is attached
     # the core alone is still unsatisfiable
-    from permflow.solver import _is_unsat
+    from .greedy_core import _is_unsat
 
     assert _is_unsat(err.value.core, csys.lattice, 1)
 
