@@ -3,7 +3,8 @@
 For every ``programs/*.pf`` and each of ``infer --json``, ``check --json``,
 ``fmt`` and ``nitest --json``, the stdout, stderr and exit code of the
 in-process ``cli.main`` must equal the recorded ones in
-``golden_cli.json``. Regenerate the file only for an intended output
+``golden_cli.json``; so must the exit code of ``infer --emit-annotated`` and
+the text of the file it writes (``null`` when it writes none). Regenerate the file only for an intended output
 change, with ``PYTHONPATH=src python -m tests.test_golden_cli``.
 """
 
@@ -11,6 +12,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 
 from permflow.cli import main
 
@@ -29,22 +31,40 @@ def _programs() -> list[str]:
     return [f"programs/{n}" for n in names]
 
 
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _emit_annotated(path: str, tmp: str) -> dict:
+    """The exit code of ``infer --emit-annotated`` and the text it writes;
+    stdout is left out because it names the temporary file."""
+    target = os.path.join(tmp, "annotated.pf")
+    code, _, _ = _run(["infer", path, "--json", "--emit-annotated", target])
+    if not os.path.exists(target):
+        return {"exit": code, "annotated": None}
+    with open(target, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    os.remove(target)
+    return {"exit": code, "annotated": text}
+
+
 def _record() -> dict:
     """Run every command on every corpus file from the repository root."""
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
         doc = {}
-        for path in _programs():
-            for cmd in COMMANDS:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main([cmd[0], path, *cmd[1:]])
-                doc[" ".join((cmd[0], path, *cmd[1:]))] = {
-                    "exit": code,
-                    "stdout": out.getvalue(),
-                    "stderr": err.getvalue(),
-                }
+        with tempfile.TemporaryDirectory() as tmp:
+            for path in _programs():
+                for cmd in COMMANDS:
+                    code, out, err = _run([cmd[0], path, *cmd[1:]])
+                    doc[" ".join((cmd[0], path, *cmd[1:]))] = {
+                        "exit": code, "stdout": out, "stderr": err,
+                    }
+                doc[f"infer {path} --emit-annotated"] = _emit_annotated(path, tmp)
         return doc
     finally:
         os.chdir(cwd)
