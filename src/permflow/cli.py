@@ -166,7 +166,7 @@ def cmd_infer(args) -> int:
         lines.append(f"recheck failed for: {', '.join(bad)}")
 
     if args.emit_annotated:
-        annotated_src = to_source(csys.system, result.types())
+        annotated_src = to_source(annotate(csys, result.types()).system)
         try:
             with open(args.emit_annotated, "w", encoding="utf-8") as fh:
                 fh.write(annotated_src)
@@ -217,8 +217,7 @@ def cmd_nitest(args) -> int:
     csys = _load(args.file)
     lat = csys.lattice
 
-    needs_types = [q for q in csys.fun_order if csys.ft[q] is None]
-    if needs_types:
+    if any(d.annotation is None for d in csys.fd.values()):
         try:
             result = infer_system(csys)
         except InferUnsat as e:

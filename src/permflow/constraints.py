@@ -279,7 +279,7 @@ def gen_constraints(csys: CheckedSystem) -> GenOutput:
 
     for qname in csys.topo:
         decl = csys.fd[qname]
-        annotation = csys.ft[qname]
+        annotation = decl.annotation
         if annotation is not None:
             signatures[qname] = ground_signature(annotation)
             by_function[qname] = []

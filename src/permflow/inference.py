@@ -9,7 +9,7 @@ result with the checker as a final guard.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .basetypes import BaseType, FunctionType
 from .constraints import Constraint, TGround, TVar, gen_constraints
@@ -81,7 +81,7 @@ def infer_system(csys: CheckedSystem) -> InferResult:
     theta = result.substitution
     functions: list[FunctionInference] = []
     ft: dict[str, FunctionType] = {}
-    for qname in csys.fun_order:
+    for qname, decl in csys.fd.items():
         sig = gen.signatures[qname]
         params = tuple(_resolve(t, theta) for t in sig.params)
         ret = _resolve(sig.ret, theta)
@@ -94,7 +94,7 @@ def infer_system(csys: CheckedSystem) -> InferResult:
             FunctionInference(
                 qname,
                 ftype,
-                inferred=csys.ft[qname] is None,
+                inferred=decl.annotation is None,
                 constraint_count=len(gen.by_function[qname]),
                 intervals=[iv for iv in result.intervals if iv.var in own_vids],
             )
@@ -144,26 +144,7 @@ def _blame(err: UnsatError, gen) -> tuple[list[str], list[tuple[str, Constraint]
 
 
 def annotate(csys: CheckedSystem, ft: dict[str, FunctionType]) -> CheckedSystem:
-    """A copy of the system with every function carrying a type from ``ft``."""
-    from dataclasses import replace
-
-    from .system import System
-
-    new_fd = {}
-    new_ft = {}
-    for qname, decl in csys.fd.items():
-        ann = ft.get(qname, csys.ft[qname])
-        new_fd[qname] = replace(decl, annotation=ann)
-        new_ft[qname] = ann
-    base = csys.system
-    sys2 = System(
-        base.lattice,
-        base.universe,
-        dict(base.theta),
-        new_fd,
-        new_ft,
-        dict(base.constants),
-        base.app_order,
-        base.fun_order,
-    )
-    return CheckedSystem(sys2, dict(csys.rank), csys.topo)
+    """A copy of the system in which each function named in ``ft`` carries
+    that type as its annotation."""
+    fd = {q: replace(d, annotation=ft.get(q, d.annotation)) for q, d in csys.fd.items()}
+    return CheckedSystem(replace(csys.system, fd=fd), csys.topo)

@@ -30,9 +30,11 @@ class NotALattice(LatticeError):
 class Lattice:
     """Immutable finite lattice over named levels.
 
-    Instances compare by identity and are freely shareable; construct them
-    through :func:`load_lattice`, which validates the order and completes
-    the join/meet tables.
+    Instances are freely shareable and compare structurally, by level names
+    and order, so a system parsed twice from the same source holds equal
+    lattices (and so equal types). Construct them through
+    :func:`load_lattice`, which validates the order and completes the
+    join/meet tables.
     """
 
     __slots__ = ("names", "n", "bottom", "top", "_index", "_leq", "_join", "_meet")

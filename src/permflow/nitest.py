@@ -35,7 +35,6 @@ class NIConfig:
     observer: int  # level id
     domain: Sequence[int] = (0, 1, 2)
     fuel: int = DEFAULT_FUEL
-    caller_perm_sets: tuple[int, ...] | None = None  # None: all of them
     pair_cap: int = DEFAULT_PAIR_CAP
     strict: bool = False  # also test cells whose return type is unobservable
 
@@ -115,19 +114,15 @@ def _observable_split(gamma, perms, observer):
 def nitest_function(csys: CheckedSystem, qname: str, cfg: NIConfig) -> list[CellVerdict]:
     """One verdict per caller permission set for a single observer level."""
     decl = csys.fd[qname]
-    ft = csys.ft[qname]
+    ft = decl.annotation
     if ft is None:
         raise ValueError(f"{qname} has no declared or inferred type")
     gamma = dict(zip(decl.params, ft.params))
     gamma[decl.ret_var] = ft.ret
 
-    perm_sets = cfg.caller_perm_sets
-    if perm_sets is None:
-        perm_sets = tuple(csys.universe.sets())
-
     lat = csys.lattice
     cells = []
-    for perms in perm_sets:
+    for perms in csys.universe.sets():
         if not cfg.strict and not lat.leq(ft.ret.at(perms), cfg.observer):
             cells.append(
                 CellVerdict(qname, perms, cfg.observer, 0, "skipped",
@@ -192,9 +187,7 @@ def _run(csys, decl, env: dict[str, int], perms: int, fuel: int) -> int:
 
 def nitest_system(
     csys: CheckedSystem,
-    cfg: NIConfig | None = None,
     observers: tuple[int, ...] | None = None,
-    functions: tuple[str, ...] | None = None,
     domain: Sequence[int] = (0, 1, 2),
     fuel: int = DEFAULT_FUEL,
     pair_cap: int = DEFAULT_PAIR_CAP,
@@ -202,16 +195,10 @@ def nitest_system(
 ) -> NIReport:
     """Test every function over a grid of observers and caller permissions."""
     report = NIReport()
-    if observers is None and cfg is None:
+    if observers is None:
         observers = tuple(range(len(csys.lattice)))
-    elif observers is None:
-        observers = (cfg.observer,)
-    for qname in functions or csys.fun_order:
+    for qname in csys.fd:
         for obs in observers:
-            if cfg is None:
-                cell_cfg = NIConfig(obs, domain, fuel, None, pair_cap, strict)
-            else:
-                cell_cfg = NIConfig(obs, cfg.domain, cfg.fuel,
-                                    cfg.caller_perm_sets, cfg.pair_cap, cfg.strict)
-            report.cells.extend(nitest_function(csys, qname, cell_cfg))
+            cfg = NIConfig(obs, domain, fuel, pair_cap, strict)
+            report.cells.extend(nitest_function(csys, qname, cfg))
     return report

@@ -56,7 +56,7 @@ KEYWORDS = {
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
+    (?P<ws>[ \t\r\n]+)
   | (?P<comment>//[^\n]*|\#[^\n]*)
   | (?P<int>[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
@@ -184,22 +184,10 @@ class Parser:
         self._parse_permissions()
         theta: dict[str, int] = {}
         fd: dict[str, FunDecl] = {}
-        ft: dict[str, FunctionType | None] = {}
         constants: dict[str, ConstDecl] = {}
-        app_order: list[str] = []
-        fun_order: list[str] = []
         while not self.peek().kind == "eof":
-            self._parse_app(theta, fd, ft, constants, app_order, fun_order)
-        return System(
-            self.lattice,
-            self.universe,
-            theta,
-            fd,
-            ft,
-            constants,
-            tuple(app_order),
-            tuple(fun_order),
-        )
+            self._parse_app(theta, fd, constants)
+        return System(self.lattice, self.universe, theta, fd, constants)
 
     def _parse_lattice(self) -> None:
         kw = self.expect("lattice")
@@ -242,7 +230,7 @@ class Parser:
             seen.add(t.text)
         self.universe = PermUniverse(tuple(t.text for t in names))
 
-    def _parse_app(self, theta, fd, ft, constants, app_order, fun_order) -> None:
+    def _parse_app(self, theta, fd, constants) -> None:
         self.expect("app")
         app = self.ident("app name")
         if app.text in theta:
@@ -259,7 +247,6 @@ class Parser:
                 raise UnknownReference(f"unknown permission {t.text!r}", t.span)
             mask |= 1 << self.universe.index(t.text)
         theta[app.text] = mask
-        app_order.append(app.text)
         self.expect("{")
         while not self.accept("}"):
             if self.at("const"):
@@ -272,8 +259,6 @@ class Parser:
                 if decl.qualified in fd:
                     raise DuplicateName(f"duplicate function {decl.qualified}", decl.span)
                 fd[decl.qualified] = decl
-                ft[decl.qualified] = decl.annotation
-                fun_order.append(decl.qualified)
             else:
                 tok = self.peek()
                 raise ParseError(f"expected 'const' or 'fun', got {tok.text!r}", tok.span)

@@ -5,14 +5,14 @@ permission assignment, declared constants, and the function tables. The
 validator confirms the assumptions the analyses rely on: closed function
 bodies, an acyclic call graph, per-function unique bound names, matching
 call arity, no re-test of a permission already on the enclosing trace, and
-it computes every function's call rank and a topological order.
+it computes a topological order of the call graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basetypes import FunctionType, PermUniverse
+from .basetypes import PermUniverse
 from .lattice import Lattice
 from .syntax import (
     Assign,
@@ -61,18 +61,14 @@ class ArityMismatch(ValidationError):
 class System:
     lattice: Lattice
     universe: PermUniverse
-    theta: dict[str, int]  # app name -> permission bitmask
-    fd: dict[str, FunDecl]  # "A.f" -> declaration
-    ft: dict[str, FunctionType | None]  # "A.f" -> annotation, if any
+    theta: dict[str, int]  # app name -> permission bitmask, in declaration order
+    fd: dict[str, FunDecl]  # "A.f" -> declaration, in declaration order
     constants: dict[str, ConstDecl]
-    app_order: tuple[str, ...] = ()
-    fun_order: tuple[str, ...] = ()
 
 
 @dataclass
 class CheckedSystem:
     system: System
-    rank: dict[str, int]
     topo: tuple[str, ...]  # callees before callers
 
     def __getattr__(self, item):
@@ -88,12 +84,9 @@ def _free_expr_vars(e: Expr) -> set[str]:
 
 
 def validate_system(sys: System) -> CheckedSystem:
-    for qname in sys.fun_order:
-        decl = sys.fd[qname]
+    for decl in sys.fd.values():
         _validate_function(sys, decl)
-
-    rank, topo = _ranks(sys)
-    return CheckedSystem(sys, rank, tuple(topo))
+    return CheckedSystem(sys, _topo_order(sys))
 
 
 def _validate_function(sys: System, decl: FunDecl) -> None:
@@ -188,20 +181,19 @@ def _validate_function(sys: System, decl: FunDecl) -> None:
         )
 
 
-def _ranks(sys: System) -> tuple[dict[str, int], list[str]]:
-    """Call ranks per the no-recursion assumption, plus a callee-first order."""
+def _topo_order(sys: System) -> tuple[str, ...]:
+    """A callee-first order of the functions; raises on a recursive call."""
     edges = {
-        q: sorted({c.target for c in subcommands(sys.fd[q].body) if isinstance(c, CallAssign)})
-        for q in sys.fun_order
+        q: sorted({c.target for c in subcommands(d.body) if isinstance(c, CallAssign)})
+        for q, d in sys.fd.items()
     }
 
     state: dict[str, int] = {}  # 1 = on stack, 2 = done
-    rank: dict[str, int] = {}
     topo: list[str] = []
     # Depth-first with an explicit stack, so call chains cost no Python
     # frames: stack[k] is on the current path and pending[k] holds its
     # callees not yet visited.
-    for root in sys.fun_order:
+    for root in sys.fd:
         if root in state:
             continue
         state[root] = 1
@@ -221,16 +213,14 @@ def _ranks(sys: System) -> tuple[dict[str, int], list[str]]:
                     pending.append(iter(edges[callee]))
                     break
             else:
-                # rank of a function is the rank of its body; calls add one level.
-                rank[q] = max((rank[c] + 1 for c in edges[q]), default=0)
                 state[q] = 2
                 stack.pop()
                 pending.pop()
                 topo.append(q)
-    return rank, topo
+    return tuple(topo)
 
 
-def to_source(sys: System, ft_override: dict[str, FunctionType] | None = None) -> str:
+def to_source(sys: System) -> str:
     """Render a system back to its surface syntax."""
     from .basetypes import format_type
 
@@ -241,8 +231,8 @@ def to_source(sys: System, ft_override: dict[str, FunctionType] | None = None) -
         f"lattice {{ levels {', '.join(lat.names)};{order} }}",
         f"permissions {{ {', '.join(sys.universe.names)} }}",
     ]
-    for app in sys.app_order:
-        perms = ", ".join(sys.universe.set_names(sys.theta[app]))
+    for app, mask in sys.theta.items():
+        perms = ", ".join(sys.universe.set_names(mask))
         lines.append(f"app {app} perms {{{perms}}} {{")
         for const in sys.constants.values():
             if const.app != app:
@@ -251,20 +241,8 @@ def to_source(sys: System, ft_override: dict[str, FunctionType] | None = None) -
                 f"  const {const.name} : {format_type(const.type, sys.universe)}"
                 f" = {const.value};"
             )
-        for qname in sys.fun_order:
-            decl = sys.fd[qname]
-            if decl.app != app:
-                continue
-            if ft_override and qname in ft_override:
-                decl = FunDecl(
-                    decl.app,
-                    decl.name,
-                    decl.params,
-                    decl.ret_var,
-                    decl.body,
-                    ft_override[qname],
-                    decl.span,
-                )
-            lines.append(format_fun(decl, sys.universe))
+        for decl in sys.fd.values():
+            if decl.app == app:
+                lines.append(format_fun(decl, sys.universe))
         lines.append("}")
     return "\n".join(lines) + "\n"

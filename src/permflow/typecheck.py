@@ -4,8 +4,8 @@ The rules' side conditions are exactly the guarded constraints that
 ``constraints._gen_cmd`` generates, so checking a fully annotated function
 is that same walk over ground types: generate the body's constraints and
 report the first one, in generation order, that the annotations refute.
-Functions are checked in callee-first order, so call sites always see
-ground function types.
+A call site reads the callee's annotation as a ground function type, so
+each function is checked on its own.
 
 The one non-syntax-directed point of the rules is the type chosen for a
 letvar-bound local. It is resolved by the least fixpoint of the body's
@@ -98,7 +98,7 @@ def _violation(c: Constraint, q: int, locals_: dict[int, BaseType],
 
 def check_function(csys: CheckedSystem, qname: str) -> TypeViolation | None:
     decl = csys.fd[qname]
-    ft = csys.ft[qname]
+    ft = decl.annotation
     if ft is None:
         return TypeViolation(
             ANNOTATION, f"{qname} lacks a type annotation", decl.span, qname
@@ -108,7 +108,7 @@ def check_function(csys: CheckedSystem, qname: str) -> TypeViolation | None:
     signatures: dict[str, FunSignature] = {}
     for node in subcommands(decl.body):
         if isinstance(node, CallAssign) and node.target not in signatures:
-            callee = csys.ft[node.target]
+            callee = csys.fd[node.target].annotation
             if callee is None:
                 return TypeViolation(
                     ANNOTATION, f"called function {node.target} has no type",
@@ -133,12 +133,9 @@ def check_function(csys: CheckedSystem, qname: str) -> TypeViolation | None:
 
 
 def check_system(csys: CheckedSystem) -> CheckReport:
-    """Check every function in callee-first order; report in declaration order."""
-    results: dict[str, FunctionVerdict] = {}
-    for qname in csys.topo:
-        err = check_function(csys, qname)
-        results[qname] = FunctionVerdict(qname, err is None, err)
+    """Check every function against the annotations, in declaration order."""
     report = CheckReport()
-    for qname in csys.fun_order:
-        report.verdicts.append(results[qname])
+    for qname in csys.fd:
+        err = check_function(csys, qname)
+        report.verdicts.append(FunctionVerdict(qname, err is None, err))
     return report

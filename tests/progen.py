@@ -104,8 +104,6 @@ class _Gen:
                 rnd.choice(apps),
             )
         fd = {}
-        ft = {}
-        fun_order = []
         decls = []
         for i in range(rnd.randint(1, 3)):
             app = rnd.choice(apps)
@@ -118,12 +116,7 @@ class _Gen:
             decl = FunDecl(app, f"f{i}", params, ret, body, None)
             decls.append(decl)
             fd[decl.qualified] = decl
-            ft[decl.qualified] = None
-            fun_order.append(decl.qualified)
-        return System(
-            self.lat, self.universe, theta, fd, ft, constants,
-            tuple(apps), tuple(fun_order),
-        )
+        return System(self.lat, self.universe, theta, fd, constants)
 
 
 def random_checked_system(rnd: random.Random):

@@ -99,7 +99,7 @@ def test_criterion_5_noninterference_grid():
         if name in NEGATIVE:
             continue
         csys = load(name)
-        if any(csys.ft[q] is None for q in csys.fun_order):
+        if any(d.annotation is None for d in csys.fd.values()):
             result = infer_system(csys)
             assert result.ok, name
             csys = annotate(csys, result.types())

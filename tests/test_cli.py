@@ -215,6 +215,7 @@ LONG_LITERAL = (PROLOGUE + "  fun f() { init r = 0 in { r := " + "9" * 5000
                 + "; return r } }\n}\n").encode()
 LONG_CONST = (PROLOGUE + "  const C : L = " + "9" * 5000 + ";\n}\n").encode()
 NON_ASCII_DIGIT = (PROLOGUE + "  fun f() { init r = \u0660 in { return r } }\n}\n").encode()
+NO_BREAK_SPACE = (PROLOGUE + "  fun f() {\u00a0init r = 0 in { return r } }\n}\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -237,11 +238,12 @@ NON_ASCII_DIGIT = (PROLOGUE + "  fun f() { init r = \u0660 in { return r } }\n}\
         (["infer", LONG_LITERAL], "4:34: integer literal of 5000 digits is too long"),
         (["check", LONG_CONST], "4:17: integer literal of 5000 digits is too long"),
         (["fmt", NON_ASCII_DIGIT], "4:22: unexpected character '\u0660'"),
+        (["fmt", NO_BREAK_SPACE], "4:12: unexpected character '\\xa0'"),
     ],
     ids=["domain-one-value", "run-negative-fuel", "nitest-negative-fuel",
          "nitest-negative-pair-cap", "emit-annotated-unwritable", "domain-too-large",
          "check-non-utf8", "infer-non-utf8", "fmt-non-utf8", "nitest-non-utf8",
-         "long-literal", "long-const", "non-ascii-digit"],
+         "long-literal", "long-const", "non-ascii-digit", "no-break-space"],
 )
 def test_bad_arguments_exit_two(capsys, tmp_path, argv, message):
     argv = list(argv)

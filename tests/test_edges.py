@@ -157,10 +157,9 @@ def test_nitest_requires_a_type():
 
 
 def test_nitest_single_config_grid():
-    from permflow.nitest import NIConfig, nitest_system
+    from permflow.nitest import nitest_system
 
     csys = validate_system(parse_system(open(p("identity.pf")).read()))
-    cfg = NIConfig(observer=csys.lattice.level("H"), domain=(0, 1))
-    report = nitest_system(csys, cfg=cfg)
+    report = nitest_system(csys, observers=(csys.lattice.level("H"),), domain=(0, 1))
     assert report.ok
     assert {c.observer for c in report.cells} == {csys.lattice.level("H")}

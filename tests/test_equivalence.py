@@ -94,10 +94,7 @@ def test_trace_rules_match_declarative_search():
             decl = FunDecl(
                 "A", "f", ("x",), "r", body, FunctionType((t_x,), t_r)
             )
-            sys = System(
-                lattice, universe, {"A": 0}, {"A.f": decl}, {"A.f": decl.annotation},
-                {}, ("A",), ("A.f",),
-            )
+            sys = System(lattice, universe, {"A": 0}, {"A.f": decl}, {})
             csys = validate_system(sys)
             algorithmic = check_function(csys, "A.f") is None
             declarative = search.function_typable(
@@ -120,8 +117,7 @@ def test_expression_types_are_minimal():
     search = DeclarativeSearch(lattice, 1, {"p": 0})
 
     dummy = FunDecl("A", "f", ("x",), "r", None, FunctionType((types[0],), types[0]))
-    sys = System(lattice, universe, {"A": 0}, {"A.f": dummy}, {"A.f": dummy.annotation},
-                 {}, ("A",), ("A.f",))
+    sys = System(lattice, universe, {"A": 0}, {"A.f": dummy}, {})
     csys = validate_system(sys)
 
     exprs = [e for e, _ in _exprs(("x", "r"), 5)]

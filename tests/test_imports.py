@@ -1,4 +1,4 @@
-"""Stale imports and exports in ``src/permflow``.
+"""Stale imports and exports in ``src/permflow`` and ``tests``.
 
 No linter is a dependency, so this parses every module with ``ast``: each
 imported name must be used in its module (a name listed in the module's
@@ -13,8 +13,12 @@ import pytest
 
 import permflow
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "permflow")
-MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src", "permflow")
+# package modules by file name, test modules as tests/<file name>
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py")) + sorted(
+    f"tests/{f}" for f in os.listdir(os.path.join(ROOT, "tests")) if f.endswith(".py")
+)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -57,7 +61,8 @@ def _used(tree: ast.Module) -> set[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+    path = os.path.join(ROOT if "/" in module else SRC, module)
+    with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=module)
     used = _used(tree)
     unused = {n: line for n, line in _imported(tree).items() if n not in used}

@@ -20,7 +20,7 @@ def test_annotations_echo_unchanged():
     assert result.ok
     (f,) = result.functions
     assert not f.inferred
-    assert f.type == csys.ft["C.getsecret"]
+    assert f.type == csys.fd["C.getsecret"].annotation
     assert f.constraint_count == 0
 
 

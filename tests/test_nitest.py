@@ -22,7 +22,7 @@ PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
 def load(name: str, with_types=False):
     with open(os.path.join(PROGRAMS, name), "r", encoding="utf-8") as fh:
         csys = validate_system(parse_system(fh.read()))
-    if with_types and any(csys.ft[q] is None for q in csys.fun_order):
+    if with_types and any(d.annotation is None for d in csys.fd.values()):
         csys = annotate(csys, infer_system(csys).types())
     return csys
 

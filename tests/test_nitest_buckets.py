@@ -16,7 +16,7 @@ from permflow.basetypes import BaseType, FunctionType
 from permflow.interp import DEFAULT_FUEL
 from permflow.nitest import NIConfig, nitest_function, nitest_system
 from permflow.parser import parse_system
-from permflow.system import System, validate_system
+from permflow.system import validate_system
 
 from .conftest import SEED
 from .pairwise import pairwise_cell
@@ -44,14 +44,12 @@ def _randomly_annotated(rnd):
         return BaseType(gen.lat, gen.nperms,
                         tuple(rnd.randrange(len(gen.lat)) for _ in range(size)))
 
-    fd, ft = {}, {}
-    for q, decl in sys0.fd.items():
-        ft[q] = FunctionType(tuple(rand_type() for _ in decl.params), rand_type())
-        fd[q] = replace(decl, annotation=ft[q])
-    return validate_system(
-        System(sys0.lattice, sys0.universe, sys0.theta, fd, ft,
-               sys0.constants, sys0.app_order, sys0.fun_order)
-    )
+    fd = {
+        q: replace(decl, annotation=FunctionType(
+            tuple(rand_type() for _ in decl.params), rand_type()))
+        for q, decl in sys0.fd.items()
+    }
+    return validate_system(replace(sys0, fd=fd))
 
 
 @pytest.mark.parametrize("domain", [(0, 1), (0, 1, 2)], ids=["0..1", "0..2"])
@@ -122,10 +120,12 @@ def test_one_interpreter_run_per_environment(monkeypatch):
     monkeypatch.setattr(nitest, "exec_cmd", counting)
     L = csys.lattice.level("L")
     domain = (0, 1, 2)
-    cfg = NIConfig(L, domain, caller_perm_sets=(0,))
-    (cell,) = nitest_function(csys, "A.f", cfg)
-    assert cell.verdict == "ok"
+    cells = nitest_function(csys, "A.f", NIConfig(L, domain))
+    tested = [c for c in cells if c.verdict != "skipped"]
+    assert all(c.verdict == "ok" for c in tested)
+    cell = next(c for c in cells if c.perms == 0)
+    assert cell in tested
     obs, hidden = 3, 3  # a, b and the return variable r; h1, h2, h3
     d = len(domain)
-    assert len(calls) == d ** (obs + hidden)
+    assert len(calls) == len(tested) * d ** (obs + hidden)
     assert cell.pairs_tested == d ** obs * d ** (2 * hidden)

@@ -11,7 +11,7 @@ from dataclasses import replace
 from permflow.basetypes import BaseType, FunctionType
 from permflow.inference import InferUnsat, annotate, infer_system
 from permflow.nitest import nitest_system
-from permflow.system import System, validate_system
+from permflow.system import validate_system
 from permflow.typecheck import check_system
 
 from .conftest import SEED
@@ -38,7 +38,7 @@ def test_randomly_annotated_systems_accepted_only_if_noninterferent():
     for i in range(600):
         gen = _Gen(rnd)
         sys0 = gen.system()
-        new_fd, new_ft = {}, {}
+        new_fd = {}
         size = 1 << gen.nperms
         for q, decl in sys0.fd.items():
             ann = FunctionType(
@@ -51,11 +51,7 @@ def test_randomly_annotated_systems_accepted_only_if_noninterferent():
                          tuple(rnd.randrange(len(gen.lat)) for _ in range(size))),
             )
             new_fd[q] = replace(decl, annotation=ann)
-            new_ft[q] = ann
-        csys = validate_system(
-            System(sys0.lattice, sys0.universe, sys0.theta, new_fd, new_ft,
-                   sys0.constants, sys0.app_order, sys0.fun_order)
-        )
+        csys = validate_system(replace(sys0, fd=new_fd))
         if not check_system(csys).ok:
             continue
         accepted += 1

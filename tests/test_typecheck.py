@@ -139,7 +139,7 @@ app A perms {p} {
 }
 """)
     decl = csys.fd["A.f"]
-    gamma = {"r": TGround(csys.ft["A.f"].ret)}
+    gamma = {"r": TGround(csys.fd["A.f"].annotation.ret)}
     out = []
     t = _gen_cmd(gamma, EPSILON, "A", decl.body, csys, {}, VarSupply(), out)
     assert t == gamma["r"]
