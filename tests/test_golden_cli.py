@@ -4,8 +4,9 @@ For every ``programs/*.pf`` and each of ``infer --json``, ``check --json``,
 ``fmt`` and ``nitest --json``, the stdout, stderr and exit code of the
 in-process ``cli.main`` must equal the recorded ones in
 ``golden_cli.json``; so must the exit code of ``infer --emit-annotated`` and
-the text of the file it writes (``null`` when it writes none). Regenerate the file only for an intended output
-change, with ``PYTHONPATH=src python -m tests.test_golden_cli``.
+the text of the file it writes (``null`` when it writes none). Regenerate
+the file only for an intended output change, with
+``PYTHONPATH=src python -m tests.test_golden_cli``.
 """
 
 import contextlib
