@@ -46,10 +46,6 @@ class PermUniverse:
     def count(self) -> int:
         return len(self.names)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.names)) - 1
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)

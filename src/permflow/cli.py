@@ -286,18 +286,11 @@ def cmd_fmt(args) -> int:
 
 
 def _parse_perms(spec: str | None, csys) -> int:
-    if not spec:
-        return 0
-    mask = 0
-    for name in spec.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        try:
-            mask |= 1 << csys.universe.index(name)
-        except ValueError as e:
-            raise SystemExit2(str(e))
-    return mask
+    names = (name.strip() for name in (spec or "").split(","))
+    try:
+        return csys.universe.mask_of(name for name in names if name)
+    except ValueError as e:
+        raise SystemExit2(str(e))
 
 
 def _parse_domain(spec: str) -> range:

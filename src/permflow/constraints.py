@@ -173,7 +173,9 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Constraint:
-    """(Λ, lhs ≤ rhs): both sides guarded by the same trace.
+    """(Λ, lhs ≤ rhs): both sides guarded by the same trace, which
+    ``lguard`` and ``rguard`` both return, so the solvers take a generated
+    constraint as it is, as the ``GenConstraint`` (Λ, lhs ≤ Λ, rhs).
 
     Provenance takes no part in equality or hashing, so deduplication keeps
     the first occurrence of a side condition.
@@ -183,6 +185,14 @@ class Constraint:
     lhs: Term
     rhs: Term
     provenance: Provenance | None = field(default=None, compare=False)
+
+    @property
+    def lguard(self) -> Trace:
+        return self.guard
+
+    @property
+    def rguard(self) -> Trace:
+        return self.guard
 
 
 @dataclass(frozen=True)
@@ -205,14 +215,14 @@ def generalize(constraints) -> list[GenConstraint]:
     return out
 
 
-def point_classes(gc: GenConstraint, nperms: int):
-    """The least permission set of each class that ``gc``'s two remaps send
+def point_classes(c, nperms: int):
+    """The least permission set of each class that ``c``'s two remaps send
     to one (left point, right point) pair, in ascending order.
 
     Both remaps overwrite the permissions in both guards' supports, so the
     classes are the subsets of the other permissions.
     """
-    free = ((1 << nperms) - 1) & ~(gc.lguard.support & gc.rguard.support)
+    free = ((1 << nperms) - 1) & ~(c.lguard.support & c.rguard.support)
     q = 0
     while True:
         yield q
@@ -223,11 +233,11 @@ def point_classes(gc: GenConstraint, nperms: int):
 
 def constraint_witness(c, subst: dict[int, BaseType], lattice, nperms: int) -> int | None:
     """Least permission set where the constraint fails under ``subst``, if any."""
-    gc = c if isinstance(c, GenConstraint) else GenConstraint(c.guard, c.lhs, c.guard, c.rhs)
-    tables = {v: subst[v].table for v in term_vars(gc.lhs) | term_vars(gc.rhs)}
-    for q in point_classes(gc, nperms):
-        vl = eval_term(gc.lhs, gc.lguard.remap(q), tables, lattice)
-        vr = eval_term(gc.rhs, gc.rguard.remap(q), tables, lattice)
+    tables = {v: subst[v].table for v in term_vars(c.lhs) | term_vars(c.rhs)}
+    lg, rg = c.lguard, c.rguard
+    for q in point_classes(c, nperms):
+        vl = eval_term(c.lhs, lg.remap(q), tables, lattice)
+        vr = eval_term(c.rhs, rg.remap(q), tables, lattice)
         if not lattice.leq(vl, vr):
             return q
     return None
@@ -328,16 +338,17 @@ def _gen_cmd(gamma, trace, app, c: Cmd, csys, signatures, supply, out) -> Term:
                               Provenance("call-ret", c.span, c.name, c.target)))
         return gamma[c.name]
     if isinstance(c, Block):
-        # Meet is idempotent: folding only the distinct member terms keeps
-        # the effect term's depth at the number of variables written.
+        # Meet is idempotent and associative: the distinct member terms fold
+        # pairwise into a balanced tree, so the effect term's depth is
+        # ⌈log2 n⌉ for n variables written.
         terms = list(dict.fromkeys(
             _gen_cmd(gamma, trace, app, m, csys, signatures, supply, out)
             for m in c.cmds
         ))
-        effect = terms[0]
-        for t in terms[1:]:
-            effect = tmeet(effect, t)
-        return effect
+        while len(terms) > 1:
+            pairs = [tmeet(a, b) for a, b in zip(terms[::2], terms[1::2])]
+            terms = pairs + terms[2 * len(pairs):]
+        return terms[0]
     if isinstance(c, If):
         te = _gen_expr(gamma, c.cond, csys)
         t1 = _gen_cmd(gamma, trace, app, c.then, csys, signatures, supply, out)

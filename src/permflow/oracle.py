@@ -1,26 +1,28 @@
 """Least and greatest solutions by a dependency-indexed worklist.
 
 Every (variable, permission set) pair is one unknown lattice element, a
-*cell*. A generalized constraint (Λl, lhs ≤ Λr, rhs) holds when, at every
-permission set q, lhs at Λl(q) lies below rhs at Λr(q); each distinct pair
-of remapped points (Λl(q), Λr(q)) is one *instance* of it. The least
-solution starts every cell at bottom and raises the cells under an
-instance's right side just enough to cover its left side. An index maps
-each cell to the instances whose left side reads it, and only the readers
-of a raised cell go back on the worklist, so an instance is re-examined at
-most once per raise of a cell it reads. This is the textbook least-solution
-algorithm for atomic inequalities over a finite lattice (Rehof & Mogensen,
-"Tractable constraints in finite semilattices", SCP 1999).
+*cell*. A constraint (Λl, lhs ≤ Λr, rhs) holds when, at every permission
+set q, lhs at Λl(q) lies below rhs at Λr(q); each distinct pair of remapped
+points (Λl(q), Λr(q)) is one *instance* of it. A generated ``Constraint``
+is taken as it is, with Λl = Λr its one guard. The least solution starts
+every cell at bottom and raises the cells under an instance's right side
+just enough to cover its left side. An index maps each cell to the
+instances whose left side reads it, and only the readers of a raised cell
+go back on the worklist, so an instance is re-examined at most once per
+raise of a cell it reads. This is the textbook least-solution algorithm for
+atomic inequalities over a finite lattice (Rehof & Mogensen, "Tractable
+constraints in finite semilattices", SCP 1999).
 
 Ground parts of a right side are never raised: a constraint they leave
-violated at the least fixpoint is violated by every solution, which the
-caller checks with ``constraint_witness``. The greatest solution is the
-dual: every cell starts at top and the cells under an instance's left side
-are lowered to its right side.
-
-Inference (``solver.solve``), ``oracle_solve`` and the checker's letvar
-locals all use these fixpoints; the symbolic pipeline in ``solver`` is the
-independent reference that the differential suite checks them against.
+violated at the least fixpoint is violated by every solution. The one
+verdict built on that, ``solver.least_solution``, reports the first such
+constraint with ``constraint_witness``; inference, the checker and the
+unsat-core search all call it. ``oracle_solve`` repeats its few lines
+because ``solver`` imports this module. The greatest solution is the dual:
+every cell starts at top and the cells under an instance's left side are
+lowered to its right side. The symbolic pipeline in ``solver`` is the
+independent reference that the differential suite checks these fixpoints
+against.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from collections import deque
 
 from .basetypes import BaseType
 from .constraints import (
-    GenConstraint,
     TGround,
     TJoin,
     TMeet,
@@ -38,7 +39,6 @@ from .constraints import (
     TVar,
     constraint_witness,
     eval_term,
-    generalize,
     point_classes,
     term_vars,
 )
@@ -46,7 +46,7 @@ from .lattice import Lattice
 
 
 class OracleUnsat(Exception):
-    def __init__(self, constraint: GenConstraint, witness: int):
+    def __init__(self, constraint, witness: int):
         super().__init__(
             f"constraint refuted at permission set {witness}: {constraint!r}"
         )
@@ -78,23 +78,26 @@ def _reads(term, pset: int, forbid=()) -> list[tuple[int, int]]:
     raise TypeError(f"not a term: {term!r}")
 
 
-def _fixpoint(gens, requested, lattice: Lattice, nperms: int, up: bool):
+def _fixpoint(constraints, requested, lattice: Lattice, nperms: int, up: bool):
     """Raise right sides from bottom (``up``) or lower left sides from top."""
     vids = set(requested)
-    for gc in gens:
-        vids |= term_vars(gc.lhs) | term_vars(gc.rhs)
+    for c in constraints:
+        vids |= term_vars(c.lhs) | term_vars(c.rhs)
+    if not vids:
+        return {}  # nothing to solve: every constraint is ground
     start, bound = (lattice.bottom, lattice.join) if up else (lattice.top, lattice.meet)
     tables = {v: [start] * (1 << nperms) for v in vids}
 
     items: list[tuple] = []  # (source term, source point, cells it writes)
     readers: dict[tuple[int, int], list[int]] = {}
-    for gc in gens:
-        for q in point_classes(gc, nperms):
-            lp, rp = gc.lguard.remap(q), gc.rguard.remap(q)
+    for c in constraints:
+        lg, rg = c.lguard, c.rguard
+        for q in point_classes(c, nperms):
+            lp, rp = lg.remap(q), rg.remap(q)
             if up:
-                src, sp, writes = gc.lhs, lp, _reads(gc.rhs, rp, TJoin)
+                src, sp, writes = c.lhs, lp, _reads(c.rhs, rp, TJoin)
             else:
-                src, sp, writes = gc.rhs, rp, _reads(gc.lhs, lp, TMeet)
+                src, sp, writes = c.rhs, rp, _reads(c.lhs, lp, TMeet)
             if not writes:
                 continue  # a ground side: left to the final check
             for cell in _reads(src, sp):
@@ -122,25 +125,25 @@ def _fixpoint(gens, requested, lattice: Lattice, nperms: int, up: bool):
 
 
 def least_fixpoint(
-    gens: list[GenConstraint], requested, lattice: Lattice, nperms: int
+    constraints, requested, lattice: Lattice, nperms: int
 ) -> dict[int, BaseType]:
-    """Least types for ``requested`` and every variable of ``gens`` meeting
-    every lower bound of ``gens``.
+    """Least types for ``requested`` and every variable of ``constraints``
+    meeting every lower bound of ``constraints``.
 
     Upper bounds that stay violated at the fixpoint are left to the caller.
     """
-    return _fixpoint(gens, requested, lattice, nperms, True)
+    return _fixpoint(constraints, requested, lattice, nperms, True)
 
 
 def greatest_fixpoint(
-    gens: list[GenConstraint], requested, lattice: Lattice, nperms: int
+    constraints, requested, lattice: Lattice, nperms: int
 ) -> dict[int, BaseType]:
-    """Greatest types for ``requested`` and every variable of ``gens``
-    meeting every upper bound of ``gens``.
+    """Greatest types for ``requested`` and every variable of
+    ``constraints`` meeting every upper bound of ``constraints``.
 
     Lower bounds with no variable on the left are left to the caller.
     """
-    return _fixpoint(gens, requested, lattice, nperms, False)
+    return _fixpoint(constraints, requested, lattice, nperms, False)
 
 
 def oracle_solve(
@@ -150,10 +153,10 @@ def oracle_solve(
     requested: tuple[int, ...] = (),
 ) -> dict[int, BaseType]:
     """Least solution by the worklist fixpoint, or OracleUnsat."""
-    gens = generalize(constraints)
-    solution = least_fixpoint(gens, requested, lattice, nperms)
-    for gc in gens:
-        q = constraint_witness(gc, solution, lattice, nperms)
+    constraints = list(constraints)
+    solution = least_fixpoint(constraints, requested, lattice, nperms)
+    for c in constraints:
+        q = constraint_witness(c, solution, lattice, nperms)
         if q is not None:
-            raise OracleUnsat(gc, q)
+            raise OracleUnsat(c, q)
     return solution

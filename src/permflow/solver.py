@@ -1,14 +1,17 @@
 """Constraint solving: the worklist solver, and the symbolic reference.
 
-``solve`` finds the least solution of a guarded constraint set with the
-dependency-indexed worklist of ``oracle.least_fixpoint`` over (variable,
-permission set) cells, then checks the original constraints against it: a
-constraint the least solution violates is violated by every solution, so
-the set is unsatisfiable and is reported with that constraint, its witness
-and an irreducible core: the one that deleting constraints one at a time in
+``least_solution`` is the one verdict on a guarded constraint set. It finds
+the least solution with the dependency-indexed worklist of
+``oracle.least_fixpoint`` over (variable, permission set) cells, then
+checks the constraints against it in order: a constraint the least solution
+violates is violated by every solution, so the first one refutes the set.
+Inference (``solve``), the unsat-core search and the checker
+(``typecheck.check_function``) all call it. ``solve`` reports an
+unsatisfiable set with the refuted constraint, its witness and an
+irreducible core: the one that deleting constraints one at a time in
 generation order would keep, found by bisection in O(c log n) reruns of the
-fixpoint for a core of c out of n constraints. Each variable's interval
-runs from its type in the least solution to its type in the greatest one
+verdict for a core of c out of n constraints. Each variable's interval runs
+from its type in the least solution to its type in the greatest one
 (``oracle.greatest_fixpoint``).
 
 ``symbolic_solve`` is the paper's symbolic pipeline, kept as the
@@ -473,16 +476,13 @@ def solve(
 ) -> SolveResult:
     """Least solution of a guarded constraint set, or UnsatError.
 
-    The worklist's least fixpoint is checked against the original
-    constraints; the first one it violates refutes the set and is reported
-    with its witness and the core that greedy deletion in generation order
-    keeps, found by bisection (``_minimize_core``). Each variable gets one
+    ``least_solution`` decides the set; the constraint it refutes is
+    reported with its witness and the core that greedy deletion in
+    generation order keeps, found by bisection (``_minimize_core``). Each variable gets one
     interval under the empty guard, from its least to its greatest type.
     """
     constraints = list(constraints)
-    gens = generalize(constraints)
-    theta = least_fixpoint(gens, requested, lattice, nperms)
-    refuted = _refuted(constraints, theta, lattice, nperms)
+    theta, refuted = least_solution(constraints, requested, lattice, nperms)
     if refuted is not None:
         c, q = refuted
         raise UnsatError(
@@ -492,18 +492,25 @@ def solve(
             witness=q,
             core=_minimize_core(constraints, lattice, nperms),
         )
-    hi = greatest_fixpoint(gens, requested, lattice, nperms)
+    hi = greatest_fixpoint(constraints, requested, lattice, nperms)
     intervals = [Interval(v, EPSILON, theta[v], hi[v]) for v in sorted(theta)]
     return SolveResult(theta, intervals)
 
 
-def _refuted(constraints, theta, lattice, nperms):
-    """The first constraint ``theta`` violates, with its witness, or None."""
+def least_solution(constraints, requested, lattice: Lattice, nperms: int):
+    """The least solution of ``constraints`` for ``requested`` and their
+    variables, and the first constraint it refutes with its least witness,
+    or None when it refutes none.
+
+    The least solution refutes a constraint exactly when every solution
+    does, so the second item is None exactly when the set is satisfiable.
+    """
+    theta = least_fixpoint(constraints, requested, lattice, nperms)
     for c in constraints:
         q = constraint_witness(c, theta, lattice, nperms)
         if q is not None:
-            return c, q
-    return None
+            return theta, (c, q)
+    return theta, None
 
 
 def _minimize_core(constraints, lattice, nperms):
@@ -515,18 +522,16 @@ def _minimize_core(constraints, lattice, nperms):
     Unsatisfiability is monotone in the constraint set, so the next
     constraint it keeps is the largest ``j`` for which ``kept +
     constraints[j:]`` is unsatisfiable, and a binary search finds ``j`` in
-    about log2(n) least-fixpoint reruns. The search stops as soon as
+    about log2(n) reruns of ``least_solution``. The search stops as soon as
     ``kept`` alone is unsatisfiable: a core of c constraints costs at most
     c·(⌈log2 n⌉ + 1) reruns instead of one per constraint.
     """
-    gens = generalize(constraints)
     n = len(constraints)
     kept: list[int] = []
 
     def unsat_from(start: int) -> bool:
-        picked = kept + list(range(start, n))
-        theta = least_fixpoint([gens[i] for i in picked], (), lattice, nperms)
-        return _refuted([constraints[i] for i in picked], theta, lattice, nperms) is not None
+        picked = [constraints[i] for i in kept] + constraints[start:]
+        return least_solution(picked, (), lattice, nperms)[1] is not None
 
     lo = 0  # kept + constraints[lo:] is unsatisfiable; kept alone is not
     while True:

@@ -11,8 +11,6 @@ from typing import Iterator, Union
 
 from .basetypes import BaseType, FunctionType, PermUniverse, format_type
 
-BINOPS = ("+", "-", "*", "==", "<")
-
 
 @dataclass(frozen=True)
 class Span:

@@ -8,9 +8,11 @@ A call site reads the callee's annotation as a ground function type, so
 each function is checked on its own.
 
 The one non-syntax-directed point of the rules is the type chosen for a
-letvar-bound local. It is resolved by the least fixpoint of the body's
+letvar-bound local. It is resolved by the least solution of the body's
 constraints, which is complete: if any choice admits a derivation, the
-least one does.
+least one does. So the verdict is inference's own,
+``solver.least_solution``, over the body's constraints with the locals as
+the only variables.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ from .constraints import (
     TGround,
     VarSupply,
     _gen_cmd,
-    constraint_witness,
     eval_term,
-    generalize,
     ground_signature,
 )
-from .oracle import least_fixpoint
+from .solver import least_solution
 from .syntax import CallAssign, Span, subcommands
 from .system import CheckedSystem
 from .traces import EPSILON, Trace
@@ -120,16 +120,9 @@ def check_function(csys: CheckedSystem, qname: str) -> TypeViolation | None:
     supply = VarSupply()
     out: list[Constraint] = []
     _gen_cmd(gamma, EPSILON, decl.app, decl.body, csys, signatures, supply, out)
-    lat = csys.lattice
-    n = csys.universe.count
-    locals_ = {}
-    if supply.count:
-        locals_ = least_fixpoint(generalize(out), range(supply.count), lat, n)
-    for c in out:
-        q = constraint_witness(c, locals_, lat, n)
-        if q is not None:
-            return _violation(c, q, locals_, csys, qname)
-    return None
+    locals_, refuted = least_solution(out, range(supply.count), csys.lattice,
+                                      csys.universe.count)
+    return None if refuted is None else _violation(*refuted, locals_, csys, qname)
 
 
 def check_system(csys: CheckedSystem) -> CheckReport:

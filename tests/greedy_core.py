@@ -5,9 +5,7 @@ It reruns the least fixpoint once per constraint. The bisection in
 list for list; ``tests/test_core.py`` checks that.
 """
 
-from permflow.constraints import generalize
-from permflow.oracle import least_fixpoint
-from permflow.solver import _refuted
+from permflow.solver import least_solution
 
 
 def greedy_core(constraints, lattice, nperms):
@@ -23,5 +21,4 @@ def greedy_core(constraints, lattice, nperms):
 
 
 def _is_unsat(constraints, lattice, nperms) -> bool:
-    theta = least_fixpoint(generalize(constraints), (), lattice, nperms)
-    return _refuted(constraints, theta, lattice, nperms) is not None
+    return least_solution(constraints, (), lattice, nperms)[1] is not None

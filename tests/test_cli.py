@@ -98,6 +98,12 @@ def test_run_getsecret(capsys):
         "--entry", "C.getsecret", "--caller-perms", "p",
     )
     assert code == 0 and out.strip() == "42"
+    # names are stripped and empty names skipped
+    code, out, _ = run(
+        capsys, "run", p("getsecret.pf"),
+        "--entry", "C.getsecret", "--caller-perms", " p , ,",
+    )
+    assert code == 0 and out.strip() == "42"
     code, out, _ = run(capsys, "run", p("getsecret.pf"), "--entry", "C.getsecret")
     assert code == 0 and out.strip() == "0"
 

@@ -210,3 +210,19 @@ def test_witness_is_least_failing_permission_set(rng):
                 assert constraint_witness(item, subst, lat, nperms) == want
                 failing += want is not None
     assert failing > 100
+
+
+def test_fixpoints_take_generated_constraints(rng):
+    # a Constraint's lguard and rguard are its one guard, so the fixpoints
+    # need no generalize step
+    from permflow.oracle import greatest_fixpoint, least_fixpoint
+
+    from .diffgen import random_instance
+
+    for _ in range(300):
+        constraints, lat, nperms, nvars = random_instance(rng)
+        requested = range(nvars)
+        gens = generalize(constraints)
+        for fixpoint in (least_fixpoint, greatest_fixpoint):
+            assert (fixpoint(constraints, requested, lat, nperms)
+                    == fixpoint(gens, requested, lat, nperms))

@@ -120,8 +120,9 @@ def test_cli_bad_args_value(capsys):
 
 def test_cli_bad_perm_name(capsys):
     code = main(["run", p("identity.pf"), "--entry", "A.id", "--args", "1",
-                 "--caller-perms", "zz"])
+                 "--caller-perms", "p, zz"])
     assert code == 2
+    assert capsys.readouterr().err == "error: unknown permission 'zz'\n"
 
 
 def test_cli_bad_domain(capsys):

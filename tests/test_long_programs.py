@@ -1,8 +1,11 @@
-"""Long and deeply nested programs through every CLI command.
+"""Long, wide and deeply nested programs through every CLI command.
 
-A long block is a flat list, so its length costs no stack. Nesting is
-bounded by ``MAX_DEPTH``: a program exactly that deep works everywhere,
-and one level more is a clean parse error (exit 2), never a traceback.
+A long block is a flat list, so its length costs no stack. A block's
+effect term folds its members' distinct effects pairwise into a balanced
+meet tree, so a block that writes n variables costs a term of depth
+⌈log2 n⌉, not n. Nesting is bounded by ``MAX_DEPTH``: a program exactly
+that deep works everywhere, and one level more is a clean parse error
+(exit 2), never a traceback.
 """
 
 import re
@@ -90,6 +93,27 @@ def test_one_level_too_deep_exits_two(tmp_path, capsys, stmt):
         assert re.fullmatch(
             rf"error: \d+:\d+: nesting deeper than {MAX_DEPTH} levels\n", err
         ), (name, err)
+
+
+def test_block_writing_every_parameter_of_a_wide_function(tmp_path, capsys):
+    params = ", ".join(f"x{i}" for i in range(LONG))
+    writes = "; ".join(f"x{i} := 0" for i in range(LONG))
+    path = tmp_path / "wide.pf"
+    path.write_text(f"""lattice {{ levels L, H; order L < H; }}
+permissions {{ p }}
+app A perms {{p}} {{
+  fun f({params}) {{
+    init r = 0 in {{
+      if x0 then {{ {writes} }} else r := 1;
+      return r
+    }}
+  }}
+}}
+""", encoding="utf-8")
+    for argv in (["infer", "--json"], ["nitest", "--json"], ["fmt"]):
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), argv
 
 
 CHAIN = 1200
