@@ -2,8 +2,10 @@
 
 Exit codes: 0 = success / well-typed / no violation; 1 = negative analysis
 verdict (type error, unsatisfiable constraints, noninterference violation);
-2 = usage, IO, parse, or validation error. JSON mode emits one document on
-stdout with deterministic key order and no timestamps.
+2 = usage, IO, parse, or validation error; 3 = internal error (an
+unexpected exception, reported as one ``internal error: <Type>: <message>``
+line on stderr). JSON mode emits one document on stdout with deterministic
+key order and no timestamps.
 """
 
 from __future__ import annotations
@@ -333,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-annotated", metavar="PATH",
                    help="write the source back with inferred annotations")
     p.add_argument("--timings", action="store_true",
-                   help="include solver stage timings in the JSON report")
+                   help="include stage timings in the JSON report: generate, "
+                        "solve, and the recheck of annotated bodies")
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("run", help="execute one function call")
@@ -370,6 +373,9 @@ def main(argv=None) -> int:
     except SystemExit2 as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a bug, never a verdict; BaseException passes
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,9 +1,27 @@
 """Whole-system type inference.
 
 Generates the joint constraint system over every unannotated function
-(annotated ones contribute ground signatures), solves it for the least
-substitution, instantiates the function-type table, and re-checks the
-result with the checker as a final guard.
+(annotated ones contribute ground signatures and no constraints), solves
+it for the least substitution theta, and instantiates the function-type
+table. The checker then rechecks the bodies of the annotated functions
+against that table: no constraint of theirs was generated, so the recheck
+is the only check of an annotated body during inference.
+
+An inferred body is not rechecked, because the checker cannot reject it:
+
+- With the table as annotations, the checker's constraints for the body
+  are the inference constraints with theta substituted for the signature
+  variables (and the letvar locals renamed). The smart constructors
+  ``tjoin``, ``tmeet``, ``tproj`` and ``tmerge`` only fold ground parts,
+  so the substitution changes no term's pointwise value.
+- theta, restricted to the body's letvar locals, therefore satisfies the
+  checker's set: ``solve`` has already decided every inference constraint
+  against it.
+- ``least_solution`` refutes a set only when every solution refutes it,
+  so the checker's verdict for the body is "ok".
+
+The full recheck stays the slow oracle: ``tests/test_recheck.py`` compares
+the two, function by function.
 """
 
 from __future__ import annotations
@@ -15,7 +33,7 @@ from .basetypes import BaseType, FunctionType
 from .constraints import Constraint, TGround, TVar, gen_constraints
 from .solver import Interval, SolveResult, UnsatError, solve
 from .system import CheckedSystem
-from .typecheck import CheckReport, check_system
+from .typecheck import CheckReport, FunctionVerdict, check_system
 
 
 @dataclass
@@ -30,6 +48,8 @@ class FunctionInference:
 @dataclass
 class InferResult:
     functions: list[FunctionInference]
+    # One verdict per function, in declaration order. Only annotated bodies
+    # are checked; an inferred one is "ok" by the argument above.
     recheck: CheckReport
     stage_timings: dict[str, float] = field(default_factory=dict)
 
@@ -100,8 +120,10 @@ def infer_system(csys: CheckedSystem) -> InferResult:
             )
         )
 
-    annotated = annotate(csys, ft)
-    recheck = check_system(annotated)
+    annotated = [f.function for f in functions if not f.inferred]
+    checked = {v.function: v
+               for v in check_system(annotate(csys, ft), annotated).verdicts}
+    recheck = CheckReport([checked.get(q) or FunctionVerdict(q, True) for q in ft])
     t3 = time.perf_counter()
 
     return InferResult(

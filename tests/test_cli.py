@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from permflow import cli
 from permflow.cli import main
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
@@ -271,3 +272,24 @@ def test_huge_domain_is_not_materialised(capsys):
     assert code == 0 and err == ""
     cells = json.loads(out)["cells"]
     assert cells and {c["verdict"] for c in cells} <= {"inconclusive", "skipped"}
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    # exit 1 is a negative verdict; a bug must not read as one
+    monkeypatch.setattr(cli, "infer_system", _raise(ZeroDivisionError("division by zero")))
+    code, out, err = run(capsys, "infer", p("getinfo.pf"), "--json")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+def test_interrupt_is_not_an_internal_error(monkeypatch):
+    monkeypatch.setattr(cli, "infer_system", _raise(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(["infer", p("getinfo.pf")])

@@ -26,8 +26,10 @@ def test_inferred_systems_are_noninterferent():
             res = infer_system(csys)
         except InferUnsat:
             continue
-        assert res.ok, i  # least solutions re-check under the trace rules
-        rep = nitest_system(annotate(csys, res.types()), domain=(0, 1))
+        annotated = annotate(csys, res.types())
+        # least solutions re-check under the trace rules, every body included
+        assert check_system(annotated).ok, i
+        rep = nitest_system(annotated, domain=(0, 1))
         assert rep.ok, (i, rep.violations[:1])
         assert not any(c.verdict == "inconclusive" for c in rep.cells)
 
