@@ -2,17 +2,20 @@
 
 Exit codes: 0 = success / well-typed / no violation; 1 = negative analysis
 verdict (type error, unsatisfiable constraints, noninterference violation);
-2 = usage, IO, parse, or validation error; 3 = internal error (an
-unexpected exception, reported as one ``internal error: <Type>: <message>``
-line on stderr). JSON mode emits one document on stdout with deterministic
-key order and no timestamps.
+2 = usage, IO, parse, or validation error, including a stdout that the
+reader closed early; 3 = internal error (an unexpected exception, reported
+as one ``internal error: <Type>: <message>`` line on stderr). JSON mode
+emits one document on stdout with deterministic key order and no
+timestamps, in the bytes of ``json.dumps(doc, indent=2)``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .basetypes import format_function_type
 from .inference import InferUnsat, annotate, infer_system
@@ -45,9 +48,67 @@ def _load(path: str) -> CheckedSystem:
         raise SystemExit2(str(e))
 
 
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for a document of
+    dicts with string keys, lists, tuples, strings, ints, bools, None and
+    floats. With ``indent`` set the stdlib encodes in pure Python; this
+    writer leaves only the string escaping, done in C, per value."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    return "".join(out)
+
+
+# what json.dumps writes for the floats that JSON has no number for
+_FLOAT_WORDS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _write_json(o, nl: str, out: list[str]) -> None:
+    """Append ``o`` to ``out``; ``nl`` is the newline and indent of the
+    line ``o`` starts on."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        out.append(_FLOAT_WORDS.get(text, text))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"JSON keys must be str, not {k.__class__.__name__}")
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def _emit(doc, as_json: bool, human_lines) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(json_text(doc))
     else:
         for line in human_lines:
             print(line)
@@ -281,7 +342,7 @@ def cmd_fmt(args) -> int:
     csys = _load(args.file)
     src = to_source(csys.system)
     if args.json:
-        print(json.dumps({"command": "fmt", "file": args.file, "source": src}, indent=2))
+        print(json_text({"command": "fmt", "file": args.file, "source": src}))
     else:
         print(src, end="")
     return 0
@@ -369,13 +430,33 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except SystemExit2 as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # the reader went away, as in ``permflow ... | head``
+        _silence_stdout()
+        with contextlib.suppress(OSError):
+            print("error: stdout was closed before the output was written",
+                  file=sys.stderr)
         return 2
     except Exception as e:  # a bug, never a verdict; BaseException passes
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+
+
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the flush
+    at interpreter exit neither fails nor reports the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

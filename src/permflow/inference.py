@@ -99,6 +99,18 @@ def infer_system(csys: CheckedSystem) -> InferResult:
     t2 = time.perf_counter()
 
     theta = result.substitution
+    # A signature variable belongs to one function, a letvar local to none.
+    # One pass hands each function its intervals, in solver order.
+    intervals: dict[str, list[Interval]] = {qname: [] for qname in csys.fd}
+    owned = {
+        t.vid: intervals[qname]
+        for qname, sig in gen.signatures.items()
+        for t in (*sig.params, sig.ret)
+        if isinstance(t, TVar)
+    }
+    for iv in result.intervals:
+        if iv.var in owned:
+            owned[iv.var].append(iv)
     functions: list[FunctionInference] = []
     ft: dict[str, FunctionType] = {}
     for qname, decl in csys.fd.items():
@@ -107,16 +119,13 @@ def infer_system(csys: CheckedSystem) -> InferResult:
         ret = _resolve(sig.ret, theta)
         ftype = FunctionType(params, ret)
         ft[qname] = ftype
-        own_vids = {
-            t.vid for t in (*sig.params, sig.ret) if isinstance(t, TVar)
-        }
         functions.append(
             FunctionInference(
                 qname,
                 ftype,
                 inferred=decl.annotation is None,
                 constraint_count=len(gen.by_function[qname]),
-                intervals=[iv for iv in result.intervals if iv.var in own_vids],
+                intervals=intervals[qname],
             )
         )
 

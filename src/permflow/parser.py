@@ -20,6 +20,7 @@ ParseError.
 from __future__ import annotations
 
 import re
+import string
 
 from .basetypes import BaseType, FunctionType, PermUniverse, embed
 from .lattice import Lattice, load_lattice
@@ -54,16 +55,27 @@ KEYWORDS = {
     "do", "test", "letvar", "call",
 }
 
+# One match per token: the layout and comments before it, then the token
+# itself, which is empty at the end of the input and a single character
+# where no token starts. Identifiers, the most common tokens, come first.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*|\#[^\n]*)
-  | (?P<int>[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>:=|==|[{}(),;:=<.\+\-\*])
+    ([ \t\r\n]*(?:(?://|\#)[^\n]*[ \t\r\n]*)*)
+    ([A-Za-z_][A-Za-z0-9_]*|[{}(),;<.\+\-\*]|:=?|==?|[0-9]+|\Z|.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+
+# The words that start a command other than an assignment.
+_COMPOUND_STARTS = frozenset({"{", "if", "while", "test", "letvar"})
+
+# A token's kind by its first character; the end of input and a character
+# that starts no token have none.
+_KIND = {
+    **dict.fromkeys(string.digits, "int"),
+    **dict.fromkeys(string.ascii_letters + "_", "ident"),
+    **dict.fromkeys("{}(),;:=<.+-*", "op"),
+}
 
 
 class ParseError(ValueError):
@@ -91,12 +103,20 @@ class UnknownReference(ParseError):
 
 
 class Token:
-    __slots__ = ("kind", "text", "span")
+    """A lexeme with its kind and 1-based position. Its ``span`` is built
+    when read, since most tokens never give one to a node or an error."""
 
-    def __init__(self, kind: str, text: str, span: Span):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
         self.kind = kind
         self.text = text
-        self.span = span
+        self.line = line
+        self.col = col
+
+    @property
+    def span(self) -> Span:
+        return Span(self.line, self.col)
 
     def __repr__(self):
         return f"Token({self.kind}, {self.text!r})"
@@ -104,23 +124,24 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", Span(line, col))
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, Span(line, col)))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", Span(line, col)))
+    append = tokens.append
+    kind_of = _KIND.get
+    line, col = 1, 1
+    for layout, lexeme in _TOKEN_RE.findall(text):
+        if layout:
+            if "\n" in layout:
+                line += layout.count("\n")
+                col = len(layout) - layout.rfind("\n")
+            else:
+                col += len(layout)
+        kind = kind_of(lexeme[:1])
+        if kind is None:
+            if lexeme:
+                raise ParseError(f"unexpected character {lexeme!r}", Span(line, col))
+            append(Token("eof", "", line, col))
+            break
+        append(Token(kind, lexeme, line, col))
+        col += len(lexeme)
     return tokens
 
 
@@ -132,7 +153,8 @@ class Parser:
         self.lattice: Lattice | None = None
         self.universe: PermUniverse | None = None
 
-    # token plumbing
+    # token plumbing. Only ``eof`` has empty text, so comparing texts
+    # never takes the end of input for a word or an operator.
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -143,19 +165,22 @@ class Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("ident", "op", "int")
+        return self.tokens[self.i].text == text
 
     def accept(self, text: str) -> Token | None:
-        if self.at(text):
-            return self.next()
+        tok = self.tokens[self.i]
+        if tok.text == text:
+            self.i += 1
+            return tok
         return None
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            got = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {text!r}, got {got!r}", tok.span)
-        return self.next()
+        tok = self.tokens[self.i]
+        if tok.text == text:
+            self.i += 1
+            return tok
+        got = tok.text if tok.kind != "eof" else "end of input"
+        raise ParseError(f"expected {text!r}, got {got!r}", tok.span)
 
     def descend(self, tok: Token) -> None:
         """Enter one nesting level; the caller restores ``depth`` on exit."""
@@ -370,21 +395,25 @@ class Parser:
         return c
 
     def _parse_cmd_form(self, tok: Token) -> Cmd:
-        if self.accept("{"):
+        word = tok.text
+        if word not in _COMPOUND_STARTS:
+            return self._parse_assign(tok)
+        self.i += 1
+        if word == "{":
             return self._parse_cmd_seq()
-        if self.accept("if"):
+        if word == "if":
             cond = self._parse_expr()
             self.expect("then")
             then = self._parse_branch()
             self.expect("else")
             els = self._parse_branch()
             return If(cond, then, els, tok.span)
-        if self.accept("while"):
+        if word == "while":
             cond = self._parse_expr()
             self.expect("do")
             body = self._parse_branch()
             return While(cond, body, tok.span)
-        if self.accept("test"):
+        if word == "test":
             self.expect("(")
             perm = self.ident("permission name")
             if perm.text not in self.universe.names:
@@ -394,13 +423,14 @@ class Parser:
             self.expect("else")
             els = self._parse_branch()
             return Test(perm.text, then, els, tok.span)
-        if self.accept("letvar"):
-            name = self.ident("variable name")
-            self.expect("=")
-            init = self._parse_expr()
-            self.expect("in")
-            body = self._parse_branch()
-            return LetVar(name.text, init, body, tok.span)
+        name = self.ident("variable name")  # letvar
+        self.expect("=")
+        init = self._parse_expr()
+        self.expect("in")
+        body = self._parse_branch()
+        return LetVar(name.text, init, body, tok.span)
+
+    def _parse_assign(self, tok: Token) -> Cmd:
         name = self.ident("variable name")
         self.expect(":=")
         if self.accept("call"):
@@ -448,7 +478,7 @@ class Parser:
     def _parse_add(self) -> Expr:
         outer = self.depth
         e = self._parse_mul()
-        while self.peek().text in ("+", "-") and self.peek().kind == "op":
+        while self.peek().text in ("+", "-"):
             op = self.next()
             self.descend(op)
             e = BinOp(op.text, e, self._parse_mul(), op.span)

@@ -12,10 +12,26 @@ from typing import Iterator, Union
 from .basetypes import BaseType, FunctionType, PermUniverse, format_type
 
 
-@dataclass(frozen=True)
 class Span:
-    line: int = 0
-    col: int = 0
+    """A 1-based source position; ``Span()`` is "no position". A value:
+    equal and hashed by ``(line, col)``, and never assigned to."""
+
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other):
+        if other.__class__ is not Span:
+            return NotImplemented
+        return self.line == other.line and self.col == other.col
+
+    def __hash__(self):
+        return hash((self.line, self.col))
+
+    def __repr__(self):
+        return f"Span(line={self.line}, col={self.col})"
 
     def __str__(self):
         return f"{self.line}:{self.col}"

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -293,3 +294,19 @@ def test_interrupt_is_not_an_internal_error(monkeypatch):
     monkeypatch.setattr(cli, "infer_system", _raise(KeyboardInterrupt()))
     with pytest.raises(KeyboardInterrupt):
         main(["infer", p("getinfo.pf")])
+
+
+@pytest.mark.parametrize("argv", [["infer", "arith.pf", "--json"], ["fmt", "arith.pf"]])
+def test_closed_stdout_is_an_io_error(argv):
+    # as in `permflow infer arith.pf --json | head -c 10`, but with the
+    # reading end closed before the child writes anything
+    argv = [p(a) if a.endswith(".pf") else a for a in argv]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen([sys.executable, "-m", "permflow.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2, err
+    assert len(err.splitlines()) <= 1 and err.startswith("error: "), err

@@ -7,10 +7,14 @@ callers, which took the 1,280-function fan about 20 s; each function's own
 constraints take it under 2 s. Minimising the unsat core of a 160-function
 fan with a planted leak once reran the fixpoint per constraint, 5-8 s;
 bisection takes well under a second. The time bounds are generous, so only
-a return to exponential or quadratic behaviour fails them.
+a return to exponential or quadratic behaviour fails them. The work after
+``solve`` is bounded by a ratio of two timings instead: it once scanned
+every interval for each function.
 """
 
+import gc
 import math
+import statistics
 import time
 
 import pytest
@@ -145,3 +149,26 @@ def test_planted_leak_core(n, monkeypatch):
     core = len(info.value.cause.core)
     assert len(calls) <= 1 + core * (math.ceil(math.log2(m + 1)) + 1), (len(calls), core, m)
     assert elapsed < BOUND_S, f"{elapsed:.1f} s"
+
+
+def test_work_after_solve_is_linear_in_n():
+    # The "recheck" stage covers everything infer_system does per function
+    # after solve. 8x the functions take 8x the time if that work is linear
+    # and 64x if it is quadratic; the scan of all intervals per function
+    # made it 30-55x, against 6-15x without. Each round pairs a median of
+    # small runs with one large run; the median round counts, so one slow
+    # moment of the host does not.
+    def recheck_s(csys):
+        return infer_system(csys).stage_timings["recheck"]
+
+    small = validate_system(parse_system(fan_source(2, 160)))
+    large = validate_system(parse_system(fan_source(2, 1280)))
+    ratios = []
+    gc.disable()
+    try:
+        for _ in range(3):
+            t_small = statistics.median(recheck_s(small) for _ in range(5))
+            ratios.append(recheck_s(large) / t_small)
+    finally:
+        gc.enable()
+    assert statistics.median(ratios) < 20, ratios
