@@ -1,15 +1,33 @@
-"""Big-step reference interpreter.
+"""Big-step reference interpreter, compiled to closures.
 
 Commands execute against a mutable environment under an execution context
 carrying the running app and the *caller's* permission set; a function call
 runs the callee under the permissions of the calling app, never those of
 the transitive caller. Arithmetic is 64-bit wrapping; fuel bounds the number
 of evaluation-rule applications so diverging loops terminate with an error.
+
+Each command is compiled once per ``System`` into nested Python closures
+(Feeley and Lapalme, "Using closures for code generation", Computer
+Languages 12(1), 1987), kept in ``System.compiled`` so that they live and
+die with their system. Compilation resolves permission bits, constant
+values, each operator with its 64-bit wrap, and each command's fixed fuel
+cost: one unit for the command and one per node of its expressions. A
+command charges that cost in one subtraction before its expressions run;
+a ``while`` charges one unit and its condition's nodes again per
+iteration. Expressions are pure, so fuel runs out in the same command as
+in a node-by-node walk (``tests/walker.py``), and a finished run leaves the
+same fuel. Exhaustion leaves ``remaining`` at -1, as the walk does.
+
+One race differs, on systems that fail validation only: when a command
+reads an unbound variable and also runs out of fuel, the walk raises
+whichever it reaches first, while compiled code always raises
+``FuelExhausted``. Likewise a ``test`` of an undeclared permission fails
+when its body is compiled, not when the branch runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 
 from .syntax import (
     Assign,
@@ -30,6 +48,7 @@ from .system import System
 DEFAULT_FUEL = 10**6
 _U64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
+_I64_MIN = -(1 << 63)
 
 
 class FuelExhausted(RuntimeError):
@@ -45,94 +64,274 @@ def _wrap(v: int) -> int:
     return v - _U64 if v > _I64_MAX else v
 
 
-@dataclass
 class Fuel:
-    remaining: int = DEFAULT_FUEL
+    """The evaluation steps a run may still take."""
 
-    def tick(self):
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise FuelExhausted("evaluation fuel exhausted")
+    __slots__ = ("remaining",)
+
+    def __init__(self, remaining: int = DEFAULT_FUEL):
+        self.remaining = remaining
 
 
-@dataclass
 class ExecContext:
-    app: str
-    caller_perms: int
-    fuel: Fuel = field(default_factory=Fuel)
+    __slots__ = ("app", "caller_perms", "fuel")
+
+    def __init__(self, app: str, caller_perms: int, fuel: Fuel | None = None):
+        self.app = app
+        self.caller_perms = caller_perms
+        self.fuel = Fuel() if fuel is None else fuel
+
+
+def _exhausted(fuel: Fuel):
+    fuel.remaining = -1
+    raise FuelExhausted("evaluation fuel exhausted")
+
+
+ExprCode = Callable[[dict[str, int]], int]
+CmdCode = Callable[[dict[str, int], ExecContext], None]
+
+
+# ----------------------------------------------------------- expressions
+
+def _add(a: ExprCode, b: ExprCode) -> ExprCode:
+    def add(env):
+        v = a(env) + b(env)
+        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
+    return add
+
+
+def _sub(a: ExprCode, b: ExprCode) -> ExprCode:
+    def sub(env):
+        v = a(env) - b(env)
+        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
+    return sub
+
+
+def _mul(a: ExprCode, b: ExprCode) -> ExprCode:
+    def mul(env):
+        v = a(env) * b(env)
+        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
+    return mul
+
+
+def _eq(a: ExprCode, b: ExprCode) -> ExprCode:
+    def eq(env):
+        return 1 if a(env) == b(env) else 0
+    return eq
+
+
+def _lt(a: ExprCode, b: ExprCode) -> ExprCode:
+    def lt(env):
+        return 1 if a(env) < b(env) else 0
+    return lt
+
+
+_BINOPS = {"+": _add, "-": _sub, "*": _mul, "==": _eq, "<": _lt}
+
+
+def _compile_expr(e: Expr, sys: System) -> tuple[ExprCode, int]:
+    """The closure that evaluates ``e``, and the fuel it costs: its node count."""
+    if isinstance(e, IntLit):
+        value = _wrap(e.value)
+        return (lambda env: value), 1
+    if isinstance(e, Var):
+        name = e.name
+        const = sys.constants.get(name)
+        if const is not None:
+            value = _wrap(const.value)
+            # a bound name shadows the constant, as in the walk
+            return (lambda env: env.get(name, value)), 1
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(f"unbound variable {name!r}") from None
+        return var, 1
+    if isinstance(e, BinOp) and e.op in _BINOPS:
+        lhs, n_lhs = _compile_expr(e.lhs, sys)
+        rhs, n_rhs = _compile_expr(e.rhs, sys)
+        return _BINOPS[e.op](lhs, rhs), 1 + n_lhs + n_rhs
+    raise TypeError(f"not an expression: {e!r}")
+
+
+# -------------------------------------------------------------- commands
+#
+# Every command closure starts by charging its fixed ``cost``, inlined:
+#     fuel = ctx.fuel
+#     left = fuel.remaining - cost
+#     if left < 0: _exhausted(fuel)
+#     fuel.remaining = left
+
+def _compile_cmd(c: Cmd, sys: System) -> CmdCode:
+    if isinstance(c, Assign):
+        name = c.name
+        expr, cost = _compile_expr(c.expr, sys)
+        cost += 1
+
+        def assign(env, ctx):
+            fuel = ctx.fuel
+            left = fuel.remaining - cost
+            if left < 0:
+                _exhausted(fuel)
+            fuel.remaining = left
+            env[name] = expr(env)
+        return assign
+
+    if isinstance(c, Block):
+        members = tuple(_compile_cmd(m, sys) for m in c.cmds)
+
+        def block(env, ctx):
+            fuel = ctx.fuel
+            left = fuel.remaining - 1
+            if left < 0:
+                _exhausted(fuel)
+            fuel.remaining = left
+            for member in members:
+                member(env, ctx)
+        return block
+
+    if isinstance(c, If):
+        cond, cost = _compile_expr(c.cond, sys)
+        cost += 1
+        then = _compile_cmd(c.then, sys)
+        els = _compile_cmd(c.els, sys)
+
+        def if_(env, ctx):
+            fuel = ctx.fuel
+            left = fuel.remaining - cost
+            if left < 0:
+                _exhausted(fuel)
+            fuel.remaining = left
+            if cond(env):
+                then(env, ctx)
+            else:
+                els(env, ctx)
+        return if_
+
+    if isinstance(c, While):
+        # entering costs the command and its condition; each iteration
+        # costs one unit and the condition again
+        cond, cost = _compile_expr(c.cond, sys)
+        cost += 1
+        body = _compile_cmd(c.body, sys)
+
+        def while_(env, ctx):
+            fuel = ctx.fuel
+            left = fuel.remaining - cost
+            if left < 0:
+                _exhausted(fuel)
+            fuel.remaining = left
+            while cond(env):
+                body(env, ctx)
+                left = fuel.remaining - cost
+                if left < 0:
+                    _exhausted(fuel)
+                fuel.remaining = left
+        return while_
+
+    if isinstance(c, Test):
+        bit = 1 << sys.universe.index(c.perm)
+        then = _compile_cmd(c.then, sys)
+        els = _compile_cmd(c.els, sys)
+
+        def test(env, ctx):
+            fuel = ctx.fuel
+            left = fuel.remaining - 1
+            if left < 0:
+                _exhausted(fuel)
+            fuel.remaining = left
+            if ctx.caller_perms & bit:
+                then(env, ctx)
+            else:
+                els(env, ctx)
+        return test
+
+    if isinstance(c, LetVar):
+        name = c.name
+        init, cost = _compile_expr(c.init, sys)
+        cost += 1
+        body = _compile_cmd(c.body, sys)
+
+        def letvar(env, ctx):
+            fuel = ctx.fuel
+            left = fuel.remaining - cost
+            if left < 0:
+                _exhausted(fuel)
+            fuel.remaining = left
+            env[name] = init(env)
+            body(env, ctx)
+            del env[name]  # the local never escapes its scope
+        return letvar
+
+    if isinstance(c, CallAssign):
+        return _compile_call(c, sys)
+
+    raise TypeError(f"not a command: {c!r}")
+
+
+def _compile_call(c: CallAssign, sys: System) -> CmdCode:
+    name, target, theta = c.name, c.target, sys.theta
+    compiled = [_compile_expr(a, sys) for a in c.args]
+    args = tuple(code for code, _ in compiled)
+    cost = 1 + sum(n for _, n in compiled)
+    # The callee is compiled on the first call, so that a call chain costs
+    # compile-time stack for one body at a time.
+    callee = None
+
+    def call(env, ctx):
+        nonlocal callee
+        fuel = ctx.fuel
+        left = fuel.remaining - cost
+        if left < 0:
+            _exhausted(fuel)
+        fuel.remaining = left
+        values = [a(env) for a in args]
+        perms = theta[ctx.app]
+        if callee is None:
+            callee = _function(sys, target)
+        env[name] = callee(values, perms, fuel)
+    return call
+
+
+def _code(sys: System, c: Cmd) -> CmdCode:
+    """``c``'s closure, compiled on first use and kept in ``sys.compiled``."""
+    entry = sys.compiled.get(id(c))
+    if entry is None:
+        # holding ``c`` keeps its id from being reused while the entry lives
+        entry = sys.compiled[id(c)] = (c, _compile_cmd(c, sys))
+    return entry[1]
+
+
+def _function(sys: System, qname: str) -> Callable[[list[int], int, Fuel], int]:
+    """A closure that runs ``qname`` on arguments, for a caller's permissions."""
+    decl = sys.fd[qname]
+    params, ret_var, app = decl.params, decl.ret_var, decl.app
+    body = None if decl.body is None else _code(sys, decl.body)
+
+    def invoke(args, caller_perms, fuel):
+        env = {p: _wrap(v) for p, v in zip(params, args)}
+        env[ret_var] = 0
+        if body is not None:
+            body(env, ExecContext(app, caller_perms, fuel))
+        return env[ret_var]
+    return invoke
 
 
 def eval_expr(env: dict[str, int], e: Expr, sys: System, fuel: Fuel) -> int:
-    fuel.tick()
-    if isinstance(e, IntLit):
-        return _wrap(e.value)
-    if isinstance(e, Var):
-        if e.name in env:
-            return env[e.name]
-        const = sys.constants.get(e.name)
-        if const is not None:
-            return _wrap(const.value)
-        raise UnboundVariable(f"unbound variable {e.name!r}")
-    if isinstance(e, BinOp):
-        a = eval_expr(env, e.lhs, sys, fuel)
-        b = eval_expr(env, e.rhs, sys, fuel)
-        if e.op == "+":
-            return _wrap(a + b)
-        if e.op == "-":
-            return _wrap(a - b)
-        if e.op == "*":
-            return _wrap(a * b)
-        if e.op == "==":
-            return 1 if a == b else 0
-        if e.op == "<":
-            return 1 if a < b else 0
-    raise TypeError(f"not an expression: {e!r}")
+    """Evaluate ``e``, charging one unit of ``fuel`` per node up front."""
+    run, cost = _compile_expr(e, sys)
+    left = fuel.remaining - cost
+    if left < 0:
+        _exhausted(fuel)
+    fuel.remaining = left
+    return run(env)
 
 
 def exec_cmd(env: dict[str, int], ctx: ExecContext, c: Cmd, sys: System) -> dict[str, int]:
     """Execute ``c``, mutating and returning ``env``."""
-    ctx.fuel.tick()
-    if isinstance(c, Assign):
-        env[c.name] = eval_expr(env, c.expr, sys, ctx.fuel)
-        return env
-    if isinstance(c, CallAssign):
-        args = [eval_expr(env, a, sys, ctx.fuel) for a in c.args]
-        env[c.name] = _invoke(sys, c.target, args, sys.theta[ctx.app], ctx.fuel)
-        return env
-    if isinstance(c, Block):
-        for m in c.cmds:
-            exec_cmd(env, ctx, m, sys)
-        return env
-    if isinstance(c, If):
-        v = eval_expr(env, c.cond, sys, ctx.fuel)
-        return exec_cmd(env, ctx, c.then if v != 0 else c.els, sys)
-    if isinstance(c, While):
-        while True:
-            v = eval_expr(env, c.cond, sys, ctx.fuel)
-            if v == 0:
-                return env
-            exec_cmd(env, ctx, c.body, sys)
-            ctx.fuel.tick()
-    if isinstance(c, Test):
-        bit = 1 << sys.universe.index(c.perm)
-        taken = c.then if ctx.caller_perms & bit else c.els
-        return exec_cmd(env, ctx, taken, sys)
-    if isinstance(c, LetVar):
-        env[c.name] = eval_expr(env, c.init, sys, ctx.fuel)
-        exec_cmd(env, ctx, c.body, sys)
-        del env[c.name]  # the local never escapes its scope
-        return env
-    raise TypeError(f"not a command: {c!r}")
-
-
-def _invoke(sys: System, qname: str, args: list[int], caller_perms: int, fuel: Fuel) -> int:
-    decl = sys.fd[qname]
-    env = {p: _wrap(v) for p, v in zip(decl.params, args)}
-    env[decl.ret_var] = 0
-    ctx = ExecContext(decl.app, caller_perms, fuel)
-    if decl.body is not None:
-        exec_cmd(env, ctx, decl.body, sys)
-    return env[decl.ret_var]
+    _code(sys, c)(env, ctx)
+    return env
 
 
 def call_function(
@@ -150,4 +349,4 @@ def call_function(
         raise ValueError(
             f"{qname} takes {len(decl.params)} argument(s), got {len(args)}"
         )
-    return _invoke(sys, qname, list(args), caller_perms, Fuel(fuel))
+    return _function(sys, qname)(list(args), caller_perms, Fuel(fuel))

@@ -146,27 +146,31 @@ def _test_cell(csys, qname, decl, gamma, perms, cfg: NIConfig) -> CellVerdict:
     # A bucket's pairs, taken in (hid1, hid2) order and skipping those with
     # an exhausted side, first differ at (i, j): i the bucket's first
     # finished run, j the first finished run whose output differs from i's.
+    # A run mutates its environment, so a witness's is rebuilt from its
+    # valuation, in the same key order: observable, then hidden.
     m = d ** len(hidden)
     tested = 0
     inconclusive = 0
+    names = (*obs, *hidden)
     for obs_vals in product(cfg.domain, repeat=len(obs)):
-        low = dict(zip(obs, obs_vals))
-        first = None  # (index, env, output) of the bucket's first finished run
+        first = None  # (index, hidden valuation, output) of the first finished run
         exhausted = 0
         for j, hid in enumerate(product(cfg.domain, repeat=len(hidden))):
-            env = low | dict(zip(hidden, hid))
             try:
-                out = _run(csys, decl, dict(env), perms, cfg.fuel)
+                out = _run(csys, decl, dict(zip(names, obs_vals + hid)), perms, cfg.fuel)
             except FuelExhausted:
                 exhausted += 1
                 continue
             if first is None:
-                first = (j, env, out)
+                first = (j, hid, out)
             elif out != first[2]:
-                i, env1, out1 = first
+                i, hid1, out1 = first
+                low = dict(zip(obs, obs_vals))
+                env1 = low | dict(zip(hidden, hid1))
+                env2 = low | dict(zip(hidden, hid))
                 return CellVerdict(
                     qname, perms, cfg.observer, tested + i * m + j + 1, "violation",
-                    witness=Violation(qname, perms, cfg.observer, env1, env, out1, out),
+                    witness=Violation(qname, perms, cfg.observer, env1, env2, out1, out),
                 )
         tested += m * m
         inconclusive += m * m - (m - exhausted) ** 2
@@ -179,9 +183,8 @@ def _test_cell(csys, qname, decl, gamma, perms, cfg: NIConfig) -> CellVerdict:
 
 
 def _run(csys, decl, env: dict[str, int], perms: int, fuel: int) -> int:
-    ctx = ExecContext(decl.app, perms, Fuel(fuel))
     if decl.body is not None:
-        exec_cmd(env, ctx, decl.body, csys.system)
+        exec_cmd(env, ExecContext(decl.app, perms, Fuel(fuel)), decl.body, csys.system)
     return env[decl.ret_var]
 
 

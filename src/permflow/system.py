@@ -10,7 +10,7 @@ it computes a topological order of the call graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .basetypes import PermUniverse
 from .lattice import Lattice
@@ -64,6 +64,9 @@ class System:
     theta: dict[str, int]  # app name -> permission bitmask, in declaration order
     fd: dict[str, FunDecl]  # "A.f" -> declaration, in declaration order
     constants: dict[str, ConstDecl]
+    # id(command) -> (command, closure), filled by permflow.interp on a
+    # command's first run; a copy made with dataclasses.replace starts empty
+    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass

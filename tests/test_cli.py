@@ -310,3 +310,30 @@ def test_closed_stdout_is_an_io_error(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2, err
     assert len(err.splitlines()) <= 1 and err.startswith("error: "), err
+
+
+def test_back_to_back_calls_answer_as_fresh_processes(capsys, monkeypatch):
+    # in-process callers such as the benchmark call main back to back; each
+    # call must give the exit code and bytes of a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    calls = [
+        ["infer", p("getinfo.pf")],
+        ["nitest", p("leaky.pf"), "--domain", "0..1"],
+        ["check", p("getsecret.pf"), "--no-such-flag"],
+        ["check", p("getsecret.pf")],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as e:  # argparse exits on a usage error
+            code = e.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "permflow.cli", *argv],
+                               capture_output=True, env=env, timeout=60)
+        assert (code, got.out.encode(), got.err.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 1, 2, 0]

@@ -1,0 +1,199 @@
+"""The compiled interpreter against the AST walker in ``tests/walker.py``.
+
+On every corpus function, on derandomized ``progen`` systems and on a few
+hand-written loops, both must agree on the return value or the exception
+type, and on the fuel left over, for every caller permission set over a
+small argument grid. On a subset the fuel is swept from 0 to the full cost
+of the run, so that each exhaustion boundary is hit.
+"""
+
+import os
+import random
+from dataclasses import replace
+from itertools import product
+
+import pytest
+
+from permflow import interp
+from permflow.interp import DEFAULT_FUEL, ExecContext, Fuel, FuelExhausted, UnboundVariable
+from permflow.parser import parse_system
+from permflow.syntax import Var
+from permflow.system import validate_system
+
+from . import walker
+from .conftest import SEED
+from .progen import random_checked_system
+
+PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
+I64_MAX = (1 << 63) - 1
+
+
+def _outcome(module, sys, qname, args, perms, fuel):
+    """Run ``qname``'s body with ``module.exec_cmd`` as ``nitest`` does:
+    the final environment or the exception type, and the fuel left."""
+    decl = sys.fd[qname]
+    env = dict(zip(decl.params, args))
+    env[decl.ret_var] = 0
+    left = Fuel(fuel)
+    try:
+        if decl.body is not None:
+            module.exec_cmd(env, ExecContext(decl.app, perms, left), decl.body, sys)
+    except (FuelExhausted, UnboundVariable) as e:
+        return type(e), left.remaining
+    return env, left.remaining
+
+
+def _both(sys, qname, args, perms, fuel=DEFAULT_FUEL):
+    return (_outcome(interp, sys, qname, args, perms, fuel),
+            _outcome(walker, sys, qname, args, perms, fuel))
+
+
+def _agree_on_grid(csys, grid=(0, 1, 2)) -> int:
+    """Compare both on every function, caller permission set and argument
+    tuple over ``grid``; return the number of runs compared."""
+    runs = 0
+    for qname, decl in csys.fd.items():
+        for perms in csys.universe.sets():
+            for args in product(grid, repeat=len(decl.params)):
+                compiled, walked = _both(csys.system, qname, args, perms)
+                assert compiled == walked, (qname, perms, args)
+                assert (interp.call_function(csys.system, qname, args, perms)
+                        == walker.call_function(csys.system, qname, args, perms))
+                runs += 1
+    return runs
+
+
+def _sweep_fuel(csys, qname, args, perms) -> None:
+    """Every fuel from 0 to the run's full cost gives equal outcomes."""
+    compiled, walked = _both(csys.system, qname, args, perms)
+    assert compiled == walked
+    result, left = compiled
+    cost = DEFAULT_FUEL - left
+    for fuel in range(cost + 1):
+        compiled, walked = _both(csys.system, qname, args, perms, fuel)
+        assert compiled == walked, (qname, perms, args, fuel)
+        # the full cost is the least fuel that finishes, with none left over
+        assert compiled == ((result, 0) if fuel == cost else (FuelExhausted, -1))
+
+
+def _load(name: str):
+    with open(os.path.join(PROGRAMS, name), "r", encoding="utf-8") as fh:
+        return validate_system(parse_system(fh.read()))
+
+
+CORPUS = sorted(n for n in os.listdir(PROGRAMS) if n.endswith(".pf"))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_functions_agree(name):
+    assert _agree_on_grid(_load(name), grid=(0, 1, 2, -3)) > 0
+
+
+def test_generated_systems_agree():
+    rnd = random.Random(SEED + 70)
+    runs = 0
+    for i in range(200):
+        csys = random_checked_system(rnd)
+        runs += _agree_on_grid(csys)
+        if i % 20 == 0:
+            for qname, decl in csys.fd.items():
+                _sweep_fuel(csys, qname, (1,) * len(decl.params), csys.universe.sets()[-1])
+    assert runs > 1000
+
+
+LOOPS = """lattice { levels L, H; order L < H; }
+permissions { p, q }
+app A perms {p} {
+  const K : L = 3;
+  fun count(n : L, h : H) : H {
+    init r = 0 in {
+      letvar i = 0 in {
+        while i < n do {
+          test(p) r := r + h * i else r := r - i;
+          if i == K then r := r * 2 else r := r + 1;
+          i := i + 1
+        }
+      };
+      return r
+    }
+  }
+  fun wide(x : L, y : L) : L {
+    init r = 0 in {
+      r := x * y;
+      if r < 0 then r := r * r - x else r := x + y + r;
+      return r
+    }
+  }
+}
+app B perms {q} {
+  fun outer(n : L) : H {
+    init r = 0 in {
+      letvar v = 0 in {
+        v := call A.count(n, n + 1);
+        test(q) r := call A.count(v, 2) else r := v
+      };
+      return r
+    }
+  }
+}
+"""
+
+
+def test_loops_calls_and_wrapping_agree():
+    csys = validate_system(parse_system(LOOPS))
+    assert _agree_on_grid(csys, grid=(0, 1, 4, -2)) > 0
+    # 64-bit wrapping, at and past both ends; the comparison sees
+    # whether the product wrapped
+    extremes = (I64_MAX, -I64_MAX - 1, 1 << 62, 3)
+    signs = set()
+    for x, y in product(extremes, repeat=2):
+        compiled, walked = _both(csys.system, "A.wide", (x, y), 0)
+        assert compiled == walked
+        r = compiled[0]["r"]
+        assert -I64_MAX - 1 <= r <= I64_MAX
+        signs.add(r < 0)
+    assert signs == {True, False}
+
+
+@pytest.mark.parametrize("qname, args", [
+    ("A.count", (4, 2)), ("B.outer", (3,)), ("A.wide", (I64_MAX, 5)),
+])
+def test_fuel_sweep_over_loops_and_calls(qname, args):
+    csys = validate_system(parse_system(LOOPS))
+    for perms in csys.universe.sets():
+        _sweep_fuel(csys, qname, args, perms)
+
+
+def test_while_loop_program_fuel_sweep():
+    csys = _load("while_loop.pf")
+    for qname, decl in csys.fd.items():
+        _sweep_fuel(csys, qname, (3,) * len(decl.params), 0)
+
+
+def test_eval_expr_charges_each_node():
+    csys = validate_system(parse_system(LOOPS))
+    e = csys.fd["A.wide"].body.cmds[1].then.expr  # r * r - x: 5 nodes
+    for fuel in range(7):
+        outcomes = []
+        for module in (interp, walker):
+            left = Fuel(fuel)
+            try:
+                outcomes.append((module.eval_expr({"r": 3, "x": 2}, e, csys.system, left),
+                                 left.remaining))
+            except FuelExhausted:
+                outcomes.append((FuelExhausted, left.remaining))
+        assert outcomes[0] == outcomes[1], fuel
+    with pytest.raises(UnboundVariable):
+        interp.eval_expr({}, Var("ghost"), csys.system, Fuel(10))
+
+
+def test_compiled_code_lives_with_its_system():
+    csys = _load("while_loop.pf")
+    assert csys.system.compiled == {}
+    qname = next(iter(csys.fd))
+    interp.call_function(csys.system, qname, [2] * len(csys.fd[qname].params), 0)
+    assert csys.system.compiled
+    # not part of equality or repr, and not shared with a copy
+    assert _load("while_loop.pf").system == csys.system
+    assert "compiled" not in repr(csys.system)
+    assert replace(csys.system).compiled == {}

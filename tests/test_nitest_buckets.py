@@ -129,3 +129,61 @@ def test_one_interpreter_run_per_environment(monkeypatch):
     d = len(domain)
     assert len(calls) == len(tested) * d ** (obs + hidden)
     assert cell.pairs_tested == d ** obs * d ** (2 * hidden)
+
+
+# The ni-grid benchmark's shape: 2 L and 3 H parameters, a loop, a test,
+# one secure function and one that leaks an H parameter.
+NI_GRID = """lattice { levels L, H; order L < H; }
+permissions { p }
+app N perms {p} {
+  fun safe(a : L, b : L, h1 : H, h2 : H, h3 : H) : { {p}: H, _: L } {
+    init r = 0 in {
+      letvar i = 0 in { while i < 2 do { r := r + a + b; i := i + 1 } };
+      test(p) r := r + h3 + h2 + h1 else r := r + b;
+      return r
+    }
+  }
+  fun leak(a : L, b : L, h1 : H, h2 : H, h3 : H) : L {
+    init r = 0 in {
+      letvar i = 0 in { while i < 2 do { r := r * a + b; i := i + 1 } };
+      r := r + h2;
+      return r
+    }
+  }
+}
+"""
+
+
+def test_one_interpreter_call_per_predicted_run(monkeypatch):
+    # A traced run counts the calls of nitest.exec_cmd as interpreter runs,
+    # so there must be one per run that the bucket math predicts.
+    csys = validate_system(parse_system(NI_GRID))
+    calls = []
+    real = nitest.exec_cmd
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(nitest, "exec_cmd", counting)
+    domain = range(0, 3)
+    d = len(domain)
+    cells = nitest_system(csys, domain=domain).cells
+    predicted = 0
+    for cell in cells:
+        decl = csys.fd[cell.function]
+        gamma = dict(zip(decl.params, decl.annotation.params))
+        gamma[decl.ret_var] = decl.annotation.ret
+        obs, hidden = nitest._observable_split(gamma, cell.perms, cell.observer)
+        m = d ** len(hidden)
+        if cell.verdict == "ok":
+            predicted += d ** (len(obs) + len(hidden))
+        elif cell.verdict == "violation":
+            # no run runs out of fuel, so the witness pairs run 0 of bucket
+            # b with run j: the cell stopped after b * m + j + 1 runs
+            b, j = divmod(cell.pairs_tested - 1, m * m)
+            predicted += b * m + j + 1
+        else:
+            assert cell.verdict == "skipped"
+    assert {c.verdict for c in cells} == {"ok", "violation", "skipped"}
+    assert len(calls) == predicted

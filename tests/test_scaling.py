@@ -9,7 +9,8 @@ fan with a planted leak once reran the fixpoint per constraint, 5-8 s;
 bisection takes well under a second. The time bounds are generous, so only
 a return to exponential or quadratic behaviour fails them. The work after
 ``solve`` is bounded by a ratio of two timings instead: it once scanned
-every interval for each function.
+every interval for each function. The compiled interpreter is held to a
+speed ratio over the AST walker it replaced.
 """
 
 import gc
@@ -19,12 +20,15 @@ import time
 
 import pytest
 
-from permflow import solver
+from permflow import nitest, solver
 from permflow.basetypes import BaseType, embed
 from permflow.constraints import gen_constraints
 from permflow.inference import InferUnsat, infer_system
 from permflow.parser import parse_system
 from permflow.system import validate_system
+
+from . import walker
+from .test_nitest_buckets import NI_GRID
 
 DIAMOND = "lattice { levels L, l1, l2, H; order L < l1, L < l2, l1 < H, l2 < H; }"
 BOUND_S = 10.0
@@ -172,3 +176,30 @@ def test_work_after_solve_is_linear_in_n():
     finally:
         gc.enable()
     assert statistics.median(ratios) < 20, ratios
+
+
+def test_compiled_interpreter_outruns_the_walker(monkeypatch):
+    # nitest on the ni-grid shape, harness included, with the compiled
+    # interpreter and then with the AST walker patched in. Each round
+    # times both back to back and the median round counts. The compiled
+    # side took 2.4-3.0x less time; with the walker on both sides the
+    # ratio is 1.
+    csys = validate_system(parse_system(NI_GRID))
+
+    def nitest_s():
+        t0 = time.perf_counter()
+        nitest.nitest_system(csys, domain=range(0, 3))
+        return time.perf_counter() - t0
+
+    ratios = []
+    gc.disable()
+    try:
+        for _ in range(5):
+            compiled = nitest_s()
+            with monkeypatch.context() as m:
+                m.setattr(nitest, "exec_cmd", walker.exec_cmd)
+                walked = nitest_s()
+            ratios.append(walked / compiled)
+    finally:
+        gc.enable()
+    assert statistics.median(ratios) >= 1.8, ratios
