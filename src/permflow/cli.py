@@ -229,7 +229,7 @@ def cmd_infer(args) -> int:
         lines.append(f"recheck failed for: {', '.join(bad)}")
 
     if args.emit_annotated:
-        annotated_src = to_source(annotate(csys, result.types()).system)
+        annotated_src = to_source(annotate(csys, result.types()))
         try:
             with open(args.emit_annotated, "w", encoding="utf-8") as fh:
                 fh.write(annotated_src)
@@ -254,7 +254,7 @@ def cmd_run(args) -> int:
             raise SystemExit2(f"bad --args value {args.args!r}")
     perms = _parse_perms(args.caller_perms, csys)
     try:
-        value = call_function(csys.system, args.entry, arg_values, perms, args.fuel)
+        value = call_function(csys, args.entry, arg_values, perms, args.fuel)
     except FuelExhausted:
         _emit(
             {"command": "run", "file": args.file, "error": "fuel exhausted"},
@@ -340,7 +340,7 @@ def cmd_nitest(args) -> int:
 
 def cmd_fmt(args) -> int:
     csys = _load(args.file)
-    src = to_source(csys.system)
+    src = to_source(csys)
     if args.json:
         print(json_text({"command": "fmt", "file": args.file, "source": src}))
     else:
@@ -362,6 +362,11 @@ def _parse_domain(spec: str) -> range:
         lo_i, hi_i = int(lo), int(hi)
     except ValueError:
         raise SystemExit2(f"bad --domain value {spec!r}; expected lo..hi")
+    # the interpreter wraps values to 64 bits, so a wider bound would name
+    # an input twice
+    for bound in (lo_i, hi_i):
+        if not -(1 << 63) <= bound < 1 << 63:
+            raise SystemExit2(f"--domain bound {bound} is not a 64-bit integer")
     if hi_i < lo_i:
         raise SystemExit2("empty --domain range")
     if hi_i == lo_i:

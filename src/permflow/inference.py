@@ -178,4 +178,4 @@ def annotate(csys: CheckedSystem, ft: dict[str, FunctionType]) -> CheckedSystem:
     """A copy of the system in which each function named in ``ft`` carries
     that type as its annotation."""
     fd = {q: replace(d, annotation=ft.get(q, d.annotation)) for q, d in csys.fd.items()}
-    return CheckedSystem(replace(csys.system, fd=fd), csys.topo)
+    return replace(csys, fd=fd)

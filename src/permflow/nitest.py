@@ -184,7 +184,7 @@ def _test_cell(csys, qname, decl, gamma, perms, cfg: NIConfig) -> CellVerdict:
 
 def _run(csys, decl, env: dict[str, int], perms: int, fuel: int) -> int:
     if decl.body is not None:
-        exec_cmd(env, ExecContext(decl.app, perms, Fuel(fuel)), decl.body, csys.system)
+        exec_cmd(env, ExecContext(decl.app, perms, Fuel(fuel)), decl.body, csys)
     return env[decl.ret_var]
 
 

@@ -200,6 +200,21 @@ class Parser:
             names.append(self.ident())
         return names
 
+    def perm_set(self) -> int:
+        """A braced set of declared permissions, ``{p, q}``, as a bitmask."""
+        self.expect("{")
+        mask = 0
+        if not self.at("}"):
+            for t in self.name_list():
+                if t.text not in self.universe.names:
+                    raise UnknownReference(f"unknown permission {t.text!r}", t.span)
+                bit = 1 << self.universe.index(t.text)
+                if mask & bit:
+                    raise DuplicateName(f"permission {t.text!r} listed twice", t.span)
+                mask |= bit
+        self.expect("}")
+        return mask
+
     # top level
 
     def parse_system(self) -> System:
@@ -261,17 +276,7 @@ class Parser:
         if app.text in theta:
             raise DuplicateName(f"duplicate app {app.text!r}", app.span)
         self.expect("perms")
-        self.expect("{")
-        perm_names: list[Token] = []
-        if not self.at("}"):
-            perm_names = self.name_list()
-        self.expect("}")
-        mask = 0
-        for t in perm_names:
-            if t.text not in self.universe.names:
-                raise UnknownReference(f"unknown permission {t.text!r}", t.span)
-            mask |= 1 << self.universe.index(t.text)
-        theta[app.text] = mask
+        theta[app.text] = self.perm_set()
         self.expect("{")
         while not self.accept("}"):
             if self.at("const"):
@@ -530,21 +535,7 @@ class Parser:
                     raise ParseError("duplicate default entry", tok.span)
                 default = lvl
             else:
-                self.expect("{")
-                mask = 0
-                if not self.at("}"):
-                    for t in self.name_list():
-                        if t.text not in self.universe.names:
-                            raise UnknownReference(
-                                f"unknown permission {t.text!r}", t.span
-                            )
-                        bit = 1 << self.universe.index(t.text)
-                        if mask & bit:
-                            raise DuplicateName(
-                                f"permission {t.text!r} listed twice", t.span
-                            )
-                        mask |= bit
-                self.expect("}")
+                mask = self.perm_set()
                 self.expect(":")
                 lvl = self._level(self.ident("level name"))
                 if mask in explicit:

@@ -1,22 +1,38 @@
 """Constraint solving: the worklist solver, and the symbolic reference.
 
 ``least_solution`` is the one verdict on a guarded constraint set. It finds
-the least solution with the dependency-indexed worklist of
-``oracle.least_fixpoint`` over (variable, permission set) cells, then
-checks the constraints against it in order: a constraint the least solution
-violates is violated by every solution, so the first one refutes the set.
-Inference (``solve``), the unsat-core search and the checker
-(``typecheck.check_function``) all call it. ``solve`` reports an
-unsatisfiable set with the refuted constraint, its witness and an
-irreducible core: the one that deleting constraints one at a time in
-generation order would keep, found by bisection in O(c log n) reruns of the
-verdict for a core of c out of n constraints. Each variable's interval runs
-from its type in the least solution to its type in the greatest one
-(``oracle.greatest_fixpoint``).
+the least solution with the worklist fixpoint below, then checks the
+constraints against it in order: a constraint the least solution violates
+is violated by every solution, so the first one refutes the set. Inference
+(``solve``), the unsat-core search, the checker
+(``typecheck.check_function``) and ``oracle.oracle_solve`` all call it.
+``solve`` reports an unsatisfiable set with the refuted constraint, its
+witness and an irreducible core: the one that deleting constraints one at a
+time in generation order would keep, found by bisection in O(c log n)
+reruns of the verdict for a core of c out of n constraints. Each variable's
+interval runs from its type in the least solution to its type in the
+greatest one (``greatest_fixpoint``).
+
+The fixpoints treat every (variable, permission set) pair as one unknown
+lattice element, a *cell*. A constraint (Λl, lhs ≤ Λr, rhs) holds when, at
+every permission set q, lhs at Λl(q) lies below rhs at Λr(q); each distinct
+pair of remapped points (Λl(q), Λr(q)) is one *instance* of it. A generated
+``Constraint`` is taken as it is, with Λl = Λr its one guard. The least
+solution starts every cell at bottom and raises the cells under an
+instance's right side just enough to cover its left side. An index maps
+each cell to the instances whose left side reads it, and only the readers
+of a raised cell go back on the worklist, so an instance is re-examined at
+most once per raise of a cell it reads. This is the textbook least-solution
+algorithm for atomic inequalities over a finite lattice (Rehof & Mogensen,
+"Tractable constraints in finite semilattices", SCP 1999). Ground parts of
+a right side are never raised: a constraint they leave violated at the
+least fixpoint is violated by every solution. The greatest solution is the
+dual: every cell starts at top and the cells under an instance's left side
+are lowered to its right side.
 
 ``symbolic_solve`` is the paper's symbolic pipeline, kept as the
-independent reference the differential suite checks ``solve`` against at
-small permission counts; it is exponential in the permission count. It
+independent reference the differential suite checks the fixpoints against
+at small permission counts; it is exponential in the permission count. It
 works on generalized constraints (each side guarded by its own trace) and
 reduces everything to atoms relating a variable or ground type to a
 variable or ground type. Saturation closes the atom set under transitivity
@@ -31,9 +47,9 @@ variable's least type is the pointwise join of its (by then ground) lower
 bounds pushed through the guards, its upper bounds are checked against it,
 and the result substitutes into the remaining variables' bounds.
 """
-
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .basetypes import BaseType, embed
@@ -47,11 +63,12 @@ from .constraints import (
     TVar,
     Term,
     constraint_witness,
+    eval_term,
     generalize,
+    point_classes,
     term_vars,
 )
 from .lattice import Lattice
-from .oracle import greatest_fixpoint, least_fixpoint
 from .traces import EPSILON, Trace, apply_trace, minterms, trace_of_set
 
 GROUND_VIOLATION = "GroundViolation"
@@ -464,6 +481,100 @@ def symbolic_solve(
     for vid in set(requested) | vids:
         resolve(vid)
     return SolveResult(theta, intervals)
+
+
+# ---------------------------------------------------------- worklist fixpoint
+
+def _reads(term, pset: int, forbid=()) -> list[tuple[int, int]]:
+    """The cells ``eval_term(term, pset, ...)`` reads.
+
+    They are also the cells to write when the term's value must move: a
+    right side rises to cover a level when every cell under its meets does,
+    and a left side falls below a level when every cell under its joins
+    does. ``forbid`` names the term class that makes such a write inexact.
+    """
+    if isinstance(term, TVar):
+        return [(term.vid, pset)]
+    if isinstance(term, TGround):
+        return []
+    if isinstance(term, forbid):
+        raise TypeError(f"cannot solve through this side of a constraint: {term!r}")
+    if isinstance(term, (TJoin, TMeet)):
+        return _reads(term.lhs, pset, forbid) + _reads(term.rhs, pset, forbid)
+    if isinstance(term, TMerge):
+        branch = term.then if pset >> term.perm & 1 else term.els
+        return _reads(branch, pset, forbid)
+    if isinstance(term, TProj):
+        return _reads(term.term, term.pset, forbid)
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _fixpoint(constraints, requested, lattice: Lattice, nperms: int, up: bool):
+    """Raise right sides from bottom (``up``) or lower left sides from top."""
+    vids = set(requested)
+    for c in constraints:
+        vids |= term_vars(c.lhs) | term_vars(c.rhs)
+    if not vids:
+        return {}  # nothing to solve: every constraint is ground
+    start, bound = (lattice.bottom, lattice.join) if up else (lattice.top, lattice.meet)
+    tables = {v: [start] * (1 << nperms) for v in vids}
+
+    items: list[tuple] = []  # (source term, source point, cells it writes)
+    readers: dict[tuple[int, int], list[int]] = {}
+    for c in constraints:
+        lg, rg = c.lguard, c.rguard
+        for q in point_classes(c, nperms):
+            lp, rp = lg.remap(q), rg.remap(q)
+            if up:
+                src, sp, writes = c.lhs, lp, _reads(c.rhs, rp, TJoin)
+            else:
+                src, sp, writes = c.rhs, rp, _reads(c.lhs, lp, TMeet)
+            if not writes:
+                continue  # a ground side: left to the final check
+            for cell in _reads(src, sp):
+                readers.setdefault(cell, []).append(len(items))
+            items.append((src, sp, writes))
+
+    queue = deque(range(len(items)))
+    queued = [True] * len(items)
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        src, sp, writes = items[i]
+        level = eval_term(src, sp, tables, lattice)
+        for cell in writes:
+            vid, p = cell
+            row = tables[vid]
+            new = bound(row[p], level)
+            if new != row[p]:
+                row[p] = new
+                for j in readers.get(cell, ()):
+                    if not queued[j]:
+                        queued[j] = True
+                        queue.append(j)
+    return {v: BaseType(lattice, nperms, tuple(tbl)) for v, tbl in tables.items()}
+
+
+def least_fixpoint(
+    constraints, requested, lattice: Lattice, nperms: int
+) -> dict[int, BaseType]:
+    """Least types for ``requested`` and every variable of ``constraints``
+    meeting every lower bound of ``constraints``.
+
+    Upper bounds that stay violated at the fixpoint are left to the caller.
+    """
+    return _fixpoint(constraints, requested, lattice, nperms, True)
+
+
+def greatest_fixpoint(
+    constraints, requested, lattice: Lattice, nperms: int
+) -> dict[int, BaseType]:
+    """Greatest types for ``requested`` and every variable of
+    ``constraints`` meeting every upper bound of ``constraints``.
+
+    Lower bounds with no variable on the left are left to the caller.
+    """
+    return _fixpoint(constraints, requested, lattice, nperms, False)
 
 
 # -------------------------------------------------------------------- solve

@@ -70,12 +70,10 @@ class System:
 
 
 @dataclass
-class CheckedSystem:
-    system: System
-    topo: tuple[str, ...]  # callees before callers
+class CheckedSystem(System):
+    """A system that passed ``validate_system``, with its call order."""
 
-    def __getattr__(self, item):
-        return getattr(self.system, item)
+    topo: tuple[str, ...]  # callees before callers
 
 
 def _free_expr_vars(e: Expr) -> set[str]:
@@ -89,7 +87,9 @@ def _free_expr_vars(e: Expr) -> set[str]:
 def validate_system(sys: System) -> CheckedSystem:
     for decl in sys.fd.values():
         _validate_function(sys, decl)
-    return CheckedSystem(sys, _topo_order(sys))
+    return CheckedSystem(
+        sys.lattice, sys.universe, sys.theta, sys.fd, sys.constants, _topo_order(sys)
+    )
 
 
 def _validate_function(sys: System, decl: FunDecl) -> None:

@@ -266,6 +266,34 @@ def test_bad_arguments_exit_two(capsys, tmp_path, argv, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
+WRAPS_AT_MIN = """\
+lattice { levels L, H; order L < H; }
+permissions { }
+app A perms {} {
+  fun f(y : H) : L {
+    init r = 0 in { if y == 0 - 9223372036854775807 - 1 then { r := 1 } else { r := 0 }; return r }
+  }
+}
+"""
+
+
+def test_domain_past_64_bits_exits_two(capsys, tmp_path):
+    # run wraps 2^63 to -2^63, so the harness must not feed it unwrapped
+    path = tmp_path / "wrap.pf"
+    path.write_text(WRAPS_AT_MIN)
+    assert run(capsys, "check", str(path))[0] == 1
+    assert run(capsys, "run", str(path), "--entry", "A.f",
+               "--args", str(1 << 63))[1].strip() == "1"
+    for spec in (f"{(1 << 63) - 2}..{1 << 63}", f"{-(1 << 63) - 1}..0"):
+        code, out, err = run(capsys, "nitest", str(path), "--observer", "L",
+                             f"--domain={spec}")
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("error: --domain bound ") and "64-bit" in err, err
+    code, out, _ = run(capsys, "nitest", str(path), "--observer", "L",
+                       "--domain", f"{(1 << 63) - 2}..{(1 << 63) - 1}")
+    assert code == 0 and "no violations" in out
+
+
 def test_huge_domain_is_not_materialised(capsys):
     # a trillion values put every cell over the default pair cap, so none runs
     code, out, err = run(capsys, "nitest", p("identity.pf"), "--json",

@@ -55,22 +55,22 @@ def _agree_on_grid(csys, grid=(0, 1, 2)) -> int:
     for qname, decl in csys.fd.items():
         for perms in csys.universe.sets():
             for args in product(grid, repeat=len(decl.params)):
-                compiled, walked = _both(csys.system, qname, args, perms)
+                compiled, walked = _both(csys, qname, args, perms)
                 assert compiled == walked, (qname, perms, args)
-                assert (interp.call_function(csys.system, qname, args, perms)
-                        == walker.call_function(csys.system, qname, args, perms))
+                assert (interp.call_function(csys, qname, args, perms)
+                        == walker.call_function(csys, qname, args, perms))
                 runs += 1
     return runs
 
 
 def _sweep_fuel(csys, qname, args, perms) -> None:
     """Every fuel from 0 to the run's full cost gives equal outcomes."""
-    compiled, walked = _both(csys.system, qname, args, perms)
+    compiled, walked = _both(csys, qname, args, perms)
     assert compiled == walked
     result, left = compiled
     cost = DEFAULT_FUEL - left
     for fuel in range(cost + 1):
-        compiled, walked = _both(csys.system, qname, args, perms, fuel)
+        compiled, walked = _both(csys, qname, args, perms, fuel)
         assert compiled == walked, (qname, perms, args, fuel)
         # the full cost is the least fuel that finishes, with none left over
         assert compiled == ((result, 0) if fuel == cost else (FuelExhausted, -1))
@@ -147,7 +147,7 @@ def test_loops_calls_and_wrapping_agree():
     extremes = (I64_MAX, -I64_MAX - 1, 1 << 62, 3)
     signs = set()
     for x, y in product(extremes, repeat=2):
-        compiled, walked = _both(csys.system, "A.wide", (x, y), 0)
+        compiled, walked = _both(csys, "A.wide", (x, y), 0)
         assert compiled == walked
         r = compiled[0]["r"]
         assert -I64_MAX - 1 <= r <= I64_MAX
@@ -178,22 +178,22 @@ def test_eval_expr_charges_each_node():
         for module in (interp, walker):
             left = Fuel(fuel)
             try:
-                outcomes.append((module.eval_expr({"r": 3, "x": 2}, e, csys.system, left),
+                outcomes.append((module.eval_expr({"r": 3, "x": 2}, e, csys, left),
                                  left.remaining))
             except FuelExhausted:
                 outcomes.append((FuelExhausted, left.remaining))
         assert outcomes[0] == outcomes[1], fuel
     with pytest.raises(UnboundVariable):
-        interp.eval_expr({}, Var("ghost"), csys.system, Fuel(10))
+        interp.eval_expr({}, Var("ghost"), csys, Fuel(10))
 
 
 def test_compiled_code_lives_with_its_system():
     csys = _load("while_loop.pf")
-    assert csys.system.compiled == {}
+    assert csys.compiled == {}
     qname = next(iter(csys.fd))
-    interp.call_function(csys.system, qname, [2] * len(csys.fd[qname].params), 0)
-    assert csys.system.compiled
+    interp.call_function(csys, qname, [2] * len(csys.fd[qname].params), 0)
+    assert csys.compiled
     # not part of equality or repr, and not shared with a copy
-    assert _load("while_loop.pf").system == csys.system
-    assert "compiled" not in repr(csys.system)
-    assert replace(csys.system).compiled == {}
+    assert _load("while_loop.pf") == csys
+    assert "compiled" not in repr(csys)
+    assert replace(csys).compiled == {}

@@ -215,7 +215,7 @@ def test_witness_is_least_failing_permission_set(rng):
 def test_fixpoints_take_generated_constraints(rng):
     # a Constraint's lguard and rguard are its one guard, so the fixpoints
     # need no generalize step
-    from permflow.oracle import greatest_fixpoint, least_fixpoint
+    from permflow.solver import greatest_fixpoint, least_fixpoint
 
     from .diffgen import random_instance
 

@@ -69,11 +69,11 @@ app A perms {} {
     csys = validate_system(parse_system(src))
     from permflow.interp import call_function
 
-    assert call_function(csys.system, "A.f", [3, 4], 0) == 14
+    assert call_function(csys, "A.f", [3, 4], 0) == 14
     from permflow.system import to_source
 
-    again = validate_system(parse_system(to_source(csys.system)))
-    assert call_function(again.system, "A.f", [3, 4], 0) == 14
+    again = validate_system(parse_system(to_source(csys)))
+    assert call_function(again, "A.f", [3, 4], 0) == 14
 
 
 def test_negative_constant_value():
@@ -88,7 +88,7 @@ app A perms {} {
     csys = validate_system(parse_system(src))
     from permflow.interp import call_function
 
-    assert call_function(csys.system, "A.f", [], 0) == -5
+    assert call_function(csys, "A.f", [], 0) == -5
 
 
 def test_cli_infer_unsat(capsys, tmp_path):

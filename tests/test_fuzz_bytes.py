@@ -70,4 +70,4 @@ def test_mutated_corpus_files_exit_cleanly(tmp_path_factory, name, edits):
         code, out = run([cmd[0], str(path), *cmd[1:]])
         assert code in (0, 1, 2), (cmd, data)
         if cmd[0] == "fmt" and code == 0:
-            assert to_source(validate_system(parse_system(out)).system) == out, data
+            assert to_source(validate_system(parse_system(out))) == out, data

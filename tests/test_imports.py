@@ -3,7 +3,8 @@
 No linter is a dependency, so this parses every module with ``ast``: each
 imported name must be used in its module (a name listed in the module's
 ``__all__`` counts as used), and every ``permflow.__all__`` entry must
-resolve.
+resolve. ``permflow.oracle`` stays a leaf: only the package's re-export
+imports it, so the fixpoint cannot move back behind it.
 """
 
 import ast
@@ -73,3 +74,24 @@ def test_package_exports_resolve():
     missing = [name for name in permflow.__all__ if not hasattr(permflow, name)]
     assert not missing
     assert len(set(permflow.__all__)) == len(permflow.__all__)
+
+
+def _imported_modules(tree: ast.Module):
+    """Each module an import names, and each imported name qualified by its
+    module, so that ``from . import oracle`` gives ``.oracle``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if "/" not in m and m != "__init__.py"]
+)
+def test_no_package_module_imports_the_oracle(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    oracle = [m for m in _imported_modules(tree) if m.split(".")[-1] == "oracle"]
+    assert not oracle, f"{module} imports {oracle}"

@@ -2,9 +2,9 @@ import os
 
 import pytest
 
-from permflow.inference import InferUnsat, infer_system
+from permflow.inference import InferUnsat, annotate, infer_system
 from permflow.parser import parse_system
-from permflow.system import validate_system
+from permflow.system import CheckedSystem, System, validate_system
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
 
@@ -12,6 +12,17 @@ PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
 def load(name: str):
     with open(os.path.join(PROGRAMS, name), "r", encoding="utf-8") as fh:
         return validate_system(parse_system(fh.read()))
+
+
+def test_a_checked_system_is_a_system():
+    csys = load("mixed_annot.pf")
+    assert isinstance(csys, System) and type(csys) is CheckedSystem
+    assert not hasattr(CheckedSystem, "__getattr__")
+    types = infer_system(csys).types()
+    annotated = annotate(csys, types)
+    assert type(annotated) is CheckedSystem and annotated.topo == csys.topo
+    assert {q: d.annotation for q, d in annotated.fd.items()} == types
+    assert annotated.compiled == {} and annotated.compiled is not csys.compiled
 
 
 def test_annotations_echo_unchanged():

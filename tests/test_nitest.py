@@ -147,7 +147,7 @@ def test_violation_witness_replays(two_point):
     w = cell.witness
     decl = csys.fd["A.bad"]
     for env, expected in ((dict(w.env1), w.out1), (dict(w.env2), w.out2)):
-        exec_cmd(env, ExecContext(decl.app, w.perms, Fuel(10**6)), decl.body, csys.system)
+        exec_cmd(env, ExecContext(decl.app, w.perms, Fuel(10**6)), decl.body, csys)
         assert env[decl.ret_var] == expected
 
 

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from permflow.basetypes import BaseType, embed
 from permflow.constraints import Constraint, TGround, TMerge, TProj, TVar, gen_constraints
 from permflow.oracle import OracleUnsat, oracle_solve
 from permflow.parser import parse_system
+from permflow.solver import UnsatError, solve
 from permflow.system import validate_system
 from permflow.traces import EPSILON, Trace
 
-from .conftest import bt
+from .conftest import SEED, bt
+from .diffgen import random_instance
 
 import os
 
@@ -49,8 +53,6 @@ def test_oracle_single_guarded_lower_bound(two_point):
 def test_eight_permissions_least_types_by_hand(diamond):
     # k=8, past the old 4-permission oracle cap: both the oracle and the
     # solver return the least types worked out from the constraints
-    from permflow.solver import UnsatError, solve
-
     lat, k = diamond, 8
     L, l1, l2, H = (lat.level(x) for x in ("L", "l1", "l2", "H"))
     full = (1 << k) - 1
@@ -105,3 +107,23 @@ def test_oracle_iteration_reaches_fixpoint_through_chain(two_point):
     theta = oracle_solve(chain, lat, 1, (0, 1, 2))
     top = embed(lat.level("H"), lat, 1)
     assert theta[0] == top and theta[1] == top and theta[2] == top
+
+
+def test_oracle_and_solve_share_one_verdict():
+    # the same solution, or the same refuted constraint and witness
+    rnd = random.Random(SEED)
+    unsat = 0
+    for i in range(400):
+        constraints, lat, nperms, nvars = random_instance(rnd)
+        requested = tuple(range(nvars))
+        try:
+            want = solve(constraints, lat, nperms, requested).substitution
+        except UnsatError as err:
+            unsat += 1
+            with pytest.raises(OracleUnsat) as got:
+                oracle_solve(constraints, lat, nperms, requested)
+            assert got.value.constraint is err.constraint, i
+            assert got.value.witness == err.witness, i
+        else:
+            assert oracle_solve(constraints, lat, nperms, requested) == want, i
+    assert unsat >= 40, unsat

@@ -217,6 +217,30 @@ app A perms {} {
 """)
 
 
+PERM_SET_SITES = {
+    "app": "app A perms {%s} {\n}\n",
+    "type-literal": (
+        "app A perms {} {\n"
+        "  fun f(x : { {%s}: H, _: L }) : L { init r = 0 in { return r } }\n}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PERM_SET_SITES))
+@pytest.mark.parametrize(
+    "names, error, message",
+    [
+        ("p, p", DuplicateName, "permission 'p' listed twice"),
+        ("p, zz", UnknownReference, "unknown permission 'zz'"),
+    ],
+    ids=["repeated", "unknown"],
+)
+def test_braced_permission_set(site, names, error, message):
+    with pytest.raises(error, match=message):
+        _sys(PERM_SET_SITES[site] % names)
+    assert _sys(PERM_SET_SITES[site] % "p").theta == {"A": 0b1 if site == "app" else 0}
+
+
 # validation
 
 
