@@ -20,7 +20,7 @@ from .basetypes import (
     merge,
 )
 from .inference import InferResult, InferUnsat, infer_system
-from .interp import DEFAULT_FUEL, FuelExhausted, call_function, eval_expr, exec_cmd
+from .interp import DEFAULT_FUEL, FuelExhausted, call_function, exec_cmd
 from .lattice import (
     CycleInOrder,
     Lattice,
@@ -56,7 +56,7 @@ __all__ = [
     "BaseType", "FunctionType", "PermUniverse", "UniverseMismatch",
     "UnknownPermission", "embed", "merge", "format_type", "format_function_type",
     "InferResult", "InferUnsat", "infer_system",
-    "DEFAULT_FUEL", "FuelExhausted", "call_function", "eval_expr", "exec_cmd",
+    "DEFAULT_FUEL", "FuelExhausted", "call_function", "exec_cmd",
     "CycleInOrder", "Lattice", "LatticeError", "NotALattice",
     "UnknownLevelName", "load_lattice",
     "NIConfig", "NIReport", "Violation", "indistinguishable",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -242,19 +243,21 @@ def cmd_infer(args) -> int:
 
 
 def cmd_run(args) -> int:
-    _require_non_negative("--fuel", args.fuel)
+    fuel = _count("--fuel", args.fuel)
     csys = _load(args.file)
     if args.entry not in csys.fd:
         raise SystemExit2(f"unknown entry function {args.entry}")
     arg_values = []
     if args.args:
         try:
-            arg_values = [int(a) for a in args.args.split(",")]
+            arg_values = [_integer(a) for a in args.args.split(",")]
         except ValueError:
             raise SystemExit2(f"bad --args value {args.args!r}")
+        for v in arg_values:
+            _require_64_bit("--args value", v)
     perms = _parse_perms(args.caller_perms, csys)
     try:
-        value = call_function(csys, args.entry, arg_values, perms, args.fuel)
+        value = call_function(csys, args.entry, arg_values, perms, fuel)
     except FuelExhausted:
         _emit(
             {"command": "run", "file": args.file, "error": "fuel exhausted"},
@@ -275,8 +278,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_nitest(args) -> int:
-    _require_non_negative("--fuel", args.fuel)
-    _require_non_negative("--pair-cap", args.pair_cap)
+    fuel = _count("--fuel", args.fuel)
+    pair_cap = _count("--pair-cap", args.pair_cap)
     csys = _load(args.file)
     lat = csys.lattice
 
@@ -299,8 +302,8 @@ def cmd_nitest(args) -> int:
             csys,
             observers=observers,
             domain=domain,
-            fuel=args.fuel,
-            pair_cap=args.pair_cap,
+            fuel=fuel,
+            pair_cap=pair_cap,
             strict=args.strict,
         )
     except RecursionError:
@@ -359,14 +362,11 @@ def _parse_perms(spec: str | None, csys) -> int:
 def _parse_domain(spec: str) -> range:
     try:
         lo, hi = spec.split("..")
-        lo_i, hi_i = int(lo), int(hi)
+        lo_i, hi_i = _integer(lo), _integer(hi)
     except ValueError:
         raise SystemExit2(f"bad --domain value {spec!r}; expected lo..hi")
-    # the interpreter wraps values to 64 bits, so a wider bound would name
-    # an input twice
     for bound in (lo_i, hi_i):
-        if not -(1 << 63) <= bound < 1 << 63:
-            raise SystemExit2(f"--domain bound {bound} is not a 64-bit integer")
+        _require_64_bit("--domain bound", bound)
     if hi_i < lo_i:
         raise SystemExit2("empty --domain range")
     if hi_i == lo_i:
@@ -376,9 +376,34 @@ def _parse_domain(spec: str) -> range:
     return range(lo_i, hi_i + 1)
 
 
-def _require_non_negative(flag: str, value: int) -> None:
+# an integer as the source language writes one: ASCII digits, here with an
+# optional minus sign
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The integer that ``text`` spells, or ValueError."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _count(flag: str, text: str) -> int:
+    """The non-negative integer that ``flag``'s value ``text`` spells."""
+    try:
+        value = _integer(text)
+    except ValueError:
+        raise SystemExit2(f"bad {flag} value {text!r}") from None
     if value < 0:
         raise SystemExit2(f"{flag} must be non-negative, got {value}")
+    return value
+
+
+def _require_64_bit(what: str, value: int) -> None:
+    # the interpreter wraps values to 64 bits, so a wider one would name an
+    # input twice
+    if not -(1 << 63) <= value < 1 << 63:
+        raise SystemExit2(f"{what} {value} is not a 64-bit integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", required=True, metavar="A.f")
     p.add_argument("--args", default="", metavar="1,2")
     p.add_argument("--caller-perms", default="", metavar="p,q")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", default=str(DEFAULT_FUEL))
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("nitest", help="run the noninterference harness")
@@ -418,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observer", metavar="LEVEL",
                    help="observer level (default: every level)")
     p.add_argument("--domain", default="0..2", metavar="lo..hi")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    p.add_argument("--pair-cap", type=int, default=DEFAULT_PAIR_CAP)
+    p.add_argument("--fuel", default=str(DEFAULT_FUEL))
+    p.add_argument("--pair-cap", default=str(DEFAULT_PAIR_CAP))
     p.add_argument("--strict", action="store_true",
                    help="also test cells whose return type is unobservable")
     p.set_defaults(fn=cmd_nitest)

@@ -173,9 +173,8 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Constraint:
-    """(Λ, lhs ≤ rhs): both sides guarded by the same trace, which
-    ``lguard`` and ``rguard`` both return, so the solvers take a generated
-    constraint as it is, as the ``GenConstraint`` (Λ, lhs ≤ Λ, rhs).
+    """(Λ, lhs ≤ rhs): lhs lies below rhs at every permission set that the
+    guard Λ entails.
 
     Provenance takes no part in equality or hashing, so deduplication keeps
     the first occurrence of a side condition.
@@ -185,14 +184,6 @@ class Constraint:
     lhs: Term
     rhs: Term
     provenance: Provenance | None = field(default=None, compare=False)
-
-    @property
-    def lguard(self) -> Trace:
-        return self.guard
-
-    @property
-    def rguard(self) -> Trace:
-        return self.guard
 
 
 @dataclass(frozen=True)
@@ -215,31 +206,27 @@ def generalize(constraints) -> list[GenConstraint]:
     return out
 
 
-def point_classes(c, nperms: int):
-    """The least permission set of each class that ``c``'s two remaps send
-    to one (left point, right point) pair, in ascending order.
-
-    Both remaps overwrite the permissions in both guards' supports, so the
-    classes are the subsets of the other permissions.
-    """
-    free = ((1 << nperms) - 1) & ~(c.lguard.support & c.rguard.support)
+def entailed_sets(guard: Trace, nperms: int):
+    """The permission sets that ``guard`` entails, in ascending order:
+    ``guard.pos`` with each subset of the permissions outside its support."""
+    free = ((1 << nperms) - 1) & ~guard.support
     q = 0
     while True:
-        yield q
+        yield guard.pos | q
         if q == free:
             return
         q = ((q | ~free) + 1) & free
 
 
-def constraint_witness(c, subst: dict[int, BaseType], lattice, nperms: int) -> int | None:
-    """Least permission set where the constraint fails under ``subst``, if any."""
+def constraint_witness(c: Constraint, subst: dict[int, BaseType], lattice,
+                       nperms: int) -> int | None:
+    """The least permission set that ``c``'s guard entails and where lhs ≰
+    rhs under ``subst``, if any."""
     tables = {v: subst[v].table for v in term_vars(c.lhs) | term_vars(c.rhs)}
-    lg, rg = c.lguard, c.rguard
-    for q in point_classes(c, nperms):
-        vl = eval_term(c.lhs, lg.remap(q), tables, lattice)
-        vr = eval_term(c.rhs, rg.remap(q), tables, lattice)
-        if not lattice.leq(vl, vr):
-            return q
+    for p in entailed_sets(c.guard, nperms):
+        if not lattice.leq(eval_term(c.lhs, p, tables, lattice),
+                           eval_term(c.rhs, p, tables, lattice)):
+            return p
     return None
 
 

@@ -155,7 +155,7 @@ def _resolve(term, theta) -> BaseType:
 def _reason(err: UnsatError, csys: CheckedSystem) -> str:
     c = err.constraint
     prov = c.provenance
-    witness = csys.universe.format_set(c.guard.remap(err.witness))
+    witness = csys.universe.format_set(err.witness)
     return (f"{prov.rule} constraint at {prov.span} ({prov.describe()}) "
             f"is refuted at permission set {witness}")
 

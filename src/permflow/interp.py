@@ -318,16 +318,6 @@ def _function(sys: System, qname: str) -> Callable[[list[int], int, Fuel], int]:
     return invoke
 
 
-def eval_expr(env: dict[str, int], e: Expr, sys: System, fuel: Fuel) -> int:
-    """Evaluate ``e``, charging one unit of ``fuel`` per node up front."""
-    run, cost = _compile_expr(e, sys)
-    left = fuel.remaining - cost
-    if left < 0:
-        _exhausted(fuel)
-    fuel.remaining = left
-    return run(env)
-
-
 def exec_cmd(env: dict[str, int], ctx: ExecContext, c: Cmd, sys: System) -> dict[str, int]:
     """Execute ``c``, mutating and returning ``env``."""
     _code(sys, c)(env, ctx)

@@ -14,21 +14,20 @@ interval runs from its type in the least solution to its type in the
 greatest one (``greatest_fixpoint``).
 
 The fixpoints treat every (variable, permission set) pair as one unknown
-lattice element, a *cell*. A constraint (Λl, lhs ≤ Λr, rhs) holds when, at
-every permission set q, lhs at Λl(q) lies below rhs at Λr(q); each distinct
-pair of remapped points (Λl(q), Λr(q)) is one *instance* of it. A generated
-``Constraint`` is taken as it is, with Λl = Λr its one guard. The least
-solution starts every cell at bottom and raises the cells under an
-instance's right side just enough to cover its left side. An index maps
-each cell to the instances whose left side reads it, and only the readers
-of a raised cell go back on the worklist, so an instance is re-examined at
-most once per raise of a cell it reads. This is the textbook least-solution
-algorithm for atomic inequalities over a finite lattice (Rehof & Mogensen,
-"Tractable constraints in finite semilattices", SCP 1999). Ground parts of
-a right side are never raised: a constraint they leave violated at the
-least fixpoint is violated by every solution. The greatest solution is the
-dual: every cell starts at top and the cells under an instance's left side
-are lowered to its right side.
+lattice element, a *cell*. A generated constraint (Λ, lhs ≤ rhs) holds when
+lhs lies below rhs at every permission set that Λ entails; each such set is
+one *instance* of it, and the least one where lhs ≰ rhs is its *witness*
+(``constraint_witness``). The least solution starts every cell at bottom
+and raises the cells under an instance's right side just enough to cover
+its left side. An index maps each cell to the instances whose left side
+reads it, and only the readers of a raised cell go back on the worklist, so
+an instance is re-examined at most once per raise of a cell it reads. This
+is the textbook least-solution algorithm for atomic inequalities over a
+finite lattice (Rehof & Mogensen, "Tractable constraints in finite
+semilattices", SCP 1999). Ground parts of a right side are never raised: a
+constraint they leave violated at the least fixpoint is violated by every
+solution. The greatest solution is the dual: every cell starts at top and
+the cells under an instance's left side are lowered to its right side.
 
 ``symbolic_solve`` is the paper's symbolic pipeline, kept as the
 independent reference the differential suite checks the fixpoints against
@@ -63,9 +62,9 @@ from .constraints import (
     TVar,
     Term,
     constraint_witness,
+    entailed_sets,
     eval_term,
     generalize,
-    point_classes,
     term_vars,
 )
 from .lattice import Lattice
@@ -519,29 +518,27 @@ def _fixpoint(constraints, requested, lattice: Lattice, nperms: int, up: bool):
     start, bound = (lattice.bottom, lattice.join) if up else (lattice.top, lattice.meet)
     tables = {v: [start] * (1 << nperms) for v in vids}
 
-    items: list[tuple] = []  # (source term, source point, cells it writes)
+    items: list[tuple] = []  # (source term, instance, cells it writes)
     readers: dict[tuple[int, int], list[int]] = {}
     for c in constraints:
-        lg, rg = c.lguard, c.rguard
-        for q in point_classes(c, nperms):
-            lp, rp = lg.remap(q), rg.remap(q)
+        for q in entailed_sets(c.guard, nperms):
             if up:
-                src, sp, writes = c.lhs, lp, _reads(c.rhs, rp, TJoin)
+                src, writes = c.lhs, _reads(c.rhs, q, TJoin)
             else:
-                src, sp, writes = c.rhs, rp, _reads(c.lhs, lp, TMeet)
+                src, writes = c.rhs, _reads(c.lhs, q, TMeet)
             if not writes:
                 continue  # a ground side: left to the final check
-            for cell in _reads(src, sp):
+            for cell in _reads(src, q):
                 readers.setdefault(cell, []).append(len(items))
-            items.append((src, sp, writes))
+            items.append((src, q, writes))
 
     queue = deque(range(len(items)))
     queued = [True] * len(items)
     while queue:
         i = queue.popleft()
         queued[i] = False
-        src, sp, writes = items[i]
-        level = eval_term(src, sp, tables, lattice)
+        src, q, writes = items[i]
+        level = eval_term(src, q, tables, lattice)
         for cell in writes:
             vid, p = cell
             row = tables[vid]

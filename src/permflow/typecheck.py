@@ -74,7 +74,8 @@ class CheckReport:
 
 def _violation(c: Constraint, q: int, locals_: dict[int, BaseType],
                csys: CheckedSystem, fun: str) -> TypeViolation:
-    """The report for constraint ``c`` refuted at permission set ``q``."""
+    """The report for constraint ``c`` refuted at permission set ``q``, its
+    witness: a set that ``c.guard`` entails."""
     lat = csys.lattice
     n = csys.universe.count
     tables = {vid: t.table for vid, t in locals_.items()}
@@ -82,7 +83,6 @@ def _violation(c: Constraint, q: int, locals_: dict[int, BaseType],
         BaseType(lat, n, tuple(eval_term(t, p, tables, lat) for p in range(1 << n)))
         for t in (c.lhs, c.rhs)
     )
-    w = c.guard.remap(q)
     prov = c.provenance
     if prov.rule == "call-arg":
         kind = CALL_ARG
@@ -93,8 +93,8 @@ def _violation(c: Constraint, q: int, locals_: dict[int, BaseType],
     else:
         kind = SUBTYPE
         message = (f"{prov.describe()}: required type is not dominated at "
-                   f"permission set index {w}")
-    return TypeViolation(kind, message, prov.span, fun, lhs, rhs, c.guard, w)
+                   f"permission set index {q}")
+    return TypeViolation(kind, message, prov.span, fun, lhs, rhs, c.guard, q)
 
 
 def check_function(csys: CheckedSystem, qname: str) -> TypeViolation | None:

@@ -247,11 +247,29 @@ NO_BREAK_SPACE = (PROLOGUE + "  fun f() {\u00a0init r = 0 in { return r } }\n}\n
         (["check", LONG_CONST], "4:17: integer literal of 5000 digits is too long"),
         (["fmt", NON_ASCII_DIGIT], "4:22: unexpected character '\u0660'"),
         (["fmt", NO_BREAK_SPACE], "4:12: unexpected character '\\xa0'"),
+        # integer flags are spelled as in the source: ASCII digits only
+        (["run", p("while_loop.pf"), "--entry", "A.sum", "--args", "\u0661_0"],
+         "bad --args value '\u0661_0'"),
+        (["run", p("while_loop.pf"), "--entry", "A.sum", "--args", " 3"],
+         "bad --args value ' 3'"),
+        (["run", p("while_loop.pf"), "--entry", "A.sum", "--args", "3", "--fuel", " 1_000"],
+         "bad --fuel value ' 1_000'"),
+        (["nitest", p("leaky.pf"), "--fuel", "1e3"], "bad --fuel value '1e3'"),
+        (["nitest", p("leaky.pf"), "--pair-cap", "+5"], "bad --pair-cap value '+5'"),
+        (["nitest", p("identity.pf"), "--domain", " \u0660..1_0 "],
+         "bad --domain value ' \u0660..1_0 '; expected lo..hi"),
+        # the interpreter would wrap 2^64 + 3 to 3
+        (["run", p("while_loop.pf"), "--entry", "A.sum", "--args", str((1 << 64) + 3)],
+         f"--args value {(1 << 64) + 3} is not a 64-bit integer"),
+        (["run", p("while_loop.pf"), "--entry", "A.sum", f"--args={-(1 << 63) - 1}"],
+         f"--args value {-(1 << 63) - 1} is not a 64-bit integer"),
     ],
     ids=["domain-one-value", "run-negative-fuel", "nitest-negative-fuel",
          "nitest-negative-pair-cap", "emit-annotated-unwritable", "domain-too-large",
          "check-non-utf8", "infer-non-utf8", "fmt-non-utf8", "nitest-non-utf8",
-         "long-literal", "long-const", "non-ascii-digit", "no-break-space"],
+         "long-literal", "long-const", "non-ascii-digit", "no-break-space",
+         "args-arabic-indic", "args-blank", "fuel-underscore", "fuel-exponent",
+         "pair-cap-plus", "domain-arabic-indic", "args-past-2-64", "args-below-int64"],
 )
 def test_bad_arguments_exit_two(capsys, tmp_path, argv, message):
     argv = list(argv)
@@ -278,12 +296,15 @@ app A perms {} {
 
 
 def test_domain_past_64_bits_exits_two(capsys, tmp_path):
-    # run wraps 2^63 to -2^63, so the harness must not feed it unwrapped
+    # the interpreter would wrap 2^63 to -2^63, where f leaks, so neither
+    # the harness nor run takes it
     path = tmp_path / "wrap.pf"
     path.write_text(WRAPS_AT_MIN)
     assert run(capsys, "check", str(path))[0] == 1
     assert run(capsys, "run", str(path), "--entry", "A.f",
-               "--args", str(1 << 63))[1].strip() == "1"
+               f"--args={-(1 << 63)}")[1].strip() == "1"
+    assert run(capsys, "run", str(path), "--entry", "A.f",
+               "--args", str(1 << 63))[0] == 2
     for spec in (f"{(1 << 63) - 2}..{1 << 63}", f"{-(1 << 63) - 1}..0"):
         code, out, err = run(capsys, "nitest", str(path), "--observer", "L",
                              f"--domain={spec}")

@@ -3,6 +3,7 @@
 Each draw runs ``cli.main`` on a corpus file (now and then a missing file or
 a directory) with a random subset of its subcommand's flags, each value
 drawn from a fixed table of good and bad ones: negative, huge, empty,
+past 64 bits, spelled with blanks, underscores or non-ASCII digits,
 reversed or one-value ``--domain``, an unknown level, permission or entry,
 and an ``--emit-annotated`` path that is a directory. Whatever the draw,
 the exit code is 0 or 1 with nothing on stderr, or 2 with exactly one
@@ -23,8 +24,12 @@ from .conftest import SEED
 PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
 HUGE = "9" * 40
 SMALL_FUEL = ("0", "1", "100")
+# spellings that Python's int takes but the source language does not, and
+# the first integers past 64 bits on either side
+ODD = ("1_0", " 5", "\u0663")
+PAST_64_BITS = ("18446744073709551619", "-9223372036854775809")
 
-FUEL = ("0", "1", "100", "-1", "", "x", HUGE)
+FUEL = ("0", "1", "100", "-1", "", "x", HUGE, *ODD)
 FLAGS = {
     "check": {},
     "infer": {
@@ -33,16 +38,18 @@ FLAGS = {
     },
     "run": {
         "--entry": ("<entry>", "<entry>", "Z.nope", "", "A", "A."),
-        "--args": ("", "0", "1", "2,1", "-1", "x", ",", "1,,2", " 1 ", HUGE, "-" + HUGE),
+        "--args": ("", "0", "1", "2,1", "-1", "x", ",", "1,,2", " 1 ", HUGE, "-" + HUGE,
+                   *ODD, *PAST_64_BITS),
         "--caller-perms": ("", "<perm>", "<perm>,<perm>", "zz", ",", " <perm> "),
         "--fuel": FUEL,
     },
     "nitest": {
         "--observer": ("<level>", "L", "H", "ZZ", ""),
         "--domain": ("0..2", "-3..3", "2..0", "1..1", "0..", "..", "", "a..b",
-                     "0.." + HUGE),
+                     "0.." + HUGE, "0..1_0", " 0..5", "0..\u0663",
+                     *(f"0..{b}" for b in PAST_64_BITS)),
         "--fuel": FUEL,
-        "--pair-cap": ("0", "1", "100", "-1", "", HUGE),
+        "--pair-cap": ("0", "1", "100", "-1", "", HUGE, *ODD),
         "--strict": None,
     },
     "fmt": {},

@@ -17,7 +17,7 @@ import pytest
 from permflow import interp
 from permflow.interp import DEFAULT_FUEL, ExecContext, Fuel, FuelExhausted, UnboundVariable
 from permflow.parser import parse_system
-from permflow.syntax import Var
+from permflow.syntax import Assign, Var
 from permflow.system import validate_system
 
 from . import walker
@@ -170,21 +170,14 @@ def test_while_loop_program_fuel_sweep():
         _sweep_fuel(csys, qname, (3,) * len(decl.params), 0)
 
 
-def test_eval_expr_charges_each_node():
+def test_unbound_variable_in_assign():
     csys = validate_system(parse_system(LOOPS))
-    e = csys.fd["A.wide"].body.cmds[1].then.expr  # r * r - x: 5 nodes
-    for fuel in range(7):
-        outcomes = []
-        for module in (interp, walker):
-            left = Fuel(fuel)
-            try:
-                outcomes.append((module.eval_expr({"r": 3, "x": 2}, e, csys, left),
-                                 left.remaining))
-            except FuelExhausted:
-                outcomes.append((FuelExhausted, left.remaining))
-        assert outcomes[0] == outcomes[1], fuel
-    with pytest.raises(UnboundVariable):
-        interp.eval_expr({}, Var("ghost"), csys, Fuel(10))
+    ghost = Assign("r", Var("ghost"))
+    for module in (interp, walker):
+        left = Fuel(10)
+        with pytest.raises(UnboundVariable):
+            module.exec_cmd({}, ExecContext("A", 0, left), ghost, csys)
+        assert left.remaining == 8, module  # the command and its one node
 
 
 def test_compiled_code_lives_with_its_system():

@@ -7,7 +7,6 @@ from permflow.interp import (
     Fuel,
     FuelExhausted,
     call_function,
-    eval_expr,
     exec_cmd,
 )
 from permflow.parser import parse_system
@@ -70,11 +69,11 @@ def test_letvar_scope_is_dropped():
 
 def test_unbound_variable_is_internal():
     from permflow.interp import UnboundVariable
-    from permflow.syntax import Var
+    from permflow.syntax import Assign, Var
 
     csys = one_fun("r := 1")
     with pytest.raises(UnboundVariable):
-        eval_expr({}, Var("ghost"), csys, Fuel(10))
+        exec_cmd({}, ExecContext("A", 0, Fuel(10)), Assign("r", Var("ghost")), csys)
 
 
 def test_call_uses_callers_app_permissions():
