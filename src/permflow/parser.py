@@ -8,9 +8,11 @@ blocks use braces, and the command forms are::
     if e then c1 else c2        while e do c
     test(p) c1 else c2          letvar x = e in c
 
-A base type annotation is either a bare level name (a constant type) or a
-literal like ``{ {p,q}: H, {p}: l1, _: L }`` where ``_`` supplies the level
-for every unlisted permission set.
+Expressions follow ``syntax.BINARY_LEVELS``, the operator table that the
+printer reads too, and names follow ``syntax.NAME_PATTERN`` and
+``syntax.KEYWORDS``. A base type annotation is either a bare level name (a
+constant type) or a literal like ``{ {p,q}: H, {p}: l1, _: L }`` where
+``_`` supplies the level for every unlisted permission set.
 
 Nesting is bounded by ``MAX_DEPTH`` so that every recursive pass over the
 tree stays far below Python's recursion limit; a deeper input is a
@@ -22,9 +24,12 @@ from __future__ import annotations
 import re
 import string
 
-from .basetypes import BaseType, FunctionType, PermUniverse, embed
+from .basetypes import BaseType, FunctionType, PermTypeError, PermUniverse, embed
 from .lattice import Lattice, load_lattice
 from .syntax import (
+    BINARY_LEVELS,
+    KEYWORDS,
+    NAME_PATTERN,
     Assign,
     BinOp,
     CallAssign,
@@ -49,20 +54,14 @@ from .system import System
 # expressions directly in it.
 MAX_DEPTH = 100
 
-KEYWORDS = {
-    "lattice", "levels", "order", "permissions", "app", "perms", "const",
-    "fun", "infer", "init", "in", "return", "if", "then", "else", "while",
-    "do", "test", "letvar", "call",
-}
-
 # One match per token: the layout and comments before it, then the token
 # itself, which is empty at the end of the input and a single character
 # where no token starts. Identifiers, the most common tokens, come first.
 _TOKEN_RE = re.compile(
     r"""
     ([ \t\r\n]*(?:(?://|\#)[^\n]*[ \t\r\n]*)*)
-    ([A-Za-z_][A-Za-z0-9_]*|[{}(),;<.\+\-\*]|:=?|==?|[0-9]+|\Z|.)
-    """,
+    (%s|[{}(),;<.\+\-\*]|:=?|==?|[0-9]+|\Z|.)
+    """ % NAME_PATTERN,
     re.VERBOSE | re.DOTALL,
 )
 
@@ -194,18 +193,28 @@ class Parser:
             raise ParseError(f"expected {what}, got {tok.text!r}", tok.span)
         return self.next()
 
-    def name_list(self) -> list[Token]:
-        names = [self.ident()]
+    def comma_list(self, item) -> list:
+        """One or more ``item()`` results separated by commas."""
+        items = [item()]
         while self.accept(","):
-            names.append(self.ident())
-        return names
+            items.append(item())
+        return items
+
+    def distinct(self, names: list[Token], what: str) -> list[str]:
+        """The texts of ``names``; a repeated one is a DuplicateName."""
+        seen: set[str] = set()
+        for t in names:
+            if t.text in seen:
+                raise DuplicateName(f"duplicate {what} {t.text!r}", t.span)
+            seen.add(t.text)
+        return [t.text for t in names]
 
     def perm_set(self) -> int:
         """A braced set of declared permissions, ``{p, q}``, as a bitmask."""
         self.expect("{")
         mask = 0
         if not self.at("}"):
-            for t in self.name_list():
+            for t in self.comma_list(self.ident):
                 if t.text not in self.universe.names:
                     raise UnknownReference(f"unknown permission {t.text!r}", t.span)
                 bit = 1 << self.universe.index(t.text)
@@ -233,42 +242,33 @@ class Parser:
         kw = self.expect("lattice")
         self.expect("{")
         self.expect("levels")
-        names = self.name_list()
+        names = self.comma_list(self.ident)
         self.expect(";")
         covers: list[tuple[str, str]] = []
         if self.accept("order"):
-            while True:
-                lo = self.ident("level name")
-                self.expect("<")
-                hi = self.ident("level name")
-                covers.append((lo.text, hi.text))
-                if not self.accept(","):
-                    break
+            covers = self.comma_list(self._parse_cover)
             self.expect(";")
         self.expect("}")
-        seen = set()
-        for t in names:
-            if t.text in seen:
-                raise DuplicateName(f"duplicate level {t.text!r}", t.span)
-            seen.add(t.text)
+        names = self.distinct(names, "level")
         try:
-            self.lattice = load_lattice([t.text for t in names], covers)
+            self.lattice = load_lattice(names, covers)
         except ValueError as e:
             raise ParseError(str(e), kw.span) from e
 
+    def _parse_cover(self) -> tuple[str, str]:
+        lo = self.ident("level name")
+        self.expect("<")
+        return lo.text, self.ident("level name").text
+
     def _parse_permissions(self) -> None:
-        self.expect("permissions")
+        kw = self.expect("permissions")
         self.expect("{")
-        names: list[Token] = []
-        if not self.at("}"):
-            names = self.name_list()
+        names = [] if self.at("}") else self.comma_list(self.ident)
         self.expect("}")
-        seen = set()
-        for t in names:
-            if t.text in seen:
-                raise DuplicateName(f"duplicate permission {t.text!r}", t.span)
-            seen.add(t.text)
-        self.universe = PermUniverse(tuple(t.text for t in names))
+        try:
+            self.universe = PermUniverse(tuple(self.distinct(names, "permission")))
+        except PermTypeError as e:
+            raise ParseError(str(e), kw.span) from e
 
     def _parse_app(self, theta, fd, constants) -> None:
         self.expect("app")
@@ -317,42 +317,29 @@ class Parser:
         name = self.ident("function name")
         self.expect("(")
         params: list[str] = []
-        param_types: list[BaseType] = []
-        annotated = None
+        # each parameter's type, None where it has none
+        param_types: list[BaseType | None] = []
+
+        def param() -> None:
+            p = self.ident("parameter name")
+            if p.text in params:
+                raise DuplicateName(f"duplicate parameter {p.text!r}", p.span)
+            params.append(p.text)
+            annotated = self.accept(":") is not None
+            if param_types and annotated != (param_types[0] is not None):
+                raise ParseError("either annotate every parameter or none", p.span)
+            param_types.append(self._parse_basetype() if annotated else None)
+
         if not self.at(")"):
-            while True:
-                p = self.ident("parameter name")
-                if p.text in params:
-                    raise DuplicateName(f"duplicate parameter {p.text!r}", p.span)
-                params.append(p.text)
-                if self.accept(":"):
-                    if annotated is False:
-                        raise ParseError(
-                            "either annotate every parameter or none", p.span
-                        )
-                    annotated = True
-                    param_types.append(self._parse_basetype())
-                else:
-                    if annotated is True:
-                        raise ParseError(
-                            "either annotate every parameter or none", p.span
-                        )
-                    annotated = False
-                if not self.accept(","):
-                    break
+            self.comma_list(param)
         self.expect(")")
-        ret_type = None
-        if self.accept(":"):
-            ret_type = self._parse_basetype()
+        ret_type = self._parse_basetype() if self.accept(":") else None
         if self.accept("infer") and ret_type is not None:
             raise ParseError("'infer' contradicts the type annotation", kw.span)
-        if (annotated is True) and ret_type is None:
+        if param_types and (param_types[0] is None) != (ret_type is None):
             raise ParseError(
-                "annotated parameters require a return annotation", kw.span
-            )
-        if ret_type is not None and annotated is False:
-            raise ParseError(
-                "a return annotation requires annotated parameters", kw.span
+                "annotated parameters require a return annotation" if ret_type is None
+                else "a return annotation requires annotated parameters", kw.span
             )
         annotation = None
         if ret_type is not None:
@@ -443,11 +430,7 @@ class Parser:
             self.expect(".")
             fun = self.ident("function name")
             self.expect("(")
-            args: list[Expr] = []
-            if not self.at(")"):
-                args.append(self._parse_expr())
-                while self.accept(","):
-                    args.append(self._parse_expr())
+            args = [] if self.at(")") else self.comma_list(self._parse_expr)
             self.expect(")")
             return CallAssign(name.text, app.text, fun.text, tuple(args), tok.span)
         return Assign(name.text, self._parse_expr(), tok.span)
@@ -469,34 +452,21 @@ class Parser:
 
     # expressions
 
-    def _parse_expr(self) -> Expr:
-        lhs = self._parse_add()
-        tok = self.peek()
-        if tok.text in ("==", "<"):
-            self.next()
-            self.descend(tok)
-            rhs = self._parse_add()
-            self.depth -= 1
-            return BinOp(tok.text, lhs, rhs, tok.span)
-        return lhs
-
-    def _parse_add(self) -> Expr:
+    def _parse_expr(self, level: int = 0) -> Expr:
+        """An expression whose operators are of ``level`` or tighter (see
+        ``syntax.BINARY_LEVELS``). Each operator of a chain descends one
+        nesting level, and the chain's end restores the depth."""
+        if level == len(BINARY_LEVELS):
+            return self._parse_atom()
+        ops, chained = BINARY_LEVELS[level]
         outer = self.depth
-        e = self._parse_mul()
-        while self.peek().text in ("+", "-"):
+        e = self._parse_expr(level + 1)
+        while self.tokens[self.i].text in ops:
             op = self.next()
             self.descend(op)
-            e = BinOp(op.text, e, self._parse_mul(), op.span)
-        self.depth = outer
-        return e
-
-    def _parse_mul(self) -> Expr:
-        outer = self.depth
-        e = self._parse_atom()
-        while self.at("*"):
-            op = self.next()
-            self.descend(op)
-            e = BinOp(op.text, e, self._parse_atom(), op.span)
+            e = BinOp(op.text, e, self._parse_expr(level + 1), op.span)
+            if not chained:
+                break
         self.depth = outer
         return e
 
@@ -525,28 +495,24 @@ class Parser:
             self.next()
             return embed(self._level(tok), self.lattice, n)
         self.expect("{")
-        default: int | None = None
-        explicit: dict[int, int] = {}
-        while True:
-            if self.accept("_"):
-                self.expect(":")
-                lvl = self._level(self.ident("level name"))
-                if default is not None:
-                    raise ParseError("duplicate default entry", tok.span)
-                default = lvl
-            else:
-                mask = self.perm_set()
-                self.expect(":")
-                lvl = self._level(self.ident("level name"))
-                if mask in explicit:
-                    raise ParseError(
-                        f"permission set {self.universe.format_set(mask)} listed twice",
-                        tok.span,
-                    )
-                explicit[mask] = lvl
-            if not self.accept(","):
-                break
+        # permission set -> level; the key None holds the ``_`` default
+        explicit: dict[int | None, int] = {}
+
+        def entry() -> None:
+            mask = None if self.accept("_") else self.perm_set()
+            self.expect(":")
+            lvl = self._level(self.ident("level name"))
+            if mask in explicit:
+                raise ParseError(
+                    "duplicate default entry" if mask is None else
+                    f"permission set {self.universe.format_set(mask)} listed twice",
+                    tok.span,
+                )
+            explicit[mask] = lvl
+
+        self.comma_list(entry)
         self.expect("}")
+        default = explicit.pop(None, None)
         if default is None and len(explicit) != 1 << n:
             raise ParseError(
                 "base type literal needs a '_' default or all permission sets",

@@ -1,15 +1,43 @@
 """Abstract syntax for the analyzed language, plus the pretty-printer.
 
 Every node carries a source span that is excluded from equality, so the
-parse/print round-trip can be checked with plain ==.
+parse/print round-trip can be checked with plain ==. The binary-operator
+table and the name rule are stated here once; the parser and the printer
+both read them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .basetypes import BaseType, FunctionType, PermUniverse, format_type
+
+# The binary operators by precedence level, loosest first, each level with
+# whether it chains: a chained level's operators associate to the left, and
+# an unchained level takes one operator per expression (``a < b < c`` does
+# not parse).
+BINARY_LEVELS: tuple[tuple[frozenset[str], bool], ...] = (
+    (frozenset({"==", "<"}), False),
+    (frozenset({"+", "-"}), True),
+    (frozenset({"*"}), True),
+)
+BINARY_LEVEL = {op: i for i, (ops, _) in enumerate(BINARY_LEVELS) for op in ops}
+
+# A name (of a level, permission, app, function, variable or constant) is
+# an ASCII identifier that is not a keyword.
+NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+KEYWORDS = frozenset({
+    "lattice", "levels", "order", "permissions", "app", "perms", "const",
+    "fun", "infer", "init", "in", "return", "if", "then", "else", "while",
+    "do", "test", "letvar", "call",
+})
+_NAME_RE = re.compile(NAME_PATTERN)
+
+
+def is_name(text: str) -> bool:
+    return _NAME_RE.fullmatch(text) is not None and text not in KEYWORDS
 
 
 class Span:
@@ -189,24 +217,26 @@ class ConstDecl:
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-def _prec(op: str) -> int:
-    return {"==": 0, "<": 0, "+": 1, "-": 1, "*": 2}[op]
-
-
-def format_expr(e: Expr, parent_prec: int = -1) -> str:
+def format_expr(e: Expr, parent_level: int = -1) -> str:
     if isinstance(e, IntLit):
         return str(e.value)
     if isinstance(e, Var):
         return e.name
-    p = _prec(e.op)
-    # + - * are left-associative, comparisons non-associative; parenthesize
-    # exactly so the printed form re-parses to the identical tree.
-    left = format_expr(e.lhs, p if e.op in ("==", "<") else p - 1)
-    right = format_expr(e.rhs, p)
+    level = BINARY_LEVEL[e.op]
+    # parenthesize exactly so the printed form re-parses to the identical
+    # tree: a left operand of the same level needs none where it chains
+    chained = BINARY_LEVELS[level][1]
+    left = format_expr(e.lhs, level - 1 if chained else level)
+    right = format_expr(e.rhs, level)
     s = f"{left} {e.op} {right}"
-    if p <= parent_prec:
+    if level <= parent_level:
         return f"({s})"
     return s
+
+
+def _braced(c: Cmd, indent: int) -> str:
+    """A branch of a compound command, on its own lines within braces."""
+    return f" {{\n{format_cmd(c, indent + 1)}\n{'  ' * indent}}}"
 
 
 def format_cmd(c: Cmd, indent: int) -> str:
@@ -219,26 +249,14 @@ def format_cmd(c: Cmd, indent: int) -> str:
     if isinstance(c, Block):
         return ";\n".join(format_cmd(m, indent) for m in c.cmds)
     if isinstance(c, If):
-        return (
-            f"{pad}if {format_expr(c.cond)} then {{\n"
-            f"{format_cmd(c.then, indent + 1)}\n{pad}}} else {{\n"
-            f"{format_cmd(c.els, indent + 1)}\n{pad}}}"
-        )
+        return (f"{pad}if {format_expr(c.cond)} then{_braced(c.then, indent)}"
+                f" else{_braced(c.els, indent)}")
     if isinstance(c, While):
-        return (
-            f"{pad}while {format_expr(c.cond)} do {{\n"
-            f"{format_cmd(c.body, indent + 1)}\n{pad}}}"
-        )
+        return f"{pad}while {format_expr(c.cond)} do{_braced(c.body, indent)}"
     if isinstance(c, Test):
-        return (
-            f"{pad}test({c.perm}) {{\n{format_cmd(c.then, indent + 1)}\n"
-            f"{pad}}} else {{\n{format_cmd(c.els, indent + 1)}\n{pad}}}"
-        )
+        return f"{pad}test({c.perm}){_braced(c.then, indent)} else{_braced(c.els, indent)}"
     if isinstance(c, LetVar):
-        return (
-            f"{pad}letvar {c.name} = {format_expr(c.init)} in {{\n"
-            f"{format_cmd(c.body, indent + 1)}\n{pad}}}"
-        )
+        return f"{pad}letvar {c.name} = {format_expr(c.init)} in{_braced(c.body, indent)}"
     raise TypeError(f"not a command: {c!r}")
 
 

@@ -2,10 +2,12 @@
 
 A system bundles the lattice, the permission universe, the per-app
 permission assignment, declared constants, and the function tables. The
-validator confirms the assumptions the analyses rely on: closed function
-bodies, an acyclic call graph, per-function unique bound names, matching
-call arity, no re-test of a permission already on the enclosing trace, and
-it computes a topological order of the call graph.
+validator confirms the assumptions the analyses rely on: names the parser
+reads and declarations of declared apps (so ``to_source`` prints text that
+parses back to the system), closed function bodies, an acyclic call graph,
+per-function unique bound names, matching call arity, no re-test of a
+permission already on the enclosing trace, and it computes a topological
+order of the call graph.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from .basetypes import PermUniverse
 from .lattice import Lattice
 from .syntax import (
+    BINARY_LEVEL,
     Assign,
     BinOp,
     Block,
@@ -31,6 +34,7 @@ from .syntax import (
     Var,
     While,
     format_fun,
+    is_name,
     subcommands,
 )
 
@@ -76,15 +80,40 @@ class CheckedSystem(System):
     topo: tuple[str, ...]  # callees before callers
 
 
-def _free_expr_vars(e: Expr) -> set[str]:
+def _free_expr_vars(e: Expr) -> dict[str, None]:
+    """The variables of ``e`` in source order, so that an error names the
+    first one whatever the string hash seed. A negative literal or an
+    operator outside the table, which no source text spells, is a
+    ValidationError."""
     if isinstance(e, IntLit):
-        return set()
+        if e.value < 0:
+            raise ValidationError(f"negative literal {e.value}", e.span)
+        return {}
     if isinstance(e, Var):
-        return {e.name}
+        return {e.name: None}
+    if e.op not in BINARY_LEVEL:
+        raise ValidationError(f"unknown operator {e.op!r}", e.span)
     return _free_expr_vars(e.lhs) | _free_expr_vars(e.rhs)
 
 
+def _require_name(name: str, what: str, span: Span | None = None) -> None:
+    if not is_name(name):
+        raise ValidationError(
+            f"{what} {name!r} is not a name (an ASCII identifier, not a keyword)", span
+        )
+
+
 def validate_system(sys: System) -> CheckedSystem:
+    for what, names in (("level", sys.lattice.names), ("permission", sys.universe.names),
+                        ("app", sys.theta)):
+        for name in names:
+            _require_name(name, what)
+    for const in sys.constants.values():
+        _require_name(const.name, "constant", const.span)
+        if const.app not in sys.theta:
+            raise ValidationError(
+                f"constant {const.name!r} of undeclared app {const.app!r}", const.span
+            )
     for decl in sys.fd.values():
         _validate_function(sys, decl)
     return CheckedSystem(
@@ -95,8 +124,12 @@ def validate_system(sys: System) -> CheckedSystem:
 def _validate_function(sys: System, decl: FunDecl) -> None:
     consts = set(sys.constants)
     bound: set[str] = set()
+    _require_name(decl.name, "function", decl.span)
+    if decl.app not in sys.theta:
+        raise ValidationError(f"function {decl.qualified} of undeclared app", decl.span)
 
     def bind(name: str, span: Span):
+        _require_name(name, "variable", span)
         if name in bound:
             raise ValidationError(f"bound name {name!r} reused in {decl.qualified}", span)
         if name in consts:

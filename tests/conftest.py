@@ -80,12 +80,12 @@ def lattice_family() -> list[Lattice]:
         ),
         # N5, the pentagon
         load_lattice(
-            ["0", "a", "b", "c", "1"],
-            [("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")],
+            ["bot", "a", "b", "c", "top"],
+            [("bot", "a"), ("a", "top"), ("bot", "b"), ("b", "c"), ("c", "top")],
         ),
         # M3, the diamond with three atoms
         load_lattice(
-            ["0", "x", "y", "z", "1"],
-            [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")],
+            ["bot", "x", "y", "z", "top"],
+            [("bot", "x"), ("bot", "y"), ("bot", "z"), ("x", "top"), ("y", "top"), ("z", "top")],
         ),
     ]

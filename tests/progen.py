@@ -4,18 +4,20 @@ Produces small acyclic systems (no loops, so every run terminates and the
 noninterference grid is exhaustive): random lattices, one or two
 permissions, apps with random permission masks, leveled constants, and
 call-free or call-bearing function bodies built with proper scoping, fresh
-local names, and no nested re-tests.
+local names, and no nested re-tests. Blocks are flat and declarations
+are listed app by app, as the parser builds them, so a system prints and
+parses back to itself.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
-from permflow.basetypes import PermUniverse, embed
+from permflow.basetypes import FunctionType, PermUniverse, embed
 from permflow.syntax import (
     Assign,
     BinOp,
-    Block,
     CallAssign,
     ConstDecl,
     FunDecl,
@@ -24,10 +26,11 @@ from permflow.syntax import (
     LetVar,
     Test,
     Var,
+    block,
 )
 from permflow.system import System, validate_system
 
-from .conftest import lattice_family
+from .conftest import lattice_family, random_basetype
 
 
 class _Gen:
@@ -62,10 +65,10 @@ class _Gen:
                 return CallAssign(target, callee.app, callee.name, args)
             return Assign(target, self.expr(scope, consts, rnd.randint(0, 2)))
         if roll < 0.55:
-            return Block((
+            return block([
                 self.cmd(scope, consts, callables, tested, depth - 1),
                 self.cmd(scope, consts, callables, tested, depth - 1),
-            ))
+            ])
         if roll < 0.7:
             return If(
                 self.expr(scope, consts, 1),
@@ -103,7 +106,6 @@ class _Gen:
                 name, rnd.randrange(5), embed(level, self.lat, self.nperms),
                 rnd.choice(apps),
             )
-        fd = {}
         decls = []
         for i in range(rnd.randint(1, 3)):
             app = rnd.choice(apps)
@@ -115,9 +117,26 @@ class _Gen:
             )
             decl = FunDecl(app, f"f{i}", params, ret, body, None)
             decls.append(decl)
-            fd[decl.qualified] = decl
+        # declarations app by app, the order the surface syntax can state
+        fd = {d.qualified: d for d in sorted(decls, key=lambda d: apps.index(d.app))}
+        constants = dict(sorted(constants.items(), key=lambda kv: apps.index(kv[1].app)))
         return System(self.lat, self.universe, theta, fd, constants)
 
 
 def random_checked_system(rnd: random.Random):
     return validate_system(_Gen(rnd).system())
+
+
+def annotate_some(rnd: random.Random, csys, types=None):
+    """``csys`` with about half of its functions annotated: with
+    ``types[q]`` where given, else with random types."""
+    n = csys.universe.count
+    fd = {}
+    for q, d in csys.fd.items():
+        if rnd.random() < 0.5:
+            ft = (types or {}).get(q) or FunctionType(
+                tuple(random_basetype(rnd, csys.lattice, n) for _ in d.params),
+                random_basetype(rnd, csys.lattice, n))
+            d = replace(d, annotation=ft)
+        fd[q] = d
+    return replace(csys, fd=fd)

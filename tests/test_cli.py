@@ -224,6 +224,7 @@ LONG_LITERAL = (PROLOGUE + "  fun f() { init r = 0 in { r := " + "9" * 5000
 LONG_CONST = (PROLOGUE + "  const C : L = " + "9" * 5000 + ";\n}\n").encode()
 NON_ASCII_DIGIT = (PROLOGUE + "  fun f() { init r = \u0660 in { return r } }\n}\n").encode()
 NO_BREAK_SPACE = (PROLOGUE + "  fun f() {\u00a0init r = 0 in { return r } }\n}\n").encode()
+THIRTEEN_PERMISSIONS = b"lattice { levels L; }\npermissions { a, b, c, d, e, f, g, h, i, j, k, l, m }\n"
 
 
 @pytest.mark.parametrize(
@@ -247,6 +248,7 @@ NO_BREAK_SPACE = (PROLOGUE + "  fun f() {\u00a0init r = 0 in { return r } }\n}\n
         (["check", LONG_CONST], "4:17: integer literal of 5000 digits is too long"),
         (["fmt", NON_ASCII_DIGIT], "4:22: unexpected character '\u0660'"),
         (["fmt", NO_BREAK_SPACE], "4:12: unexpected character '\\xa0'"),
+        (["check", THIRTEEN_PERMISSIONS], "2:1: too many permissions (13 > 12)"),
         # integer flags are spelled as in the source: ASCII digits only
         (["run", p("while_loop.pf"), "--entry", "A.sum", "--args", "\u0661_0"],
          "bad --args value '\u0661_0'"),
@@ -268,6 +270,7 @@ NO_BREAK_SPACE = (PROLOGUE + "  fun f() {\u00a0init r = 0 in { return r } }\n}\n
          "nitest-negative-pair-cap", "emit-annotated-unwritable", "domain-too-large",
          "check-non-utf8", "infer-non-utf8", "fmt-non-utf8", "nitest-non-utf8",
          "long-literal", "long-const", "non-ascii-digit", "no-break-space",
+         "thirteen-permissions",
          "args-arabic-indic", "args-blank", "fuel-underscore", "fuel-exponent",
          "pair-cap-plus", "domain-arabic-indic", "args-past-2-64", "args-below-int64"],
 )

@@ -1,10 +1,11 @@
 import glob
 import os
+import string
 
 import pytest
 
 from permflow.parser import DuplicateName, ParseError, UnknownReference, parse_system
-from permflow.syntax import Assign, Block, CallAssign, LetVar
+from permflow.syntax import Assign, BinOp, Block, CallAssign, IntLit, LetVar, Var
 from permflow.syntax import Test as PermTest
 from permflow.system import (
     ArityMismatch,
@@ -82,7 +83,7 @@ def test_roundtrip_all_programs():
 def test_printer_precedence_roundtrip(rng):
     # random expression trees survive print-then-parse unchanged
     from permflow.parser import Parser, tokenize
-    from permflow.syntax import BinOp, IntLit, Var, format_expr
+    from permflow.syntax import BINARY_LEVELS, BinOp, IntLit, Var, format_expr
 
     def gen(depth):
         if depth == 0 or rng.random() < 0.3:
@@ -90,13 +91,29 @@ def test_printer_precedence_roundtrip(rng):
         op = rng.choice(["+", "-", "*", "==", "<"])
         return BinOp(op, gen(depth - 1), gen(depth - 1))
 
-    for _ in range(300):
-        e = gen(rng.randint(1, 4))
+    def roundtrip(e):
         text = format_expr(e)
         parser = Parser("")
         parser.tokens = tokenize(text)
         parser.i = 0
         assert parser._parse_expr() == e, text
+        assert parser.peek().kind == "eof", text
+
+    for _ in range(300):
+        roundtrip(gen(rng.randint(1, 4)))
+    # chains long enough to run each level's loop many times, nested to
+    # the left (printed bare where the level chains) and to the right
+    # (parenthesized, two nesting levels an operator, so kept shorter)
+    for ops, chained in BINARY_LEVELS:
+        for length in (2, 3, 8, 40) if chained else (1,):
+            left, right = gen(2), gen(2)
+            for i in range(length):
+                left = BinOp(rng.choice(sorted(ops)), left, gen(2))
+                if i < 20:
+                    right = BinOp(rng.choice(sorted(ops)), gen(2), right)
+            roundtrip(left)
+            roundtrip(right)
+            roundtrip(BinOp("<", left, right))
 
 
 HEADER = """
@@ -343,3 +360,101 @@ def test_validation_deterministic():
     a = validate_system(parse_system(src))
     b = validate_system(parse_system(src))
     assert a.topo == b.topo
+
+
+def test_progen_systems_print_and_parse_back(rng):
+    # every validated system prints as text that parses back to it
+    from .progen import annotate_some, random_checked_system
+
+    for _ in range(1200):
+        csys = annotate_some(rng, random_checked_system(rng))
+        text = to_source(csys)
+        assert validate_system(parse_system(text)) == csys, text
+
+
+@pytest.mark.parametrize("levels, bad", [(["0", "1"], "0"), (["L", "if"], "if")],
+                         ids=["digits", "keyword"])
+def test_level_names_must_be_parser_names(levels, bad):
+    # to_source would print such a lattice as text the parser rejects
+    from permflow.basetypes import PermUniverse
+    from permflow.lattice import load_lattice
+    from permflow.system import System, ValidationError
+
+    lattice = load_lattice(levels, [tuple(levels)])
+    with pytest.raises(ValidationError, match=f"level {bad!r} is not a name"):
+        validate_system(System(lattice, PermUniverse(("p",)), {"A": 0}, {}, {}))
+
+
+def test_operator_table_is_the_operator_set():
+    # the syntax table, the tokenizer and the interpreter name one operator set
+    from permflow.interp import _BINOPS
+    from permflow.parser import tokenize
+    from permflow.syntax import BINARY_LEVEL, BINARY_LEVELS
+
+    table = [op for ops, _ in BINARY_LEVELS for op in ops]
+    assert len(table) == len(set(table)) == len(BINARY_LEVEL)
+    assert set(table) == set(_BINOPS)
+    for op in table:
+        assert [t.text for t in tokenize(f"x{op}y")] == ["x", op, "y", ""], op
+    # every other operator token the tokenizer knows is punctuation
+    punctuation = {"{", "}", "(", ")", ",", ";", ".", ":", ":=", "="}
+    lexed = set()
+    for a in string.punctuation:
+        for b in string.punctuation + " ":
+            try:
+                lexed |= {t.text for t in tokenize(a + b) if t.kind == "op"}
+            except ParseError:
+                pass
+    assert lexed == set(table) | punctuation
+
+
+def test_declarations_need_a_declared_app():
+    # to_source prints declarations inside their app's block, so one of an
+    # undeclared app would not be printed at all
+    from dataclasses import replace
+
+    from permflow.system import ValidationError
+
+    sys = _sys("app A perms {} {\n  const k : L = 1;\n"
+               "  fun f() { init r = 0 in { return r } }\n}\n")
+    f, k = sys.fd["A.f"], sys.constants["k"]
+    with pytest.raises(ValidationError, match="function B.f of undeclared app"):
+        validate_system(replace(sys, fd={"B.f": replace(f, app="B")}))
+    with pytest.raises(ValidationError, match="constant 'k' of undeclared app 'B'"):
+        validate_system(replace(sys, constants={"k": replace(k, app="B")}))
+
+
+@pytest.mark.parametrize("expr, message", [
+    (IntLit(-1), "negative literal -1"),
+    (BinOp("/", Var("r"), IntLit(2)), "unknown operator '/'"),
+], ids=["negative-literal", "unknown-operator"])
+def test_expressions_need_a_source_spelling(expr, message):
+    # the parser reads no such expression, so to_source could not print it
+    from dataclasses import replace
+
+    from permflow.system import ValidationError
+
+    sys = _sys("app A perms {} {\n  fun f() { init r = 0 in { r := 1; return r } }\n}\n")
+    f = sys.fd["A.f"]
+    body = replace(f.body, expr=expr)
+    with pytest.raises(ValidationError, match=message):
+        validate_system(replace(sys, fd={"A.f": replace(f, body=body)}))
+
+
+def test_open_variable_error_names_the_first_in_source_order():
+    # the message is the same whatever the string hash seed
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    text = HEADER + "app A perms {} {\n  fun f() { init r = 0 in { r := yy + zz; return r } }\n}\n"
+    code = ("import sys; from permflow.parser import parse_system; "
+            "from permflow.system import validate_system\n"
+            "try: validate_system(parse_system(sys.stdin.read()))\n"
+            "except ValueError as e: print(e)")
+    for seed in ("1", "4"):  # at the parent, these named 'zz' and 'yy'
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=text, capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}, check=True,
+        ).stdout
+        assert out == "5:37: variable 'yy' is not in scope in A.f\n", (seed, out)
