@@ -258,12 +258,15 @@ class Parser:
     def _parse_cover(self) -> tuple[str, str]:
         lo = self.ident("level name")
         self.expect("<")
-        return lo.text, self.ident("level name").text
+        hi = self.ident("level name")
+        return lo.text, hi.text
 
     def _parse_permissions(self) -> None:
         kw = self.expect("permissions")
         self.expect("{")
-        names = [] if self.at("}") else self.comma_list(self.ident)
+        names: list[Token] = []
+        if not self.at("}"):
+            names = self.comma_list(self.ident)
         self.expect("}")
         try:
             self.universe = PermUniverse(tuple(self.distinct(names, "permission")))
@@ -333,13 +336,19 @@ class Parser:
         if not self.at(")"):
             self.comma_list(param)
         self.expect(")")
-        ret_type = self._parse_basetype() if self.accept(":") else None
+        ret_type = None
+        if self.accept(":"):
+            ret_type = self._parse_basetype()
         if self.accept("infer") and ret_type is not None:
             raise ParseError("'infer' contradicts the type annotation", kw.span)
-        if param_types and (param_types[0] is None) != (ret_type is None):
+        annotated = bool(param_types) and param_types[0] is not None
+        if annotated and ret_type is None:
             raise ParseError(
-                "annotated parameters require a return annotation" if ret_type is None
-                else "a return annotation requires annotated parameters", kw.span
+                "annotated parameters require a return annotation", kw.span
+            )
+        if ret_type is not None and param_types and not annotated:
+            raise ParseError(
+                "a return annotation requires annotated parameters", kw.span
             )
         annotation = None
         if ret_type is not None:
@@ -430,7 +439,9 @@ class Parser:
             self.expect(".")
             fun = self.ident("function name")
             self.expect("(")
-            args = [] if self.at(")") else self.comma_list(self._parse_expr)
+            args: list[Expr] = []
+            if not self.at(")"):
+                args = self.comma_list(self._parse_expr)
             self.expect(")")
             return CallAssign(name.text, app.text, fun.text, tuple(args), tok.span)
         return Assign(name.text, self._parse_expr(), tok.span)

@@ -249,14 +249,22 @@ def format_cmd(c: Cmd, indent: int) -> str:
     if isinstance(c, Block):
         return ";\n".join(format_cmd(m, indent) for m in c.cmds)
     if isinstance(c, If):
-        return (f"{pad}if {format_expr(c.cond)} then{_braced(c.then, indent)}"
-                f" else{_braced(c.els, indent)}")
+        return (
+            f"{pad}if {format_expr(c.cond)} then{_braced(c.then, indent)}"
+            f" else{_braced(c.els, indent)}"
+        )
     if isinstance(c, While):
         return f"{pad}while {format_expr(c.cond)} do{_braced(c.body, indent)}"
     if isinstance(c, Test):
-        return f"{pad}test({c.perm}){_braced(c.then, indent)} else{_braced(c.els, indent)}"
+        return (
+            f"{pad}test({c.perm}){_braced(c.then, indent)}"
+            f" else{_braced(c.els, indent)}"
+        )
     if isinstance(c, LetVar):
-        return f"{pad}letvar {c.name} = {format_expr(c.init)} in{_braced(c.body, indent)}"
+        return (
+            f"{pad}letvar {c.name} = {format_expr(c.init)}"
+            f" in{_braced(c.body, indent)}"
+        )
     raise TypeError(f"not a command: {c!r}")
 
 

@@ -4,9 +4,7 @@ Produces small acyclic systems (no loops, so every run terminates and the
 noninterference grid is exhaustive): random lattices, one or two
 permissions, apps with random permission masks, leveled constants, and
 call-free or call-bearing function bodies built with proper scoping, fresh
-local names, and no nested re-tests. Blocks are flat and declarations
-are listed app by app, as the parser builds them, so a system prints and
-parses back to itself.
+local names, and no nested re-tests.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from permflow.basetypes import FunctionType, PermUniverse, embed
 from permflow.syntax import (
     Assign,
     BinOp,
+    Block,
     CallAssign,
     ConstDecl,
     FunDecl,
@@ -26,6 +25,7 @@ from permflow.syntax import (
     LetVar,
     Test,
     Var,
+    While,
     block,
 )
 from permflow.system import System, validate_system
@@ -65,10 +65,10 @@ class _Gen:
                 return CallAssign(target, callee.app, callee.name, args)
             return Assign(target, self.expr(scope, consts, rnd.randint(0, 2)))
         if roll < 0.55:
-            return block([
+            return Block((
                 self.cmd(scope, consts, callables, tested, depth - 1),
                 self.cmd(scope, consts, callables, tested, depth - 1),
-            ])
+            ))
         if roll < 0.7:
             return If(
                 self.expr(scope, consts, 1),
@@ -106,6 +106,7 @@ class _Gen:
                 name, rnd.randrange(5), embed(level, self.lat, self.nperms),
                 rnd.choice(apps),
             )
+        fd = {}
         decls = []
         for i in range(rnd.randint(1, 3)):
             app = rnd.choice(apps)
@@ -117,9 +118,7 @@ class _Gen:
             )
             decl = FunDecl(app, f"f{i}", params, ret, body, None)
             decls.append(decl)
-        # declarations app by app, the order the surface syntax can state
-        fd = {d.qualified: d for d in sorted(decls, key=lambda d: apps.index(d.app))}
-        constants = dict(sorted(constants.items(), key=lambda kv: apps.index(kv[1].app)))
+            fd[decl.qualified] = decl
         return System(self.lat, self.universe, theta, fd, constants)
 
 
@@ -140,3 +139,29 @@ def annotate_some(rnd: random.Random, csys, types=None):
             d = replace(d, annotation=ft)
         fd[q] = d
     return replace(csys, fd=fd)
+
+
+def _flat(c):
+    """``c`` with every block rebuilt by ``syntax.block``, as the parser
+    builds it: nested blocks spliced, a one-member block its member."""
+    if isinstance(c, Block):
+        return block([_flat(m) for m in c.cmds])
+    if isinstance(c, (If, Test)):
+        return replace(c, then=_flat(c.then), els=_flat(c.els))
+    if isinstance(c, (While, LetVar)):
+        return replace(c, body=_flat(c.body))
+    return c
+
+
+def as_parsed(csys):
+    """The system that ``parse_system(to_source(csys))`` builds: blocks
+    flat, and declarations listed app by app. The generator makes nested
+    blocks and interleaves apps, which the source cannot state."""
+    apps = list(csys.theta)
+    fd = sorted(csys.fd.values(), key=lambda d: apps.index(d.app))
+    consts = sorted(csys.constants.values(), key=lambda k: apps.index(k.app))
+    return validate_system(System(
+        csys.lattice, csys.universe, csys.theta,
+        {d.qualified: replace(d, body=d.body and _flat(d.body)) for d in fd},
+        {k.name: k for k in consts},
+    ))
