@@ -264,11 +264,12 @@ def ground_signature(ft: FunctionType) -> FunSignature:
 def gen_constraints(csys: CheckedSystem) -> GenOutput:
     """Each function's signature and own constraint set, callee-first.
 
-    Annotated functions contribute ground signatures and no constraints;
-    unannotated ones get fresh parameter/return variables and their body's
-    side conditions. A call site contributes the projection constraints
-    onto the calling app's permissions; the callee's body constraints stay
-    with the callee.
+    An annotated function's signature is its annotation, ground; an
+    unannotated one's parameters and return get fresh variables. Every body
+    then contributes its side conditions, with its letvar locals as fresh
+    variables. A call site contributes the projection constraints onto the
+    calling app's permissions; the callee's body constraints stay with the
+    callee.
     """
     supply = VarSupply()
     signatures: dict[str, FunSignature] = {}
@@ -276,19 +277,16 @@ def gen_constraints(csys: CheckedSystem) -> GenOutput:
 
     for qname in csys.topo:
         decl = csys.fd[qname]
-        annotation = decl.annotation
-        if annotation is not None:
-            signatures[qname] = ground_signature(annotation)
-            by_function[qname] = []
-            continue
-        gamma: dict[str, Term] = {p: supply.fresh() for p in decl.params}
-        gamma[decl.ret_var] = supply.fresh()
+        if decl.annotation is not None:
+            sig = ground_signature(decl.annotation)
+        else:
+            sig = FunSignature(tuple(supply.fresh() for _ in decl.params), supply.fresh())
+        gamma: dict[str, Term] = dict(zip(decl.params, sig.params))
+        gamma[decl.ret_var] = sig.ret
         collected: list[Constraint] = []
         if decl.body is not None:
             _gen_cmd(gamma, EPSILON, decl.app, decl.body, csys, signatures, supply, collected)
-        signatures[qname] = FunSignature(
-            tuple(gamma[p] for p in decl.params), gamma[decl.ret_var]
-        )
+        signatures[qname] = sig
         by_function[qname] = list(dict.fromkeys(collected))
     return GenOutput(signatures, by_function)
 

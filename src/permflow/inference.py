@@ -1,27 +1,13 @@
 """Whole-system type inference.
 
-Generates the joint constraint system over every unannotated function
-(annotated ones contribute ground signatures and no constraints), solves
-it for the least substitution theta, and instantiates the function-type
-table. The checker then rechecks the bodies of the annotated functions
-against that table: no constraint of theirs was generated, so the recheck
-is the only check of an annotated body during inference.
-
-An inferred body is not rechecked, because the checker cannot reject it:
-
-- With the table as annotations, the checker's constraints for the body
-  are the inference constraints with theta substituted for the signature
-  variables (and the letvar locals renamed). The smart constructors
-  ``tjoin``, ``tmeet``, ``tproj`` and ``tmerge`` only fold ground parts,
-  so the substitution changes no term's pointwise value.
-- theta, restricted to the body's letvar locals, therefore satisfies the
-  checker's set: ``solve`` has already decided every inference constraint
-  against it.
-- ``least_solution`` refutes a set only when every solution refutes it,
-  so the checker's verdict for the body is "ok".
-
-The full recheck stays the slow oracle: ``tests/test_recheck.py`` compares
-the two, function by function.
+Generates one joint constraint system over every body, solves it for the
+least substitution theta, and instantiates the function-type table. An
+annotated function enters generation with its annotation as its ground
+signature, so its body's constraints range over its letvar locals and the
+signature variables of the inferred functions it calls: checking it is
+solving them. The least solution therefore exists exactly when some typing
+of the inferred functions makes every body check, annotated ones included,
+and ``solve`` decides that in one pass.
 """
 
 from __future__ import annotations
@@ -33,7 +19,11 @@ from .basetypes import BaseType, FunctionType
 from .constraints import Constraint, TGround, TVar, gen_constraints
 from .solver import Interval, SolveResult, UnsatError, solve
 from .system import CheckedSystem
-from .typecheck import CheckReport, FunctionVerdict, check_system
+# Re-exported, not called: perfbench/tracer.py wraps it by this module's name.
+from .typecheck import check_system
+
+__all__ = ["FunctionInference", "InferResult", "InferUnsat", "annotate",
+           "check_system", "infer_system"]
 
 
 @dataclass
@@ -48,14 +38,7 @@ class FunctionInference:
 @dataclass
 class InferResult:
     functions: list[FunctionInference]
-    # One verdict per function, in declaration order. Only annotated bodies
-    # are checked; an inferred one is "ok" by the argument above.
-    recheck: CheckReport
     stage_timings: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.recheck.ok
 
     def types(self) -> dict[str, FunctionType]:
         return {f.function: f.type for f in self.functions}
@@ -112,38 +95,19 @@ def infer_system(csys: CheckedSystem) -> InferResult:
         if iv.var in owned:
             owned[iv.var].append(iv)
     functions: list[FunctionInference] = []
-    ft: dict[str, FunctionType] = {}
     for qname, decl in csys.fd.items():
         sig = gen.signatures[qname]
         params = tuple(_resolve(t, theta) for t in sig.params)
-        ret = _resolve(sig.ret, theta)
-        ftype = FunctionType(params, ret)
-        ft[qname] = ftype
         functions.append(
             FunctionInference(
                 qname,
-                ftype,
+                FunctionType(params, _resolve(sig.ret, theta)),
                 inferred=decl.annotation is None,
                 constraint_count=len(gen.by_function[qname]),
                 intervals=intervals[qname],
             )
         )
-
-    annotated = [f.function for f in functions if not f.inferred]
-    checked = {v.function: v
-               for v in check_system(annotate(csys, ft), annotated).verdicts}
-    recheck = CheckReport([checked.get(q) or FunctionVerdict(q, True) for q in ft])
-    t3 = time.perf_counter()
-
-    return InferResult(
-        functions,
-        recheck,
-        {
-            "generate": t1 - t0,
-            "solve": t2 - t1,
-            "recheck": t3 - t2,
-        },
-    )
+    return InferResult(functions, {"generate": t1 - t0, "solve": t2 - t1})
 
 
 def _resolve(term, theta) -> BaseType:

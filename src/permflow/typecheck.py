@@ -92,8 +92,7 @@ def _violation(c: Constraint, q: int, locals_: dict[int, BaseType],
         message = f"{prov.describe()} does not fit {prov.name!r}"
     else:
         kind = SUBTYPE
-        message = (f"{prov.describe()}: required type is not dominated at "
-                   f"permission set index {q}")
+        message = f"{prov.describe()}: required type is not dominated"
     return TypeViolation(kind, message, prov.span, fun, lhs, rhs, c.guard, q)
 
 

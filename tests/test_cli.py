@@ -135,6 +135,19 @@ def test_nitest_leaky(capsys):
     assert bad and "witness" in bad[0]
 
 
+def test_nitest_partly_annotated_needs_a_whole_typing(capsys, tmp_path):
+    # leaky.pf runs without inference; one unannotated function makes
+    # nitest infer the system, and A.bad's own body refutes its annotation
+    src = open(p("leaky.pf"), encoding="utf-8").read().replace(
+        "  fun bad(", "  fun id(y) { init r = 0 in { r := y; return r } }\n  fun bad(")
+    path = tmp_path / "partly.pf"
+    path.write_text(src)
+    code, out, err = run(capsys, "nitest", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot infer types for noninterference test: "
+                          "no type assignment satisfies A.bad: ")
+
+
 def test_nitest_clean_system(capsys):
     code, out, _ = run(capsys, "nitest", p("getinfo.pf"), "--json")
     assert code == 0

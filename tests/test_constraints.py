@@ -93,18 +93,28 @@ app A perms {} {
 
 
 def test_annotated_functions_are_ground():
+    # the signature is the annotation; the body still owns its constraints,
+    # which are ground where it binds no letvar
     csys = load("getsecret.pf")
     gen = gen_constraints(csys)
     sig = gen.signatures["C.getsecret"]
     assert isinstance(sig.ret, TGround)
-    assert gen.by_function["C.getsecret"] == []
+    H = ("H",) * 2
+    L = ("L",) * 2
+    ret = ("L", "H")  # {{p}: H, _: L} at {} and at {p}
+    assert {_shape(c, csys) for c in gen.by_function["C.getsecret"]} == {
+        ("+p", H, ret),
+        ("-p", L, ret),
+    }
 
 
 def test_call_to_annotated_callee_folds_projections():
     csys = load("mixed_annot.pf")
     gen = gen_constraints(csys)
-    # Lib.double is annotated: ground, no constraints; Use.quad gets projections
-    assert gen.by_function["Lib.double"] == []
+    # Lib.double is annotated: a ground signature, and its body's one ground
+    # constraint; Use.quad gets projections
+    (own,) = gen.by_function["Lib.double"]
+    assert isinstance(own.lhs, TGround) and isinstance(own.rhs, TGround)
     quad = gen.by_function["Use.quad"]
     projs = [c for c in quad if isinstance(c.lhs, TProj) or isinstance(c.rhs, TProj)]
     # projections fold onto grounds when the callee type is annotated

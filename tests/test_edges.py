@@ -104,13 +104,16 @@ def test_cli_infer_unsat(capsys, tmp_path):
     assert doc["ok"] is False and "unsat" in doc
 
 
-def test_cli_infer_recheck_failure(capsys):
-    # fully annotated but ill-typed: nothing to infer, the recheck reports
+def test_cli_infer_ill_typed_annotation(capsys):
+    # fully annotated but ill-typed: the annotated body's own constraints
+    # are unsatisfiable, so infer reports an unsat blaming it
     code = main(["infer", p("leaky.pf"), "--json"])
     out = capsys.readouterr().out
     assert code == 1
     doc = json.loads(out)
-    assert doc["recheck_failures"] == ["A.bad"]
+    assert doc["ok"] is False and "functions" not in doc
+    assert doc["unsat"]["functions"] == ["A.bad"]
+    assert [c["function"] for c in doc["unsat"]["core"]] == ["A.bad"]
 
 
 def test_cli_bad_args_value(capsys):

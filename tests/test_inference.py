@@ -28,17 +28,15 @@ def test_a_checked_system_is_a_system():
 def test_annotations_echo_unchanged():
     csys = load("getsecret.pf")
     result = infer_system(csys)
-    assert result.ok
     (f,) = result.functions
     assert not f.inferred
     assert f.type == csys.fd["C.getsecret"].annotation
-    assert f.constraint_count == 0
+    assert f.constraint_count == 2  # its body's two assignments
 
 
 def test_mixed_annotations():
     csys = load("mixed_annot.pf")
     result = infer_system(csys)
-    assert result.ok
     by_name = {f.function: f for f in result.functions}
     assert not by_name["Lib.double"].inferred
     assert by_name["Use.quad"].inferred
@@ -61,11 +59,14 @@ def test_unsat_blames_involved_functions():
     assert set(exc.value.functions) <= {"A.f", "M.main"}
 
 
-def test_bad_annotation_surfaces_in_recheck():
+def test_ill_typed_annotated_body_is_unsat():
+    # the body's own constraints refute its annotation: the joint system
+    # has no solution, and the blame is the function that check rejects
     csys = load("leaky.pf")
-    result = infer_system(csys)
-    assert not result.ok
-    assert [v.function for v in result.recheck.verdicts if not v.ok] == ["A.bad"]
+    with pytest.raises(InferUnsat) as exc:
+        infer_system(csys)
+    assert exc.value.functions == ["A.bad"]
+    assert [owner for owner, _ in exc.value.core] == ["A.bad"]
 
 
 def test_intervals_reported_for_inferred_functions():
@@ -91,4 +92,4 @@ def test_nonmonotone_policy_inferred():
 def test_stage_timings_present():
     csys = load("getinfo.pf")
     result = infer_system(csys)
-    assert set(result.stage_timings) == {"generate", "solve", "recheck"}
+    assert set(result.stage_timings) == {"generate", "solve"}

@@ -201,7 +201,6 @@ def test_reinferred_annotation_rechecks():
 
     csys = load("getinfo.pf")
     result = infer_system(csys)
-    assert result.ok
     annotated = annotate(csys, result.types())
     assert check_system(annotated).ok
 
