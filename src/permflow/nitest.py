@@ -15,6 +15,18 @@ hidden valuation 1, hidden valuation 2): ``pairs_tested`` counts the pairs
 up to and including the witness (all d^|obs| * d^(2*|hidden|) of them when
 there is none), the fuel note counts the pairs with an exhausted side, and
 ``pair_cap`` bounds the full pair count.
+
+Cells share runs.  A run's outcome (its output, or running out of fuel)
+does not depend on the observer, and depends on the caller's permission
+set P only through ``P & T``, for T the permissions that the body's own
+``test`` commands read: the interpreter reads the caller's permissions
+only in ``test``, and a call runs its callee under its app's permissions.
+So all cells of one function read one store of outcomes per permission
+class ``P & T``, indexed by the environment, and run only what the store
+lacks: each (class, environment) runs at most once.  A function's stores
+hold at most ``STORE_SLOTS`` outcomes in all; the cells of a class that
+would not fit run unshared, and the stores are dropped when the function's
+cells are done.
 """
 
 from __future__ import annotations
@@ -22,12 +34,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 
-from .basetypes import BaseType, embed
 from .interp import DEFAULT_FUEL, ExecContext, Fuel, FuelExhausted, exec_cmd
+from .syntax import Test, subcommands
 from .system import CheckedSystem
 
 DEFAULT_PAIR_CAP = 10**6
+# run outcomes one function's stores hold at most, over all its permission classes
+STORE_SLOTS = 1 << 16
 
 
 @dataclass
@@ -78,29 +93,6 @@ class NIReport:
         return not self.violations
 
 
-def indistinguishable(
-    env1: dict[str, int],
-    env2: dict[str, int],
-    gamma: dict[str, BaseType],
-    observer: int,
-) -> bool:
-    """Environments agree on every variable whose type the observer bounds.
-
-    A variable is observable only when its type sits below the observer
-    level at *every* permission set; agreement means both defined and equal
-    or both undefined.
-    """
-    for name, t in gamma.items():
-        lat = t.lattice
-        bound = embed(observer, lat, t.nperms)
-        if t.leq(bound):
-            if (name in env1) != (name in env2):
-                return False
-            if name in env1 and env1[name] != env2[name]:
-                return False
-    return True
-
-
 def _observable_split(gamma, perms, observer):
     obs, hidden = [], []
     for name, t in gamma.items():
@@ -113,6 +105,11 @@ def _observable_split(gamma, perms, observer):
 
 def nitest_function(csys: CheckedSystem, qname: str, cfg: NIConfig) -> list[CellVerdict]:
     """One verdict per caller permission set for a single observer level."""
+    return _function_cells(csys, qname, (cfg,))
+
+
+def _function_cells(csys, qname, cfgs) -> list[CellVerdict]:
+    """The cells of ``qname`` for each config, which differ only in observer."""
     decl = csys.fd[qname]
     ft = decl.annotation
     if ft is None:
@@ -121,19 +118,57 @@ def nitest_function(csys: CheckedSystem, qname: str, cfg: NIConfig) -> list[Cell
     gamma[decl.ret_var] = ft.ret
 
     lat = csys.lattice
+    tested = 0  # the permissions that the body's own tests read
+    for c in subcommands(decl.body):
+        if isinstance(c, Test):
+            tested |= 1 << csys.universe.index(c.perm)
+    stores = {}  # permission class -> run outcome by environment slot
+    free = STORE_SLOTS
     cells = []
-    for perms in csys.universe.sets():
-        if not cfg.strict and not lat.leq(ft.ret.at(perms), cfg.observer):
-            cells.append(
-                CellVerdict(qname, perms, cfg.observer, 0, "skipped",
-                            note="return type not observable")
-            )
-            continue
-        cells.append(_test_cell(csys, qname, decl, gamma, perms, cfg))
+    for cfg in cfgs:
+        for perms in csys.universe.sets():
+            if not cfg.strict and not lat.leq(ft.ret.at(perms), cfg.observer):
+                cells.append(
+                    CellVerdict(qname, perms, cfg.observer, 0, "skipped",
+                                note="return type not observable")
+                )
+                continue
+            store = stores.get(perms & tested)
+            if store is None:
+                size = len(cfg.domain) ** len(gamma)
+                if size <= free:
+                    store = stores[perms & tested] = [None] * size
+                    free -= size
+                else:
+                    store = _UNSHARED
+            cells.append(_test_cell(csys, qname, decl, gamma, perms, cfg, store))
     return cells
 
 
-def _test_cell(csys, qname, decl, gamma, perms, cfg: NIConfig) -> CellVerdict:
+class _Unshared:
+    """The store of a class past the bound: it keeps nothing, every read misses."""
+
+    __slots__ = ()
+
+    def __getitem__(self, slot):
+        return None
+
+    def __setitem__(self, slot, outcome):
+        pass
+
+
+_UNSHARED = _Unshared()
+_EXHAUSTED = object()  # the outcome of a run that ran out of fuel
+
+
+def _slots(names, place, d):
+    """The store slot offset of each valuation of ``names``, in ``product`` order."""
+    weights = [place[name] for name in names]
+    for digits in product(range(d), repeat=len(names)):
+        yield sum(map(mul, digits, weights))
+
+
+def _test_cell(csys, qname, decl, gamma, perms, cfg: NIConfig, store) -> CellVerdict:
     obs, hidden = _observable_split(gamma, perms, cfg.observer)
     d = len(cfg.domain)
     pair_count = d ** len(obs) * d ** (2 * len(hidden))
@@ -148,17 +183,28 @@ def _test_cell(csys, qname, decl, gamma, perms, cfg: NIConfig) -> CellVerdict:
     # finished run, j the first finished run whose output differs from i's.
     # A run mutates its environment, so a witness's is rebuilt from its
     # valuation, in the same key order: observable, then hidden.
+    # An environment's store slot is its mixed-radix index over the domain
+    # positions, in declaration order: parameters, then the return variable.
     m = d ** len(hidden)
     tested = 0
     inconclusive = 0
     names = (*obs, *hidden)
-    for obs_vals in product(cfg.domain, repeat=len(obs)):
+    place = {name: d ** i for i, name in enumerate(reversed(gamma))}
+    offsets = list(_slots(hidden, place, d))
+    buckets = zip(_slots(obs, place, d), product(cfg.domain, repeat=len(obs)))
+    for base, obs_vals in buckets:
         first = None  # (index, hidden valuation, output) of the first finished run
         exhausted = 0
-        for j, hid in enumerate(product(cfg.domain, repeat=len(hidden))):
-            try:
-                out = _run(csys, decl, dict(zip(names, obs_vals + hid)), perms, cfg.fuel)
-            except FuelExhausted:
+        valuations = zip(offsets, product(cfg.domain, repeat=len(hidden)))
+        for j, (offset, hid) in enumerate(valuations):
+            out = store[base + offset]
+            if out is None:
+                try:
+                    out = _run(csys, decl, dict(zip(names, obs_vals + hid)), perms, cfg.fuel)
+                except FuelExhausted:
+                    out = _EXHAUSTED
+                store[base + offset] = out
+            if out is _EXHAUSTED:
                 exhausted += 1
                 continue
             if first is None:
@@ -201,7 +247,6 @@ def nitest_system(
     if observers is None:
         observers = tuple(range(len(csys.lattice)))
     for qname in csys.fd:
-        for obs in observers:
-            cfg = NIConfig(obs, domain, fuel, pair_cap, strict)
-            report.cells.extend(nitest_function(csys, qname, cfg))
+        cfgs = [NIConfig(obs, domain, fuel, pair_cap, strict) for obs in observers]
+        report.cells.extend(_function_cells(csys, qname, cfgs))
     return report

@@ -4,7 +4,9 @@ Runs both sides of every pair of environments that agree on the observable
 part, in (observable, hidden 1, hidden 2) order, and stops at the first pair
 whose outputs differ.  Used only as a test oracle for
 ``permflow.nitest._test_cell``, which runs each environment once and must
-report the same verdicts, counts and witnesses.
+report the same verdicts, counts and witnesses.  It takes the harness's
+store of shared run outcomes in the same place but never reads it: every
+run it compares, it makes itself.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from permflow.interp import FuelExhausted
 from permflow.nitest import CellVerdict, Violation, _observable_split, _run
 
 
-def pairwise_cell(csys, qname, decl, gamma, perms, cfg) -> CellVerdict:
+def pairwise_cell(csys, qname, decl, gamma, perms, cfg, store) -> CellVerdict:
     obs, hidden = _observable_split(gamma, perms, cfg.observer)
     d = len(cfg.domain)
     pair_count = d ** len(obs) * d ** (2 * len(hidden))

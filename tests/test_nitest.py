@@ -2,15 +2,10 @@ import os
 
 import pytest
 
-from permflow.basetypes import embed
+from permflow.basetypes import BaseType, embed
 from permflow.inference import annotate, infer_system
 from permflow.interp import ExecContext, Fuel, exec_cmd
-from permflow.nitest import (
-    NIConfig,
-    indistinguishable,
-    nitest_function,
-    nitest_system,
-)
+from permflow.nitest import NIConfig, nitest_function, nitest_system
 from permflow.parser import parse_system
 from permflow.system import validate_system
 
@@ -25,6 +20,29 @@ def load(name: str, with_types=False):
     if with_types and any(d.annotation is None for d in csys.fd.values()):
         csys = annotate(csys, infer_system(csys).types())
     return csys
+
+
+def indistinguishable(
+    env1: dict[str, int],
+    env2: dict[str, int],
+    gamma: dict[str, BaseType],
+    observer: int,
+) -> bool:
+    """Environments agree on every variable whose type the observer bounds.
+
+    A variable is observable only when its type sits below the observer
+    level at *every* permission set; agreement means both defined and equal
+    or both undefined.
+    """
+    for name, t in gamma.items():
+        lat = t.lattice
+        bound = embed(observer, lat, t.nperms)
+        if t.leq(bound):
+            if (name in env1) != (name in env2):
+                return False
+            if name in env1 and env1[name] != env2[name]:
+                return False
+    return True
 
 
 def test_indistinguishable_only_observable_vars_matter(two_point):

@@ -1,13 +1,16 @@
 """The bucketed NI harness against its pairwise reference, and its cost.
 
 ``nitest._test_cell`` runs each environment once per bucket of equal
-observable parts; ``tests/pairwise.py`` runs both sides of every pair.
-Both must give field-for-field equal cells: verdicts, pair counts, fuel
-notes and witnesses, down to the key order of the witness environments.
+observable parts, and reads runs that another cell of the function made in
+the same permission class from a shared store; ``tests/pairwise.py`` runs
+both sides of every pair.  Both must give field-for-field equal cells:
+verdicts, pair counts, fuel notes and witnesses, down to the key order of
+the witness environments.
 """
 
 import random
 from dataclasses import replace
+from itertools import islice, product
 
 import pytest
 
@@ -23,15 +26,65 @@ from .pairwise import pairwise_cell
 from .progen import _Gen
 
 
+def _counting(calls):
+    """``nitest.exec_cmd``, counting its calls: a traced run's interpreter runs."""
+    real = nitest.exec_cmd
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+    return counting
+
+
 def _bucketed_matching_pairwise(monkeypatch, csys, **kwargs):
-    """The harness's cells, checked against the pairwise reference's."""
-    cells = nitest_system(csys, **kwargs).cells
+    """The harness's cells, checked against the pairwise reference's, and
+    the number of interpreter runs the harness made."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(nitest, "exec_cmd", _counting(calls))
+        cells = nitest_system(csys, **kwargs).cells
     with monkeypatch.context() as m:
         m.setattr(nitest, "_test_cell", pairwise_cell)
         reference = nitest_system(csys, **kwargs).cells
     # reprs show the key order of the witness environments too
     assert [repr(c) for c in cells] == [repr(c) for c in reference]
-    return cells
+    return cells, len(calls)
+
+
+def _visited(csys, cell, domain):
+    """The environments a cell runs when no run exhausts its fuel, as
+    valuations in declaration order: parameters, then the return variable."""
+    decl = csys.fd[cell.function]
+    gamma = dict(zip(decl.params, decl.annotation.params))
+    gamma[decl.ret_var] = decl.annotation.ret
+    obs, hidden = nitest._observable_split(gamma, cell.perms, cell.observer)
+    d = len(domain)
+    m = d ** len(hidden)
+    if cell.verdict == "ok":
+        count = d ** len(gamma)
+    elif cell.verdict == "violation":
+        # the witness pairs run 0 of bucket b with run j: the cell stopped
+        # after b * m + j + 1 runs
+        b, j = divmod(cell.pairs_tested - 1, m * m)
+        count = b * m + j + 1
+    else:
+        assert cell.verdict == "skipped"
+        count = 0
+    names = (*obs, *hidden)
+    for vals in islice(product(domain, repeat=len(names)), count):
+        env = dict(zip(names, vals))
+        yield tuple(env[name] for name in gamma)
+
+
+def _shared_runs(csys, cells, domain, tested):
+    """The distinct (function, permission class, environment) the cells
+    visit; ``tested`` maps each function to the permissions its body tests."""
+    return len({(c.function, c.perms & tested[c.function], env)
+                for c in cells for env in _visited(csys, c, domain)})
+
+
+def _unshared_runs(csys, cells, domain):
+    return sum(1 for c in cells for _ in _visited(csys, c, domain))
 
 
 def _randomly_annotated(rnd):
@@ -54,14 +107,17 @@ def _randomly_annotated(rnd):
 
 @pytest.mark.parametrize("domain", [(0, 1), (0, 1, 2)], ids=["0..1", "0..2"])
 def test_generated_systems_match_pairwise(monkeypatch, domain):
-    rnd = random.Random(SEED + 40 + len(domain))
     verdicts = set()
-    for _ in range(60):
-        csys = _randomly_annotated(rnd)
-        for fuel in (DEFAULT_FUEL, 12):
-            cells = _bucketed_matching_pairwise(monkeypatch, csys, domain=domain,
-                                                fuel=fuel, strict=True)
-            verdicts |= {c.verdict for c in cells}
+    # a bound of one slot leaves every permission class unshared
+    for slots in (nitest.STORE_SLOTS, 1):
+        monkeypatch.setattr(nitest, "STORE_SLOTS", slots)
+        rnd = random.Random(SEED + 40 + len(domain))
+        for _ in range(60):
+            csys = _randomly_annotated(rnd)
+            for fuel in (DEFAULT_FUEL, 12):
+                cells, _ = _bucketed_matching_pairwise(
+                    monkeypatch, csys, domain=domain, fuel=fuel, strict=True)
+                verdicts |= {c.verdict for c in cells}
     assert {"ok", "violation", "inconclusive"} <= verdicts
 
 
@@ -85,11 +141,20 @@ app A perms {} {
 
 def test_fuel_sweep_on_hidden_loop_matches_pairwise(monkeypatch):
     csys = validate_system(parse_system(HIDDEN_LOOP))
+    L, H = csys.lattice.level("L"), csys.lattice.level("H")
     cells = []
-    for fuel in range(0, 60):
-        for domain in ((0, 1), (0, 1, 2)):
-            cells += _bucketed_matching_pairwise(monkeypatch, csys,
-                                                 domain=domain, fuel=fuel)
+    for slots in (nitest.STORE_SLOTS, 1):
+        monkeypatch.setattr(nitest, "STORE_SLOTS", slots)
+        for fuel in range(0, 60):
+            for domain in ((0, 1), (0, 1, 2)):
+                sweep, runs = _bucketed_matching_pairwise(
+                    monkeypatch, csys, observers=(L, H), domain=domain, fuel=fuel)
+                cells += sweep
+                # the H observer sees every variable, so its cells visit
+                # every environment; with the store, the runs of the L
+                # cells, exhausted ones included, are not made again
+                if slots > 1:
+                    assert runs == len(domain) ** 4
     # partly exhausted buckets: some pairs ran out of fuel, others finished
     assert any(c.verdict == "inconclusive"
                and 0 < int(c.note.split()[0]) < c.pairs_tested for c in cells)
@@ -109,26 +174,26 @@ app A perms {} {
 
 
 def test_one_interpreter_run_per_environment(monkeypatch):
+    # The body tests no permission, so both permission sets and both
+    # observers share one store: each environment runs once in all.
     csys = validate_system(parse_system(WIDE))
     calls = []
-    real = nitest.exec_cmd
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(nitest, "exec_cmd", counting)
+    monkeypatch.setattr(nitest, "exec_cmd", _counting(calls))
     L = csys.lattice.level("L")
     domain = (0, 1, 2)
-    cells = nitest_function(csys, "A.f", NIConfig(L, domain))
-    tested = [c for c in cells if c.verdict != "skipped"]
-    assert all(c.verdict == "ok" for c in tested)
-    cell = next(c for c in cells if c.perms == 0)
-    assert cell in tested
-    obs, hidden = 3, 3  # a, b and the return variable r; h1, h2, h3
+    cells = nitest_system(csys, domain=domain).cells
+    assert len(cells) == 4 and all(c.verdict == "ok" for c in cells)
     d = len(domain)
-    assert len(calls) == len(tested) * d ** (obs + hidden)
+    assert len(calls) == d ** 6 == 729
+    cell = next(c for c in cells if c.perms == 0 and c.observer == L)
+    obs, hidden = 3, 3  # a, b and the return variable r; h1, h2, h3
     assert cell.pairs_tested == d ** obs * d ** (2 * hidden)
+
+    # nitest_function alone shares across its own cells too
+    calls.clear()
+    cells = nitest_function(csys, "A.f", NIConfig(L, domain))
+    assert [c.verdict for c in cells] == ["ok", "ok"]
+    assert len(calls) == 729
 
 
 # The ni-grid benchmark's shape: 2 L and 3 H parameters, a loop, a test,
@@ -156,34 +221,80 @@ app N perms {p} {
 
 def test_one_interpreter_call_per_predicted_run(monkeypatch):
     # A traced run counts the calls of nitest.exec_cmd as interpreter runs,
-    # so there must be one per run that the bucket math predicts.
+    # so there must be one per (permission class, environment) that the
+    # cells visit: N.safe tests p, so its P={} and P={p} cells do not share.
     csys = validate_system(parse_system(NI_GRID))
     calls = []
-    real = nitest.exec_cmd
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(nitest, "exec_cmd", counting)
+    monkeypatch.setattr(nitest, "exec_cmd", _counting(calls))
     domain = range(0, 3)
-    d = len(domain)
     cells = nitest_system(csys, domain=domain).cells
-    predicted = 0
-    for cell in cells:
-        decl = csys.fd[cell.function]
-        gamma = dict(zip(decl.params, decl.annotation.params))
-        gamma[decl.ret_var] = decl.annotation.ret
-        obs, hidden = nitest._observable_split(gamma, cell.perms, cell.observer)
-        m = d ** len(hidden)
-        if cell.verdict == "ok":
-            predicted += d ** (len(obs) + len(hidden))
-        elif cell.verdict == "violation":
-            # no run runs out of fuel, so the witness pairs run 0 of bucket
-            # b with run j: the cell stopped after b * m + j + 1 runs
-            b, j = divmod(cell.pairs_tested - 1, m * m)
-            predicted += b * m + j + 1
-        else:
-            assert cell.verdict == "skipped"
     assert {c.verdict for c in cells} == {"ok", "violation", "skipped"}
-    assert len(calls) == predicted
+    tested = {"N.safe": 0b1, "N.leak": 0}
+    assert len(calls) == _shared_runs(csys, cells, domain, tested) == 2187
+    assert _unshared_runs(csys, cells, domain) == 3653
+
+    # past the store bound every cell runs all it visits itself
+    monkeypatch.setattr(nitest, "STORE_SLOTS", 1)
+    calls.clear()
+    assert nitest_system(csys, domain=domain).cells == cells
+    assert len(calls) == 3653
+
+    # a bound of one store per function: the first class tested in each
+    # function shares its runs, any other class of that function does not
+    monkeypatch.setattr(nitest, "STORE_SLOTS", len(domain) ** 6)
+    calls.clear()
+    cells = nitest_system(csys, domain=domain, strict=True).cells
+    stored = {}
+    for c in cells:
+        stored.setdefault(c.function, c.perms & tested[c.function])
+    in_store = [c for c in cells if c.perms & tested[c.function] == stored[c.function]]
+    rest = [c for c in cells if c not in in_store]
+    assert {c.function for c in rest} == {"N.safe"}
+    assert len(calls) == (_shared_runs(csys, in_store, domain, tested)
+                          + _unshared_runs(csys, rest, domain))
+
+
+# A.g's nested tests over p and q split its classes into four.  Called from
+# B, A.g runs under B's permissions whatever the caller of B.f or B.k
+# holds, so its tests split no class of theirs; B.f's own test of q does.
+CALLS_AND_NESTED_TESTS = """lattice { levels L, H; order L < H; }
+permissions { p, q }
+app A perms {p} {
+  fun g(x : L, h : H) : { {p}: H, {p, q}: H, _: L } {
+    init r = 0 in {
+      test(p) { test(q) r := h else r := x } else r := x;
+      return r
+    }
+  }
+}
+app B perms {p, q} {
+  fun f(x : L, h : H) : { {q}: H, {p, q}: H, _: L } {
+    init r = 0 in {
+      r := call A.g(x, h);
+      letvar i = 0 in { while i < 1 do { test(q) r := r + h else r := r; i := i + 1 } };
+      return r
+    }
+  }
+  fun k(x : L, h : H) : L {
+    init r = 0 in { r := call A.g(h, x); return r }
+  }
+}
+"""
+
+
+def test_callee_tests_do_not_split_classes(monkeypatch):
+    csys = validate_system(parse_system(CALLS_AND_NESTED_TESTS))
+    domain = (0, 1, 2)
+    cells, runs = _bucketed_matching_pairwise(monkeypatch, csys, domain=domain,
+                                              strict=True)
+    assert {c.verdict for c in cells} == {"ok", "violation"}
+    # g's classes are the four sets over {p, q}, f's are {} and {q}, and k,
+    # which tests nothing, has one
+    tested = {"A.g": 0b11, "B.f": 0b10, "B.k": 0}
+    assert runs == _shared_runs(csys, cells, domain, tested)
+
+    monkeypatch.setattr(nitest, "STORE_SLOTS", 1)
+    unshared, runs = _bucketed_matching_pairwise(monkeypatch, csys, domain=domain,
+                                                 strict=True)
+    assert unshared == cells
+    assert runs == _unshared_runs(csys, cells, domain)
