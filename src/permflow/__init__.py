@@ -29,7 +29,7 @@ from .lattice import (
     UnknownLevelName,
     load_lattice,
 )
-from .nitest import NIConfig, NIReport, Violation, nitest_function, nitest_system
+from .nitest import NIReport, Violation, nitest_system
 from .oracle import OracleUnsat, oracle_solve
 from .parser import ParseError, parse_system
 from .solver import (
@@ -59,7 +59,7 @@ __all__ = [
     "DEFAULT_FUEL", "FuelExhausted", "call_function", "exec_cmd",
     "CycleInOrder", "Lattice", "LatticeError", "NotALattice",
     "UnknownLevelName", "load_lattice",
-    "NIConfig", "NIReport", "Violation", "nitest_function", "nitest_system",
+    "NIReport", "Violation", "nitest_system",
     "OracleUnsat", "oracle_solve",
     "ParseError", "parse_system",
     "Interval", "UnsatError", "decompose", "merge_bounds", "saturate",

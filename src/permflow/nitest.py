@@ -21,12 +21,9 @@ does not depend on the observer, and depends on the caller's permission
 set P only through ``P & T``, for T the permissions that the body's own
 ``test`` commands read: the interpreter reads the caller's permissions
 only in ``test``, and a call runs its callee under its app's permissions.
-So all cells of one function read one store of outcomes per permission
-class ``P & T``, indexed by the environment, and run only what the store
-lacks: each (class, environment) runs at most once.  A function's stores
-hold at most ``STORE_SLOTS`` outcomes in all; the cells of a class that
-would not fit run unshared, and the stores are dropped when the function's
-cells are done.
+So a function's cells are computed one permission class ``P & T`` at a
+time, and the cells of a class read one store of the outcomes of the runs
+they made: each (class, environment) runs at most once.
 """
 
 from __future__ import annotations
@@ -41,28 +38,10 @@ from .syntax import Test, subcommands
 from .system import CheckedSystem
 
 DEFAULT_PAIR_CAP = 10**6
-# run outcomes one function's stores hold at most, over all its permission classes
-STORE_SLOTS = 1 << 16
-
-
-@dataclass
-class NIConfig:
-    observer: int  # level id
-    domain: Sequence[int] = (0, 1, 2)
-    fuel: int = DEFAULT_FUEL
-    pair_cap: int = DEFAULT_PAIR_CAP
-    strict: bool = False  # also test cells whose return type is unobservable
-
-    def __post_init__(self):
-        if len(self.domain) < 2:
-            raise ValueError("domain must offer at least two values")
 
 
 @dataclass
 class Violation:
-    function: str
-    perms: int
-    observer: int
     env1: dict[str, int]
     env2: dict[str, int]
     out1: int
@@ -103,13 +82,8 @@ def _observable_split(gamma, perms, observer):
     return obs, hidden
 
 
-def nitest_function(csys: CheckedSystem, qname: str, cfg: NIConfig) -> list[CellVerdict]:
-    """One verdict per caller permission set for a single observer level."""
-    return _function_cells(csys, qname, (cfg,))
-
-
-def _function_cells(csys, qname, cfgs) -> list[CellVerdict]:
-    """The cells of ``qname`` for each config, which differ only in observer."""
+def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
+    """The cells of ``qname``, observer-major, then permission set ascending."""
     decl = csys.fd[qname]
     ft = decl.annotation
     if ft is None:
@@ -117,47 +91,28 @@ def _function_cells(csys, qname, cfgs) -> list[CellVerdict]:
     gamma = dict(zip(decl.params, ft.params))
     gamma[decl.ret_var] = ft.ret
 
-    lat = csys.lattice
     tested = 0  # the permissions that the body's own tests read
     for c in subcommands(decl.body):
         if isinstance(c, Test):
             tested |= 1 << csys.universe.index(c.perm)
-    stores = {}  # permission class -> run outcome by environment slot
-    free = STORE_SLOTS
-    cells = []
-    for cfg in cfgs:
-        for perms in csys.universe.sets():
-            if not cfg.strict and not lat.leq(ft.ret.at(perms), cfg.observer):
-                cells.append(
-                    CellVerdict(qname, perms, cfg.observer, 0, "skipped",
-                                note="return type not observable")
-                )
-                continue
-            store = stores.get(perms & tested)
-            if store is None:
-                size = len(cfg.domain) ** len(gamma)
-                if size <= free:
-                    store = stores[perms & tested] = [None] * size
-                    free -= size
+    classes = {}  # permission class -> its permission sets
+    for perms in csys.universe.sets():
+        classes.setdefault(perms & tested, []).append(perms)
+    cells = {}
+    for members in classes.values():
+        store = {}  # environment slot -> outcome of a run this class made
+        for observer in observers:
+            for perms in members:
+                if strict or csys.lattice.leq(ft.ret.at(perms), observer):
+                    cell = _test_cell(csys, qname, decl, gamma, perms, observer,
+                                      domain, fuel, pair_cap, store)
                 else:
-                    store = _UNSHARED
-            cells.append(_test_cell(csys, qname, decl, gamma, perms, cfg, store))
-    return cells
+                    cell = CellVerdict(qname, perms, observer, 0, "skipped",
+                                       note="return type not observable")
+                cells[observer, perms] = cell
+    return [cells[o, perms] for o in observers for perms in csys.universe.sets()]
 
 
-class _Unshared:
-    """The store of a class past the bound: it keeps nothing, every read misses."""
-
-    __slots__ = ()
-
-    def __getitem__(self, slot):
-        return None
-
-    def __setitem__(self, slot, outcome):
-        pass
-
-
-_UNSHARED = _Unshared()
 _EXHAUSTED = object()  # the outcome of a run that ran out of fuel
 
 
@@ -168,14 +123,15 @@ def _slots(names, place, d):
         yield sum(map(mul, digits, weights))
 
 
-def _test_cell(csys, qname, decl, gamma, perms, cfg: NIConfig, store) -> CellVerdict:
-    obs, hidden = _observable_split(gamma, perms, cfg.observer)
-    d = len(cfg.domain)
+def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap,
+               store) -> CellVerdict:
+    obs, hidden = _observable_split(gamma, perms, observer)
+    d = len(domain)
     pair_count = d ** len(obs) * d ** (2 * len(hidden))
-    if pair_count > cfg.pair_cap:
+    if pair_count > pair_cap:
         return CellVerdict(
-            qname, perms, cfg.observer, 0, "inconclusive",
-            note=f"{pair_count} pairs exceed the cap of {cfg.pair_cap}",
+            qname, perms, observer, 0, "inconclusive",
+            note=f"{pair_count} pairs exceed the cap of {pair_cap}",
         )
 
     # A bucket's pairs, taken in (hid1, hid2) order and skipping those with
@@ -191,16 +147,16 @@ def _test_cell(csys, qname, decl, gamma, perms, cfg: NIConfig, store) -> CellVer
     names = (*obs, *hidden)
     place = {name: d ** i for i, name in enumerate(reversed(gamma))}
     offsets = list(_slots(hidden, place, d))
-    buckets = zip(_slots(obs, place, d), product(cfg.domain, repeat=len(obs)))
+    buckets = zip(_slots(obs, place, d), product(domain, repeat=len(obs)))
     for base, obs_vals in buckets:
         first = None  # (index, hidden valuation, output) of the first finished run
         exhausted = 0
-        valuations = zip(offsets, product(cfg.domain, repeat=len(hidden)))
+        valuations = zip(offsets, product(domain, repeat=len(hidden)))
         for j, (offset, hid) in enumerate(valuations):
-            out = store[base + offset]
+            out = store.get(base + offset)
             if out is None:
                 try:
-                    out = _run(csys, decl, dict(zip(names, obs_vals + hid)), perms, cfg.fuel)
+                    out = _run(csys, decl, dict(zip(names, obs_vals + hid)), perms, fuel)
                 except FuelExhausted:
                     out = _EXHAUSTED
                 store[base + offset] = out
@@ -215,17 +171,17 @@ def _test_cell(csys, qname, decl, gamma, perms, cfg: NIConfig, store) -> CellVer
                 env1 = low | dict(zip(hidden, hid1))
                 env2 = low | dict(zip(hidden, hid))
                 return CellVerdict(
-                    qname, perms, cfg.observer, tested + i * m + j + 1, "violation",
-                    witness=Violation(qname, perms, cfg.observer, env1, env2, out1, out),
+                    qname, perms, observer, tested + i * m + j + 1, "violation",
+                    witness=Violation(env1, env2, out1, out),
                 )
         tested += m * m
         inconclusive += m * m - (m - exhausted) ** 2
     if inconclusive:
         return CellVerdict(
-            qname, perms, cfg.observer, tested, "inconclusive",
+            qname, perms, observer, tested, "inconclusive",
             note=f"{inconclusive} pair(s) ran out of fuel",
         )
-    return CellVerdict(qname, perms, cfg.observer, tested, "ok")
+    return CellVerdict(qname, perms, observer, tested, "ok")
 
 
 def _run(csys, decl, env: dict[str, int], perms: int, fuel: int) -> int:
@@ -242,11 +198,13 @@ def nitest_system(
     pair_cap: int = DEFAULT_PAIR_CAP,
     strict: bool = False,
 ) -> NIReport:
-    """Test every function over a grid of observers and caller permissions."""
-    report = NIReport()
+    """Test every function over a grid of observers and caller permissions;
+    ``strict`` also tests the cells whose return type is unobservable."""
+    if len(domain) < 2:
+        raise ValueError("domain must offer at least two values")
     if observers is None:
         observers = tuple(range(len(csys.lattice)))
+    cells = []
     for qname in csys.fd:
-        cfgs = [NIConfig(obs, domain, fuel, pair_cap, strict) for obs in observers]
-        report.cells.extend(_function_cells(csys, qname, cfgs))
-    return report
+        cells += _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict)
+    return NIReport(cells)

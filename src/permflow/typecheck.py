@@ -17,7 +17,6 @@ the only variables.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .basetypes import BaseType
@@ -125,12 +124,10 @@ def check_function(csys: CheckedSystem, qname: str) -> TypeViolation | None:
     return None if refuted is None else _violation(*refuted, locals_, csys, qname)
 
 
-def check_system(csys: CheckedSystem,
-                 functions: Iterable[str] | None = None) -> CheckReport:
-    """Check the named functions (by default every function) against the
-    annotations, in the order given (declaration order by default)."""
+def check_system(csys: CheckedSystem) -> CheckReport:
+    """Check every function against the annotations, in declaration order."""
     report = CheckReport()
-    for qname in csys.fd if functions is None else functions:
+    for qname in csys.fd:
         err = check_function(csys, qname)
         report.verdicts.append(FunctionVerdict(qname, err is None, err))
     return report

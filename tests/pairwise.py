@@ -17,36 +17,37 @@ from permflow.interp import FuelExhausted
 from permflow.nitest import CellVerdict, Violation, _observable_split, _run
 
 
-def pairwise_cell(csys, qname, decl, gamma, perms, cfg, store) -> CellVerdict:
-    obs, hidden = _observable_split(gamma, perms, cfg.observer)
-    d = len(cfg.domain)
+def pairwise_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap,
+                  store) -> CellVerdict:
+    obs, hidden = _observable_split(gamma, perms, observer)
+    d = len(domain)
     pair_count = d ** len(obs) * d ** (2 * len(hidden))
-    if pair_count > cfg.pair_cap:
+    if pair_count > pair_cap:
         return CellVerdict(
-            qname, perms, cfg.observer, 0, "inconclusive",
-            note=f"{pair_count} pairs exceed the cap of {cfg.pair_cap}",
+            qname, perms, observer, 0, "inconclusive",
+            note=f"{pair_count} pairs exceed the cap of {pair_cap}",
         )
     tested = inconclusive = 0
-    for obs_vals in product(cfg.domain, repeat=len(obs)):
-        for hid1 in product(cfg.domain, repeat=len(hidden)):
-            for hid2 in product(cfg.domain, repeat=len(hidden)):
+    for obs_vals in product(domain, repeat=len(obs)):
+        for hid1 in product(domain, repeat=len(hidden)):
+            for hid2 in product(domain, repeat=len(hidden)):
                 env1 = dict(zip(obs, obs_vals)) | dict(zip(hidden, hid1))
                 env2 = dict(zip(obs, obs_vals)) | dict(zip(hidden, hid2))
                 tested += 1
                 try:
-                    out1 = _run(csys, decl, dict(env1), perms, cfg.fuel)
-                    out2 = _run(csys, decl, dict(env2), perms, cfg.fuel)
+                    out1 = _run(csys, decl, dict(env1), perms, fuel)
+                    out2 = _run(csys, decl, dict(env2), perms, fuel)
                 except FuelExhausted:
                     inconclusive += 1
                     continue
                 if out1 != out2:
                     return CellVerdict(
-                        qname, perms, cfg.observer, tested, "violation",
-                        witness=Violation(qname, perms, cfg.observer, env1, env2, out1, out2),
+                        qname, perms, observer, tested, "violation",
+                        witness=Violation(env1, env2, out1, out2),
                     )
     if inconclusive:
         return CellVerdict(
-            qname, perms, cfg.observer, tested, "inconclusive",
+            qname, perms, observer, tested, "inconclusive",
             note=f"{inconclusive} pair(s) ran out of fuel",
         )
-    return CellVerdict(qname, perms, cfg.observer, tested, "ok")
+    return CellVerdict(qname, perms, observer, tested, "ok")

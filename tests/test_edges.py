@@ -153,11 +153,11 @@ def test_cli_check_human_witness_line(capsys):
 
 
 def test_nitest_requires_a_type():
-    from permflow.nitest import NIConfig, nitest_function
+    from permflow.nitest import nitest_system
 
     csys = validate_system(parse_system(open(p("getinfo.pf")).read()))
-    with pytest.raises(ValueError):
-        nitest_function(csys, "Tracker.getInfo", NIConfig(observer=0))
+    with pytest.raises(ValueError, match="getInfo has no declared or inferred type"):
+        nitest_system(csys, observers=(0,))
 
 
 def test_nitest_single_config_grid():

@@ -1,11 +1,11 @@
 """Byte-identity of the CLI on the corpus.
 
 For every ``programs/*.pf`` and each of ``infer --json``, ``check --json``,
-``fmt`` and ``nitest --json``, the stdout, stderr and exit code of the
-in-process ``cli.main`` must equal the recorded ones in
-``golden_cli.json``; so must the exit code of ``infer --emit-annotated`` and
-the text of the file it writes (``null`` when it writes none). Regenerate
-the file only for an intended output change, with
+``fmt``, ``nitest --json`` and ``nitest --json --strict``, the stdout,
+stderr and exit code of the in-process ``cli.main`` must equal the recorded
+ones in ``golden_cli.json``; so must the exit code of ``infer
+--emit-annotated`` and the text of the file it writes (``null`` when it
+writes none). Regenerate the file only for an intended output change, with
 ``PYTHONPATH=src python -m tests.test_golden_cli``.
 """
 
@@ -24,6 +24,7 @@ COMMANDS = (
     ("check", "--json"),
     ("fmt",),
     ("nitest", "--json"),
+    ("nitest", "--json", "--strict"),
 )
 
 

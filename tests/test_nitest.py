@@ -5,7 +5,7 @@ import pytest
 from permflow.basetypes import BaseType, embed
 from permflow.inference import annotate, infer_system
 from permflow.interp import ExecContext, Fuel, exec_cmd
-from permflow.nitest import NIConfig, nitest_function, nitest_system
+from permflow.nitest import nitest_system
 from permflow.parser import parse_system
 from permflow.system import validate_system
 
@@ -150,8 +150,7 @@ def test_promotion_stability_under_projection(rng, two_point):
 
 def test_leaky_function_yields_violation(two_point):
     csys = load("leaky.pf")
-    cfg = NIConfig(observer=csys.lattice.level("L"))
-    cells = nitest_function(csys, "A.bad", cfg)
+    cells = nitest_system(csys, observers=(csys.lattice.level("L"),)).cells
     bad = [c for c in cells if c.verdict == "violation"]
     assert bad, cells
     w = bad[0].witness
@@ -160,12 +159,12 @@ def test_leaky_function_yields_violation(two_point):
 
 def test_violation_witness_replays(two_point):
     csys = load("leaky.pf")
-    cfg = NIConfig(observer=csys.lattice.level("L"))
-    cell = next(c for c in nitest_function(csys, "A.bad", cfg) if c.witness)
+    report = nitest_system(csys, observers=(csys.lattice.level("L"),))
+    cell = next(c for c in report.cells if c.witness)
     w = cell.witness
     decl = csys.fd["A.bad"]
     for env, expected in ((dict(w.env1), w.out1), (dict(w.env2), w.out2)):
-        exec_cmd(env, ExecContext(decl.app, w.perms, Fuel(10**6)), decl.body, csys)
+        exec_cmd(env, ExecContext(decl.app, cell.perms, Fuel(10**6)), decl.body, csys)
         assert env[decl.ret_var] == expected
 
 
@@ -196,10 +195,10 @@ def test_unsound_table_detected():
 def test_skip_gate_and_strict_mode():
     csys = load("getsecret.pf")
     L = csys.lattice.level("L")
-    gated = nitest_function(csys, "C.getsecret", NIConfig(observer=L))
+    gated = nitest_system(csys, observers=(L,)).cells
     skipped = [c for c in gated if c.verdict == "skipped"]
     assert skipped and skipped[0].perms == 0b1  # H return not L-observable
-    strict = nitest_function(csys, "C.getsecret", NIConfig(observer=L, strict=True))
+    strict = nitest_system(csys, observers=(L,), strict=True).cells
     assert all(c.verdict == "ok" for c in strict)
 
 
@@ -212,23 +211,21 @@ app A perms {} {
 }
 """
     csys = validate_system(parse_system(src))
-    cfg = NIConfig(observer=csys.lattice.level("L"), fuel=40)
-    cells = nitest_function(csys, "A.spin", cfg)
+    cells = nitest_system(csys, observers=(csys.lattice.level("L"),), fuel=40).cells
     assert any(c.verdict == "inconclusive" for c in cells)
     assert not any(c.verdict == "violation" for c in cells)
 
 
 def test_pair_cap_is_explicit():
     csys = load("leaky.pf")
-    cfg = NIConfig(observer=csys.lattice.level("L"), pair_cap=3)
-    cells = nitest_function(csys, "A.bad", cfg)
+    cells = nitest_system(csys, observers=(csys.lattice.level("L"),), pair_cap=3).cells
     assert all(c.verdict == "inconclusive" for c in cells)
     assert "cap" in cells[0].note
 
 
 def test_domain_needs_two_values():
-    with pytest.raises(ValueError):
-        NIConfig(observer=0, domain=(1,))
+    with pytest.raises(ValueError, match="domain must offer at least two values"):
+        nitest_system(load("leaky.pf"), domain=(1,))
 
 
 def test_empty_system_ok():

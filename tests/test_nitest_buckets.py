@@ -17,7 +17,7 @@ import pytest
 from permflow import nitest
 from permflow.basetypes import BaseType, FunctionType
 from permflow.interp import DEFAULT_FUEL
-from permflow.nitest import NIConfig, nitest_function, nitest_system
+from permflow.nitest import nitest_system
 from permflow.parser import parse_system
 from permflow.system import validate_system
 
@@ -108,16 +108,13 @@ def _randomly_annotated(rnd):
 @pytest.mark.parametrize("domain", [(0, 1), (0, 1, 2)], ids=["0..1", "0..2"])
 def test_generated_systems_match_pairwise(monkeypatch, domain):
     verdicts = set()
-    # a bound of one slot leaves every permission class unshared
-    for slots in (nitest.STORE_SLOTS, 1):
-        monkeypatch.setattr(nitest, "STORE_SLOTS", slots)
-        rnd = random.Random(SEED + 40 + len(domain))
-        for _ in range(60):
-            csys = _randomly_annotated(rnd)
-            for fuel in (DEFAULT_FUEL, 12):
-                cells, _ = _bucketed_matching_pairwise(
-                    monkeypatch, csys, domain=domain, fuel=fuel, strict=True)
-                verdicts |= {c.verdict for c in cells}
+    rnd = random.Random(SEED + 40 + len(domain))
+    for _ in range(60):
+        csys = _randomly_annotated(rnd)
+        for fuel in (DEFAULT_FUEL, 12):
+            cells, _ = _bucketed_matching_pairwise(
+                monkeypatch, csys, domain=domain, fuel=fuel, strict=True)
+            verdicts |= {c.verdict for c in cells}
     assert {"ok", "violation", "inconclusive"} <= verdicts
 
 
@@ -143,18 +140,15 @@ def test_fuel_sweep_on_hidden_loop_matches_pairwise(monkeypatch):
     csys = validate_system(parse_system(HIDDEN_LOOP))
     L, H = csys.lattice.level("L"), csys.lattice.level("H")
     cells = []
-    for slots in (nitest.STORE_SLOTS, 1):
-        monkeypatch.setattr(nitest, "STORE_SLOTS", slots)
-        for fuel in range(0, 60):
-            for domain in ((0, 1), (0, 1, 2)):
-                sweep, runs = _bucketed_matching_pairwise(
-                    monkeypatch, csys, observers=(L, H), domain=domain, fuel=fuel)
-                cells += sweep
-                # the H observer sees every variable, so its cells visit
-                # every environment; with the store, the runs of the L
-                # cells, exhausted ones included, are not made again
-                if slots > 1:
-                    assert runs == len(domain) ** 4
+    for fuel in range(0, 60):
+        for domain in ((0, 1), (0, 1, 2)):
+            sweep, runs = _bucketed_matching_pairwise(
+                monkeypatch, csys, observers=(L, H), domain=domain, fuel=fuel)
+            cells += sweep
+            # the H observer sees every variable, so its cells visit every
+            # environment; with the store, the runs of the L cells,
+            # exhausted ones included, are not made again
+            assert runs == len(domain) ** 4
     # partly exhausted buckets: some pairs ran out of fuel, others finished
     assert any(c.verdict == "inconclusive"
                and 0 < int(c.note.split()[0]) < c.pairs_tested for c in cells)
@@ -189,9 +183,9 @@ def test_one_interpreter_run_per_environment(monkeypatch):
     obs, hidden = 3, 3  # a, b and the return variable r; h1, h2, h3
     assert cell.pairs_tested == d ** obs * d ** (2 * hidden)
 
-    # nitest_function alone shares across its own cells too
+    # one observer's cells share across permission sets too
     calls.clear()
-    cells = nitest_function(csys, "A.f", NIConfig(L, domain))
+    cells = nitest_system(csys, observers=(L,), domain=domain).cells
     assert [c.verdict for c in cells] == ["ok", "ok"]
     assert len(calls) == 729
 
@@ -231,27 +225,8 @@ def test_one_interpreter_call_per_predicted_run(monkeypatch):
     assert {c.verdict for c in cells} == {"ok", "violation", "skipped"}
     tested = {"N.safe": 0b1, "N.leak": 0}
     assert len(calls) == _shared_runs(csys, cells, domain, tested) == 2187
+    # without the stores, every cell would run all it visits itself
     assert _unshared_runs(csys, cells, domain) == 3653
-
-    # past the store bound every cell runs all it visits itself
-    monkeypatch.setattr(nitest, "STORE_SLOTS", 1)
-    calls.clear()
-    assert nitest_system(csys, domain=domain).cells == cells
-    assert len(calls) == 3653
-
-    # a bound of one store per function: the first class tested in each
-    # function shares its runs, any other class of that function does not
-    monkeypatch.setattr(nitest, "STORE_SLOTS", len(domain) ** 6)
-    calls.clear()
-    cells = nitest_system(csys, domain=domain, strict=True).cells
-    stored = {}
-    for c in cells:
-        stored.setdefault(c.function, c.perms & tested[c.function])
-    in_store = [c for c in cells if c.perms & tested[c.function] == stored[c.function]]
-    rest = [c for c in cells if c not in in_store]
-    assert {c.function for c in rest} == {"N.safe"}
-    assert len(calls) == (_shared_runs(csys, in_store, domain, tested)
-                          + _unshared_runs(csys, rest, domain))
 
 
 # A.g's nested tests over p and q split its classes into four.  Called from
@@ -293,8 +268,53 @@ def test_callee_tests_do_not_split_classes(monkeypatch):
     tested = {"A.g": 0b11, "B.f": 0b10, "B.k": 0}
     assert runs == _shared_runs(csys, cells, domain, tested)
 
-    monkeypatch.setattr(nitest, "STORE_SLOTS", 1)
-    unshared, runs = _bucketed_matching_pairwise(monkeypatch, csys, domain=domain,
-                                                 strict=True)
-    assert unshared == cells
-    assert runs == _unshared_runs(csys, cells, domain)
+
+# the permissions each function's own body tests, by program
+TESTED = {
+    NI_GRID: {"N.safe": 0b1, "N.leak": 0},
+    CALLS_AND_NESTED_TESTS: {"A.g": 0b11, "B.f": 0b10, "B.k": 0},
+}
+SPLITTING = pytest.mark.parametrize("source", list(TESTED), ids=["ni-grid", "calls"])
+
+
+@SPLITTING
+def test_cells_come_observer_major_then_permission_set(source):
+    csys = validate_system(parse_system(source))
+    L, H = csys.lattice.level("L"), csys.lattice.level("H")
+    for observers in (None, (H, L)):
+        cells = nitest_system(csys, observers=observers, domain=(0, 1)).cells
+        expected = [(qname, o, perms) for qname in csys.fd
+                    for o in observers or (L, H) for perms in csys.universe.sets()]
+        assert [(c.function, c.observer, c.perms) for c in cells] == expected
+
+
+@SPLITTING
+def test_one_store_live_at_a_time(monkeypatch, source):
+    # Each (function, permission class) gets its own store, which its cells
+    # use one after another; the next class starts only when they are done.
+    # A store holds the outcomes of the runs its cells made, and no others.
+    csys = validate_system(parse_system(source))
+    tested = TESTED[source]
+    received = []  # (function, permission class, store) per tested cell
+    real = nitest._test_cell
+
+    def recording(csys, qname, decl, gamma, perms, *rest):
+        received.append((qname, perms & tested[qname], rest[-1]))
+        return real(csys, qname, decl, gamma, perms, *rest)
+    calls = []
+    monkeypatch.setattr(nitest, "_test_cell", recording)
+    monkeypatch.setattr(nitest, "exec_cmd", _counting(calls))
+    cells = nitest_system(csys, domain=(0, 1, 2), strict=True).cells
+    assert len(received) == len(cells)
+
+    stores = []  # (function, class, store) per run of calls with one store
+    for qname, cls, store in received:
+        if not stores or stores[-1][2] is not store:
+            stores.append((qname, cls, store))
+    assert len({id(store) for _, _, store in stores}) == len(stores)
+    assert len({(qname, cls) for qname, cls, _ in stores}) == len(stores)
+    assert {(qname, cls) for qname, cls, _ in stores} == {
+        (qname, perms & tested[qname])
+        for qname in csys.fd for perms in csys.universe.sets()
+    }
+    assert sum(len(store) for _, _, store in stores) == len(calls)
