@@ -137,9 +137,6 @@ class BaseType:
         """Constant base type holding this type's value at ``pset``."""
         return embed(self.table[pset], self.lattice, self.nperms)
 
-    def is_constant(self) -> bool:
-        return all(v == self.table[0] for v in self.table)
-
     def _bit(self, perm: int) -> int:
         if not 0 <= perm < self.nperms:
             raise UnknownPermission(f"permission index {perm} out of range")

@@ -1,10 +1,14 @@
 """Executable noninterference oracle.
 
 For each caller permission set and observer level, checks every pair of
-initial environments that agree on the variables observable under the
+initial environments that agree on the parameters observable under the
 projected typing environment: both runs must return the same value.
 Exhaustive over a small value domain, so a clean verdict is a real
 guarantee relative to the fuel bound.
+
+An environment values the parameters only, the inputs a caller passes.
+Every run starts the return variable at 0, as a call does, so it is never
+part of an environment: a function of n parameters has d^n environments.
 
 Pairs are not run one by one.  Environments that agree on the observable
 part form a bucket, each environment in a bucket runs once, and the cell
@@ -89,7 +93,6 @@ def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
     if ft is None:
         raise ValueError(f"{qname} has no declared or inferred type")
     gamma = dict(zip(decl.params, ft.params))
-    gamma[decl.ret_var] = ft.ret
 
     tested = 0  # the permissions that the body's own tests read
     for c in subcommands(decl.body):
@@ -140,7 +143,7 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
     # A run mutates its environment, so a witness's is rebuilt from its
     # valuation, in the same key order: observable, then hidden.
     # An environment's store slot is its mixed-radix index over the domain
-    # positions, in declaration order: parameters, then the return variable.
+    # positions, in parameter order.
     m = d ** len(hidden)
     tested = 0
     inconclusive = 0
@@ -185,6 +188,9 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
 
 
 def _run(csys, decl, env: dict[str, int], perms: int, fuel: int) -> int:
+    """Run ``decl`` on the parameter valuation ``env`` as a call does, with
+    the return variable starting at 0."""
+    env[decl.ret_var] = 0
     if decl.body is not None:
         exec_cmd(env, ExecContext(decl.app, perms, Fuel(fuel)), decl.body, csys)
     return env[decl.ret_var]

@@ -165,6 +165,54 @@ def test_nitest_observer_and_domain_flags(capsys):
     assert {c["observer"] for c in doc["cells"]} == {"H"}
 
 
+RETURNS_ITS_START = """\
+lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun f(x : L) : H { init r = 0 in { return r } }
+}
+"""
+
+
+def test_nitest_starts_the_return_variable_at_zero(capsys, tmp_path):
+    # every call returns 0, so no L observer can tell two calls apart; a
+    # harness that started r at other values would report r=0 vs r=1
+    path = tmp_path / "start.pf"
+    path.write_text(RETURNS_ITS_START)
+    code, out, _ = run(capsys, "nitest", str(path), "--strict", "--observer", "L")
+    assert code == 0 and "no violations" in out
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["run", p("arith.pf"), "--entry", "A.smaller", "--args=-1,2"], "-1"),
+        (["nitest", p("identity.pf"), "--domain=-2..1"], "no violations"),
+    ],
+    ids=["args", "domain"],
+)
+def test_negative_flag_value_in_equals_form(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and expected in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", p("arith.pf"), "--entry", "A.smaller", "--args", "-1,2"],
+        ["nitest", p("identity.pf"), "--domain", "-2..1"],
+    ],
+    ids=["args", "domain"],
+)
+def test_negative_flag_value_after_a_space_is_a_usage_error(capsys, argv):
+    # argparse reads a value that starts with "-" as a flag, and exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "expected one argument" in out.err and "Traceback" not in out.err
+
+
 def test_fmt_roundtrips(capsys, tmp_path):
     code, out, _ = run(capsys, "fmt", p("illustrative.pf"))
     assert code == 0

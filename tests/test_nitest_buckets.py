@@ -1,4 +1,5 @@
-"""The bucketed NI harness against its pairwise reference, and its cost.
+"""The bucketed NI harness against its pairwise reference and against the
+interpreter's calls, and its cost.
 
 ``nitest._test_cell`` runs each environment once per bucket of equal
 observable parts, and reads runs that another cell of the function made in
@@ -16,7 +17,7 @@ import pytest
 
 from permflow import nitest
 from permflow.basetypes import BaseType, FunctionType
-from permflow.interp import DEFAULT_FUEL
+from permflow.interp import DEFAULT_FUEL, FuelExhausted, call_function
 from permflow.nitest import nitest_system
 from permflow.parser import parse_system
 from permflow.system import validate_system
@@ -53,10 +54,9 @@ def _bucketed_matching_pairwise(monkeypatch, csys, **kwargs):
 
 def _visited(csys, cell, domain):
     """The environments a cell runs when no run exhausts its fuel, as
-    valuations in declaration order: parameters, then the return variable."""
+    valuations of the parameters, in declaration order."""
     decl = csys.fd[cell.function]
     gamma = dict(zip(decl.params, decl.annotation.params))
-    gamma[decl.ret_var] = decl.annotation.ret
     obs, hidden = nitest._observable_split(gamma, cell.perms, cell.observer)
     d = len(domain)
     m = d ** len(hidden)
@@ -118,6 +118,42 @@ def test_generated_systems_match_pairwise(monkeypatch, domain):
     assert {"ok", "violation", "inconclusive"} <= verdicts
 
 
+@pytest.mark.parametrize("domain", [(0, 1), (0, 1, 2)], ids=["0..1", "0..2"])
+def test_harness_runs_are_calls(monkeypatch, domain):
+    # An environment values the parameters only, and running it gives what
+    # a call on those arguments returns, or both run out of fuel.
+    runs = []  # (function, arguments, permissions, output or None)
+    real = nitest._run
+
+    def recording(csys, decl, env, perms, fuel):
+        assert env.keys() == set(decl.params)
+        call = (decl.qualified, [env[name] for name in decl.params], perms)
+        try:
+            out = real(csys, decl, env, perms, fuel)
+        except FuelExhausted:
+            runs.append((*call, None))
+            raise
+        runs.append((*call, out))
+        return out
+    monkeypatch.setattr(nitest, "_run", recording)
+    rnd = random.Random(SEED + 50 + len(domain))
+    exhausted = 0
+    for _ in range(40):
+        csys = _randomly_annotated(rnd)
+        for fuel in (DEFAULT_FUEL, 12):
+            runs.clear()
+            nitest_system(csys, domain=domain, fuel=fuel, strict=True)
+            assert runs
+            for qname, args, perms, out in runs:
+                try:
+                    expected = call_function(csys, qname, args, perms, fuel)
+                except FuelExhausted:
+                    expected = None
+                    exhausted += 1
+                assert out == expected, (qname, args, perms, fuel)
+    assert exhausted  # the fuel bound was reached, on both sides
+
+
 # The loop runs 4 - n times, so a bucket's first hidden valuations (n = 0)
 # cost the most fuel; x * h makes the output depend on h when x != 0.
 HIDDEN_LOOP = """lattice { levels L, H; order L < H; }
@@ -145,10 +181,10 @@ def test_fuel_sweep_on_hidden_loop_matches_pairwise(monkeypatch):
             sweep, runs = _bucketed_matching_pairwise(
                 monkeypatch, csys, observers=(L, H), domain=domain, fuel=fuel)
             cells += sweep
-            # the H observer sees every variable, so its cells visit every
-            # environment; with the store, the runs of the L cells,
-            # exhausted ones included, are not made again
-            assert runs == len(domain) ** 4
+            # the H observer sees every parameter, so its cells visit every
+            # valuation of x, n and h; with the store, the runs of the L
+            # cells, exhausted ones included, are not made again
+            assert runs == len(domain) ** 3
     # partly exhausted buckets: some pairs ran out of fuel, others finished
     assert any(c.verdict == "inconclusive"
                and 0 < int(c.note.split()[0]) < c.pairs_tested for c in cells)
@@ -178,16 +214,16 @@ def test_one_interpreter_run_per_environment(monkeypatch):
     cells = nitest_system(csys, domain=domain).cells
     assert len(cells) == 4 and all(c.verdict == "ok" for c in cells)
     d = len(domain)
-    assert len(calls) == d ** 6 == 729
+    assert len(calls) == d ** 5 == 243
     cell = next(c for c in cells if c.perms == 0 and c.observer == L)
-    obs, hidden = 3, 3  # a, b and the return variable r; h1, h2, h3
+    obs, hidden = 2, 3  # a, b; h1, h2, h3
     assert cell.pairs_tested == d ** obs * d ** (2 * hidden)
 
     # one observer's cells share across permission sets too
     calls.clear()
     cells = nitest_system(csys, observers=(L,), domain=domain).cells
     assert [c.verdict for c in cells] == ["ok", "ok"]
-    assert len(calls) == 729
+    assert len(calls) == 243
 
 
 # The ni-grid benchmark's shape: 2 L and 3 H parameters, a loop, a test,
@@ -224,9 +260,9 @@ def test_one_interpreter_call_per_predicted_run(monkeypatch):
     cells = nitest_system(csys, domain=domain).cells
     assert {c.verdict for c in cells} == {"ok", "violation", "skipped"}
     tested = {"N.safe": 0b1, "N.leak": 0}
-    assert len(calls) == _shared_runs(csys, cells, domain, tested) == 2187
+    assert len(calls) == _shared_runs(csys, cells, domain, tested) == 729
     # without the stores, every cell would run all it visits itself
-    assert _unshared_runs(csys, cells, domain) == 3653
+    assert _unshared_runs(csys, cells, domain) == 1223
 
 
 # A.g's nested tests over p and q split its classes into four.  Called from
