@@ -36,7 +36,6 @@ from .solver import (
     Interval,
     UnsatError,
     decompose,
-    merge_bounds,
     saturate,
     solve,
     symbolic_solve,
@@ -50,7 +49,7 @@ from .system import (
     validate_system,
 )
 from .traces import EPSILON, InconsistentTrace, Trace, apply_trace, trace_of_set
-from .typecheck import CheckReport, TypeViolation, check_function, check_system
+from .typecheck import CheckReport, TypeViolation, check_system
 
 __all__ = [
     "BaseType", "FunctionType", "PermUniverse", "UniverseMismatch",
@@ -62,13 +61,13 @@ __all__ = [
     "NIReport", "Violation", "nitest_system",
     "OracleUnsat", "oracle_solve",
     "ParseError", "parse_system",
-    "Interval", "UnsatError", "decompose", "merge_bounds", "saturate",
+    "Interval", "UnsatError", "decompose", "saturate",
     "solve", "symbolic_solve",
     "CheckedSystem", "RecursiveCall", "System", "ValidationError",
     "to_source", "validate_system",
     "EPSILON", "InconsistentTrace", "Trace", "apply_trace",
     "trace_of_set",
-    "CheckReport", "TypeViolation", "check_function", "check_system",
+    "CheckReport", "TypeViolation", "check_system",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .basetypes import BaseType, FunctionType, embed, merge
+from .basetypes import BaseType, embed, merge
 from .syntax import (
     Assign,
     BinOp,
@@ -256,11 +256,6 @@ class GenOutput:
         return list(dict.fromkeys(c for cs in self.by_function.values() for c in cs))
 
 
-def ground_signature(ft: FunctionType) -> FunSignature:
-    """The signature of an annotated function: its types."""
-    return FunSignature(tuple(TGround(t) for t in ft.params), TGround(ft.ret))
-
-
 def gen_constraints(csys: CheckedSystem) -> GenOutput:
     """Each function's signature and own constraint set, callee-first.
 
@@ -277,8 +272,9 @@ def gen_constraints(csys: CheckedSystem) -> GenOutput:
 
     for qname in csys.topo:
         decl = csys.fd[qname]
-        if decl.annotation is not None:
-            sig = ground_signature(decl.annotation)
+        ft = decl.annotation
+        if ft is not None:
+            sig = FunSignature(tuple(TGround(t) for t in ft.params), TGround(ft.ret))
         else:
             sig = FunSignature(tuple(supply.fresh() for _ in decl.params), supply.fresh())
         gamma: dict[str, Term] = dict(zip(decl.params, sig.params))

@@ -5,7 +5,7 @@ the least solution with the worklist fixpoint below, then checks the
 constraints against it in order: a constraint the least solution violates
 is violated by every solution, so the first one refutes the set. Inference
 (``solve``), the unsat-core search, the checker
-(``typecheck.check_function``) and ``oracle.oracle_solve`` all call it.
+(``typecheck.check_system``) and ``oracle.oracle_solve`` all call it.
 ``solve`` reports an unsatisfiable set with the refuted constraint, its
 witness and an irreducible core: the one that deleting constraints one at a
 time in generation order would keep, found by bisection in O(c log n)
@@ -30,11 +30,12 @@ solution. The greatest solution is the dual: every cell starts at top and
 the cells under an instance's left side are lowered to its right side.
 
 ``symbolic_solve`` is the paper's symbolic pipeline, kept as the
-independent reference the differential suite checks the fixpoints against
-at small permission counts; it is exponential in the permission count. It
-works on generalized constraints (each side guarded by its own trace) and
-reduces everything to atoms relating a variable or ground type to a
-variable or ground type. Saturation closes the atom set under transitivity
+independent reference the differential suite checks ``solve``'s least
+substitution against at small permission counts; it returns only that
+substitution, and it is exponential in the permission count. It works on
+generalized constraints (each side guarded by its own trace) and reduces
+everything to atoms relating a variable or ground type to a variable or
+ground type. Saturation closes the atom set under transitivity
 through shared variables; because a guard's remap collapses permission-set
 fibers, the transitive consequence of a lower and an upper bound is a
 family of constraints, one per sign assignment of each side's collapsed
@@ -68,7 +69,7 @@ from .constraints import (
     term_vars,
 )
 from .lattice import Lattice
-from .traces import EPSILON, Trace, apply_trace, minterms, trace_of_set
+from .traces import EPSILON, Trace, minterms, trace_of_set
 
 GROUND_VIOLATION = "GroundViolation"
 EMPTY_INTERVAL = "EmptyInterval"
@@ -82,9 +83,6 @@ class UnsatError(Exception):
         constraint: GenConstraint | None = None,
         witness: int | None = None,
         var: int | None = None,
-        guard: Trace | None = None,
-        lo: BaseType | None = None,
-        hi: BaseType | None = None,
         core: list | None = None,
     ):
         super().__init__(message)
@@ -92,9 +90,6 @@ class UnsatError(Exception):
         self.constraint = constraint
         self.witness = witness
         self.var = var
-        self.guard = guard
-        self.lo = lo
-        self.hi = hi
         self.core = core or []
 
 
@@ -113,9 +108,7 @@ class SolveResult:
 
 
 class _Ctx:
-    def __init__(self, lattice: Lattice, nperms: int, first_free_vid: int):
-        self.lattice = lattice
-        self.nperms = nperms
+    def __init__(self, first_free_vid: int):
         self.next_vid = first_free_vid
         # split parent -> (support mask, {sigma pos mask -> piece vid})
         self.pieces: dict[int, tuple[int, dict[int, int]]] = {}
@@ -235,7 +228,7 @@ def saturate(atoms: list[GenConstraint], lattice: Lattice, nperms: int,
     """Close under transitivity; regroup self-guarded variables into pieces."""
     if ctx is None:
         vids = {v for a in atoms for v in term_vars(a.lhs) | term_vars(a.rhs)}
-        ctx = _Ctx(lattice, nperms, max(vids, default=-1) + 1)
+        ctx = _Ctx(max(vids, default=-1) + 1)
     while True:
         result, selfvar = _saturate_pass(atoms, lattice, nperms)
         if selfvar is None:
@@ -352,14 +345,12 @@ def _bound_roles(atoms):
     return lows, ups
 
 
-def _sweep(atoms, lattice: Lattice, nperms: int, vids: set[int]):
+def _sweep(atoms, lattice: Lattice, nperms: int, vids: set[int]) -> dict[int, BaseType]:
     """Per-variable merge and unification in decreasing variable order."""
     lows, ups = _bound_roles(atoms)
     size = 1 << nperms
     bot = embed(lattice.bottom, lattice, nperms)
-    top = embed(lattice.top, lattice, nperms)
     theta: dict[int, BaseType] = {}
-    intervals: list[Interval] = []
 
     def ground_of(term: Term) -> BaseType:
         if isinstance(term, TGround):
@@ -392,50 +383,9 @@ def _sweep(atoms, lattice: Lattice, nperms: int, vids: set[int]):
                         constraint=a,
                         witness=q,
                         var=vid,
-                        guard=lg,
-                        lo=t,
-                        hi=g,
                     )
         theta[vid] = t
-        intervals.extend(_intervals_for(vid, vlows, vups, ground_of, lattice, nperms, bot, top))
-    return theta, intervals
-
-
-def _intervals_for(vid, vlows, vups, ground_of, lattice, nperms, bot, top):
-    """Guard-disjoint bound family for one variable, for reporting.
-
-    Cells are the sign assignments over the support of the variable-side
-    guards; per cell, active lower bounds join and active upper bounds meet
-    after their guards are completed with the cell's surplus literals.
-    """
-    support = 0
-    for a in vlows:
-        support |= a.rguard.support
-    for a in vups:
-        support |= a.lguard.support
-    out = []
-    for sigma in minterms(support):
-        lo = bot
-        hi = top
-        for a in vlows:
-            if sigma.compatible(a.rguard):
-                g = ground_of(a.lhs)
-                lo = lo.join(apply_trace(g, a.lguard.extend(sigma.diff(a.rguard))))
-        for a in vups:
-            if sigma.compatible(a.lguard):
-                g = ground_of(a.rhs)
-                hi = hi.meet(apply_trace(g, a.rguard.extend(sigma.diff(a.lguard))))
-        out.append(Interval(vid, sigma, lo, hi))
-    return out
-
-
-def merge_bounds(
-    atoms: list[GenConstraint], lattice: Lattice, nperms: int
-) -> list[Interval]:
-    """Intervals of a saturated atom set (bound terms resolved in id order)."""
-    vids = {v for a in atoms for v in term_vars(a.lhs) | term_vars(a.rhs)}
-    _, intervals = _sweep(atoms, lattice, nperms, vids)
-    return intervals
+    return theta
 
 
 # ------------------------------------------------------- symbolic reference
@@ -445,24 +395,23 @@ def symbolic_solve(
     lattice: Lattice,
     nperms: int,
     requested: tuple[int, ...] = (),
-) -> SolveResult:
-    """Least solution by decompose, saturate and sweep, or UnsatError.
+) -> dict[int, BaseType]:
+    """Least substitution by decompose, saturate and sweep, or UnsatError.
 
-    The reference for ``solve``: exponential in ``nperms``, and its
-    intervals are guard-disjoint bound families from the saturated atoms.
+    The reference for ``solve``'s substitution: exponential in ``nperms``.
     """
     gens = generalize(constraints)
     atoms = decompose(gens, lattice, nperms)
     vids = {v for a in atoms for v in term_vars(a.lhs) | term_vars(a.rhs)}
     vids |= set(requested)
-    ctx = _Ctx(lattice, nperms, max(vids, default=-1) + 1)
+    ctx = _Ctx(max(vids, default=-1) + 1)
     atoms = saturate(atoms, lattice, nperms, ctx)
     sweep_vids = {v for a in atoms for v in term_vars(a.lhs) | term_vars(a.rhs)}
-    sweep_vids |= {v for v in vids}
+    sweep_vids |= vids
     for _support, piece_of in ctx.pieces.values():
         sweep_vids |= set(piece_of.values())
     sweep_vids -= set(ctx.pieces)  # split parents are reconstituted below
-    theta, intervals = _sweep(atoms, lattice, nperms, sweep_vids)
+    theta = _sweep(atoms, lattice, nperms, sweep_vids)
 
     # Reconstitute split variables cell-wise from their pieces.
     def resolve(vid: int) -> BaseType:
@@ -477,9 +426,9 @@ def symbolic_solve(
         theta[vid] = t
         return t
 
-    for vid in set(requested) | vids:
+    for vid in vids:
         resolve(vid)
-    return SolveResult(theta, intervals)
+    return theta
 
 
 # ---------------------------------------------------------- worklist fixpoint

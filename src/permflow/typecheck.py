@@ -1,18 +1,20 @@
 """Type checking of annotated functions against the trace rules.
 
 The rules' side conditions are exactly the guarded constraints that
-``constraints._gen_cmd`` generates, so checking a fully annotated function
-is that same walk over ground types: generate the body's constraints and
-report the first one, in generation order, that the annotations refute.
-A call site reads the callee's annotation as a ground function type, so
-each function is checked on its own.
+``constraints.gen_constraints`` generates, and an annotated function enters
+generation with its annotation as its ground signature. Checking a system is
+therefore one generation pass: each function's own constraints are decided
+on their own, and the first one, in generation order, that the annotations
+refute is reported. A call site reads the callee's annotation, so a call to
+an unannotated callee is reported at the first such call, before any side
+condition.
 
 The one non-syntax-directed point of the rules is the type chosen for a
 letvar-bound local. It is resolved by the least solution of the body's
 constraints, which is complete: if any choice admits a derivation, the
 least one does. So the verdict is inference's own,
-``solver.least_solution``, over the body's constraints with the locals as
-the only variables.
+``solver.least_solution``, over the body's constraints, whose only
+variables are the locals.
 """
 
 from __future__ import annotations
@@ -20,17 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .basetypes import BaseType
-from .constraints import (
-    Constraint,
-    FunSignature,
-    TGround,
-    VarSupply,
-    _gen_cmd,
-    eval_term,
-    ground_signature,
-)
+from .constraints import Constraint, eval_term, gen_constraints
 from .solver import least_solution
-from .syntax import CallAssign, Span, subcommands
+from .syntax import Span
 from .system import CheckedSystem
 from .traces import EPSILON, Trace
 
@@ -95,39 +89,33 @@ def _violation(c: Constraint, q: int, locals_: dict[int, BaseType],
     return TypeViolation(kind, message, prov.span, fun, lhs, rhs, c.guard, q)
 
 
-def check_function(csys: CheckedSystem, qname: str) -> TypeViolation | None:
+def _first_violation(csys: CheckedSystem, qname: str,
+                     body: list[Constraint]) -> TypeViolation | None:
+    """The verdict on ``qname`` from its generated constraints ``body``."""
     decl = csys.fd[qname]
-    ft = decl.annotation
-    if ft is None:
+    if decl.annotation is None:
         return TypeViolation(
             ANNOTATION, f"{qname} lacks a type annotation", decl.span, qname
         )
-    if decl.body is None:
-        return None
-    signatures: dict[str, FunSignature] = {}
-    for node in subcommands(decl.body):
-        if isinstance(node, CallAssign) and node.target not in signatures:
-            callee = csys.fd[node.target].annotation
-            if callee is None:
-                return TypeViolation(
-                    ANNOTATION, f"called function {node.target} has no type",
-                    node.span, qname,
-                )
-            signatures[node.target] = ground_signature(callee)
-    gamma = {p: TGround(t) for p, t in zip(decl.params, ft.params)}
-    gamma[decl.ret_var] = TGround(ft.ret)
-    supply = VarSupply()
-    out: list[Constraint] = []
-    _gen_cmd(gamma, EPSILON, decl.app, decl.body, csys, signatures, supply, out)
-    locals_, refuted = least_solution(out, range(supply.count), csys.lattice,
-                                      csys.universe.count)
+    # Generation appends a call's constraints in source order and
+    # deduplication keeps first occurrences, so the first constraint naming
+    # an unannotated callee comes from its first call.
+    for c in body:
+        callee = c.provenance.callee
+        if callee and csys.fd[callee].annotation is None:
+            return TypeViolation(
+                ANNOTATION, f"called function {callee} has no type",
+                c.provenance.span, qname,
+            )
+    locals_, refuted = least_solution(body, (), csys.lattice, csys.universe.count)
     return None if refuted is None else _violation(*refuted, locals_, csys, qname)
 
 
 def check_system(csys: CheckedSystem) -> CheckReport:
     """Check every function against the annotations, in declaration order."""
+    gen = gen_constraints(csys)
     report = CheckReport()
     for qname in csys.fd:
-        err = check_function(csys, qname)
+        err = _first_violation(csys, qname, gen.by_function[qname])
         report.verdicts.append(FunctionVerdict(qname, err is None, err))
     return report

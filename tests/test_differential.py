@@ -27,7 +27,7 @@ def run_differential(count: int, seed: int = SEED) -> dict:
         except UnsatError:
             got_sat = False
         try:
-            ref = symbolic_solve(constraints, lat, nperms, requested).substitution
+            ref = symbolic_solve(constraints, lat, nperms, requested)
             ref_sat = True
         except UnsatError:
             ref_sat = False
@@ -62,7 +62,7 @@ def _agree(constraints, lat, nperms, nvars, tag):
     except UnsatError:
         got_sat = False
     try:
-        ref = symbolic_solve(constraints, lat, nperms, requested).substitution
+        ref = symbolic_solve(constraints, lat, nperms, requested)
         ref_sat = True
     except UnsatError:
         ref_sat = False

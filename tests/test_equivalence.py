@@ -15,7 +15,7 @@ from permflow.lattice import load_lattice
 from permflow.syntax import Assign, BinOp, Block, FunDecl, If, IntLit, LetVar, Var, While
 from permflow.syntax import Test as PermTest
 from permflow.system import System, validate_system
-from permflow.typecheck import check_function
+from permflow.typecheck import check_system
 
 from .declarative import DeclarativeSearch, all_types
 
@@ -96,7 +96,7 @@ def test_trace_rules_match_declarative_search():
             )
             sys = System(lattice, universe, {"A": 0}, {"A.f": decl}, {})
             csys = validate_system(sys)
-            algorithmic = check_function(csys, "A.f") is None
+            algorithmic = check_system(csys).ok
             declarative = search.function_typable(
                 ("x",), "r", body, (t_x,), t_r
             )

@@ -4,7 +4,9 @@ No linter is a dependency, so this parses every module with ``ast``: each
 imported name must be used in its module (a name listed in the module's
 ``__all__`` counts as used), and every ``permflow.__all__`` entry must
 resolve. ``permflow.oracle`` stays a leaf: only the package's re-export
-imports it, so the fixpoint cannot move back behind it.
+imports it, so the fixpoint cannot move back behind it. No package module
+imports another's underscore-prefixed names: those stay behind the module
+boundary.
 """
 
 import ast
@@ -95,3 +97,18 @@ def test_no_package_module_imports_the_oracle(module):
         tree = ast.parse(fh.read(), filename=module)
     oracle = [m for m in _imported_modules(tree) if m.split(".")[-1] == "oracle"]
     assert not oracle, f"{module} imports {oracle}"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if "/" not in m])
+def test_no_package_module_imports_a_private_name(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    private = [
+        f"{'.' * node.level}{node.module or ''}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "permflow")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"{module} imports {private}"

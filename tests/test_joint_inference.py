@@ -146,15 +146,15 @@ def test_inferred_corpus_types_check():
     }
 
 
-def _count_checks(monkeypatch) -> list[str]:
-    calls: list[str] = []
-    real = typecheck.check_function
+def _count_checks(monkeypatch) -> list:
+    calls: list = []
+    real = typecheck.least_solution
 
-    def counting(csys, qname):
-        calls.append(qname)
-        return real(csys, qname)
+    def counting(constraints, *args):
+        calls.append(constraints)
+        return real(constraints, *args)
 
-    monkeypatch.setattr(typecheck, "check_function", counting)
+    monkeypatch.setattr(typecheck, "least_solution", counting)
     return calls
 
 

@@ -17,7 +17,6 @@ from permflow.typecheck import (
     CALL_ARG,
     RETURN,
     SUBTYPE,
-    check_function,
     check_system,
 )
 
@@ -33,6 +32,11 @@ def load(name: str):
 
 def _sys(src: str):
     return validate_system(parse_system(src))
+
+
+def _error(csys, qname: str):
+    """The checker's report on ``qname``, None when it typechecks."""
+    return {v.function: v.error for v in check_system(csys).verdicts}[qname]
 
 
 def test_var_rule(diamond):
@@ -66,7 +70,7 @@ def test_literal_is_bottom():
 
 def test_getsecret_body_typechecks():
     csys = load("getsecret.pf")
-    assert check_function(csys, "C.getsecret") is None
+    assert _error(csys, "C.getsecret") is None
 
 
 def test_assignment_violation_carries_witness():
@@ -77,7 +81,7 @@ app A perms {} {
   fun f(x : H) : L { init r = 0 in { r := x; return r } }
 }
 """)
-    err = check_function(csys, "A.f")
+    err = _error(csys, "A.f")
     assert err is not None and err.kind == SUBTYPE
     # the witness entails the guard and violates the pointwise order
     assert err.trace.entailed_by(err.witness)
@@ -87,7 +91,7 @@ app A perms {} {
 
 def test_parameter_forwarding_rejected():
     csys = load("laundering.pf")
-    err = check_function(csys, "A.f")
+    err = _error(csys, "A.f")
     assert err is not None and err.kind == CALL_ARG
 
 
@@ -117,7 +121,7 @@ app A perms {p} {
   fun f() : L { init r = 0 in { r := call B.get(); return r } }
 }
 """)
-    err = check_function(csys, "A.f")
+    err = _error(csys, "A.f")
     assert err is not None and err.kind == RETURN
 
 
@@ -160,7 +164,7 @@ app A perms {} {
   }
 }
 """)
-    assert check_function(csys, "A.f") is None
+    assert _error(csys, "A.f") is None
 
 
 def test_letvar_fixpoint_self_reference():
@@ -179,7 +183,7 @@ app A perms {} {
   }
 }
 """)
-    assert check_function(csys, "A.f") is None
+    assert _error(csys, "A.f") is None
 
 
 def test_partial_subtyping_is_definitional(rng):
@@ -229,10 +233,38 @@ app A perms {} {
   fun h(x : H) : L {
     init r = 0 in { r := x; r := call A.g(x); return r }
   }
+  fun k() { init r = 0 in { return r } }
+  fun e(y : L) : L { init r = 0 in { r := y; return r } }
+  fun m(x : L) : L {
+    init r = 0 in {
+      r := call A.e(x);
+      test(p) r := r else r := call A.k();
+      r := call A.g(x);
+      return r
+    }
+  }
 }
 """)
-    for qname, span in (("A.f", "9:7"), ("A.h", "14:29")):
-        err = check_function(csys, qname)
+    for qname, callee, span in (("A.f", "A.g", "9:7"), ("A.h", "A.g", "14:29"),
+                                ("A.m", "A.k", "21:27")):
+        err = _error(csys, qname)
         assert err.kind == ANNOTATION
-        assert err.message == "called function A.g has no type"
+        assert err.message == f"called function {callee} has no type"
         assert str(err.span) == span
+
+
+def test_check_system_generates_once(monkeypatch):
+    import permflow.typecheck as typecheck
+
+    csys = load("callchain.pf")
+    assert len(csys.fd) > 1
+    calls = []
+    real = typecheck.gen_constraints
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(typecheck, "gen_constraints", counting)
+    assert check_system(csys).ok
+    assert calls == [csys]
