@@ -33,7 +33,6 @@ from .nitest import NIReport, Violation, nitest_system
 from .oracle import OracleUnsat, oracle_solve
 from .parser import ParseError, parse_system
 from .solver import (
-    Interval,
     UnsatError,
     decompose,
     saturate,
@@ -61,7 +60,7 @@ __all__ = [
     "NIReport", "Violation", "nitest_system",
     "OracleUnsat", "oracle_solve",
     "ParseError", "parse_system",
-    "Interval", "UnsatError", "decompose", "saturate",
+    "UnsatError", "decompose", "saturate",
     "solve", "symbolic_solve",
     "CheckedSystem", "RecursiveCall", "System", "ValidationError",
     "to_source", "validate_system",

@@ -210,14 +210,6 @@ def cmd_infer(args) -> int:
             "return": _type_table(f.type.ret, csys),
             "signature": format_function_type(f.type, csys.universe),
             "constraints": f.constraint_count,
-            "intervals": [
-                {
-                    "guard": iv.guard.format(csys.universe.names),
-                    "lo": _type_table(iv.lo, csys),
-                    "hi": _type_table(iv.hi, csys),
-                }
-                for iv in f.intervals
-            ],
         }
         funs.append(entry)
         lines.append(f"{f.function} : {entry['signature']}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from .basetypes import BaseType, FunctionType
 from .constraints import Constraint, TGround, TVar, gen_constraints
-from .solver import Interval, SolveResult, UnsatError, solve
+from .solver import UnsatError, solve
 from .system import CheckedSystem
 # Re-exported, not called: perfbench/tracer.py wraps it by this module's name.
 from .typecheck import check_system
@@ -32,7 +32,6 @@ class FunctionInference:
     type: FunctionType
     inferred: bool  # False when the annotation was echoed
     constraint_count: int
-    intervals: list[Interval] = field(default_factory=list)
 
 
 @dataclass
@@ -75,25 +74,12 @@ def infer_system(csys: CheckedSystem) -> InferResult:
     t1 = time.perf_counter()
 
     try:
-        result: SolveResult = solve(all_constraints, lattice, nperms, requested)
+        theta = solve(all_constraints, lattice, nperms, requested)
     except UnsatError as err:
         functions, core = _blame(err, gen)
         raise InferUnsat(err, functions, _reason(err, csys), core) from err
     t2 = time.perf_counter()
 
-    theta = result.substitution
-    # A signature variable belongs to one function, a letvar local to none.
-    # One pass hands each function its intervals, in solver order.
-    intervals: dict[str, list[Interval]] = {qname: [] for qname in csys.fd}
-    owned = {
-        t.vid: intervals[qname]
-        for qname, sig in gen.signatures.items()
-        for t in (*sig.params, sig.ret)
-        if isinstance(t, TVar)
-    }
-    for iv in result.intervals:
-        if iv.var in owned:
-            owned[iv.var].append(iv)
     functions: list[FunctionInference] = []
     for qname, decl in csys.fd.items():
         sig = gen.signatures[qname]
@@ -104,7 +90,6 @@ def infer_system(csys: CheckedSystem) -> InferResult:
                 FunctionType(params, _resolve(sig.ret, theta)),
                 inferred=decl.annotation is None,
                 constraint_count=len(gen.by_function[qname]),
-                intervals=intervals[qname],
             )
         )
     return InferResult(functions, {"generate": t1 - t0, "solve": t2 - t1})

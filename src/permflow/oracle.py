@@ -3,7 +3,7 @@
 ``oracle_solve`` is ``solver.least_solution`` that raises on the first
 refuted constraint instead of returning it; ``perfbench/run.py`` checks its
 answers with it. The symbolic pipeline in ``solver`` is the independent
-reference that the differential suite checks the worklist fixpoints against.
+reference that the differential suite checks the worklist fixpoint against.
 """
 
 from __future__ import annotations

@@ -1,19 +1,18 @@
 """Constraint solving: the worklist solver, and the symbolic reference.
 
 ``least_solution`` is the one verdict on a guarded constraint set. It finds
-the least solution with the worklist fixpoint below, then checks the
-constraints against it in order: a constraint the least solution violates
-is violated by every solution, so the first one refutes the set. Inference
-(``solve``), the unsat-core search, the checker
-(``typecheck.check_system``) and ``oracle.oracle_solve`` all call it.
-``solve`` reports an unsatisfiable set with the refuted constraint, its
-witness and an irreducible core: the one that deleting constraints one at a
-time in generation order would keep, found by bisection in O(c log n)
-reruns of the verdict for a core of c out of n constraints. Each variable's
-interval runs from its type in the least solution to its type in the
-greatest one (``greatest_fixpoint``).
+the least solution with the worklist fixpoint below, then checks against it,
+in generation order, the constraints that the fixpoint can leave false: a
+constraint the least solution violates is violated by every solution, so
+the first one refutes the set. Inference (``solve``), the unsat-core
+search, the checker (``typecheck.check_system``) and ``oracle.oracle_solve``
+all call it. ``solve`` returns the least substitution, and reports an
+unsatisfiable set with the refuted constraint, its witness and an
+irreducible core: the one that deleting constraints one at a time in
+generation order would keep, found by bisection in O(c log n) reruns of the
+verdict for a core of c out of n constraints.
 
-The fixpoints treat every (variable, permission set) pair as one unknown
+The fixpoint treats every (variable, permission set) pair as one unknown
 lattice element, a *cell*. A generated constraint (Λ, lhs ≤ rhs) holds when
 lhs lies below rhs at every permission set that Λ entails; each such set is
 one *instance* of it, and the least one where lhs ≰ rhs is its *witness*
@@ -26,8 +25,7 @@ is the textbook least-solution algorithm for atomic inequalities over a
 finite lattice (Rehof & Mogensen, "Tractable constraints in finite
 semilattices", SCP 1999). Ground parts of a right side are never raised: a
 constraint they leave violated at the least fixpoint is violated by every
-solution. The greatest solution is the dual: every cell starts at top and
-the cells under an instance's left side are lowered to its right side.
+solution.
 
 ``symbolic_solve`` is the paper's symbolic pipeline, kept as the
 independent reference the differential suite checks ``solve``'s least
@@ -50,7 +48,6 @@ and the result substitutes into the remaining variables' bounds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .basetypes import BaseType, embed
 from .constraints import (
@@ -69,7 +66,7 @@ from .constraints import (
     term_vars,
 )
 from .lattice import Lattice
-from .traces import EPSILON, Trace, minterms, trace_of_set
+from .traces import minterms, trace_of_set
 
 GROUND_VIOLATION = "GroundViolation"
 EMPTY_INTERVAL = "EmptyInterval"
@@ -91,20 +88,6 @@ class UnsatError(Exception):
         self.witness = witness
         self.var = var
         self.core = core or []
-
-
-@dataclass(frozen=True)
-class Interval:
-    var: int
-    guard: Trace
-    lo: BaseType
-    hi: BaseType
-
-
-@dataclass
-class SolveResult:
-    substitution: dict[int, BaseType]
-    intervals: list[Interval]
 
 
 class _Ctx:
@@ -436,10 +419,9 @@ def symbolic_solve(
 def _reads(term, pset: int, forbid=()) -> list[tuple[int, int]]:
     """The cells ``eval_term(term, pset, ...)`` reads.
 
-    They are also the cells to write when the term's value must move: a
-    right side rises to cover a level when every cell under its meets does,
-    and a left side falls below a level when every cell under its joins
-    does. ``forbid`` names the term class that makes such a write inexact.
+    They are also the cells to raise when a right side must cover a level:
+    it does once every cell under its meets, merges and projections does.
+    ``forbid`` names the term class that makes such a write inexact.
     """
     if isinstance(term, TVar):
         return [(term.vid, pset)]
@@ -457,48 +439,17 @@ def _reads(term, pset: int, forbid=()) -> list[tuple[int, int]]:
     raise TypeError(f"not a term: {term!r}")
 
 
-def _fixpoint(constraints, requested, lattice: Lattice, nperms: int, up: bool):
-    """Raise right sides from bottom (``up``) or lower left sides from top."""
-    vids = set(requested)
-    for c in constraints:
-        vids |= term_vars(c.lhs) | term_vars(c.rhs)
-    if not vids:
-        return {}  # nothing to solve: every constraint is ground
-    start, bound = (lattice.bottom, lattice.join) if up else (lattice.top, lattice.meet)
-    tables = {v: [start] * (1 << nperms) for v in vids}
-
-    items: list[tuple] = []  # (source term, instance, cells it writes)
-    readers: dict[tuple[int, int], list[int]] = {}
-    for c in constraints:
-        for q in entailed_sets(c.guard, nperms):
-            if up:
-                src, writes = c.lhs, _reads(c.rhs, q, TJoin)
-            else:
-                src, writes = c.rhs, _reads(c.lhs, q, TMeet)
-            if not writes:
-                continue  # a ground side: left to the final check
-            for cell in _reads(src, q):
-                readers.setdefault(cell, []).append(len(items))
-            items.append((src, q, writes))
-
-    queue = deque(range(len(items)))
-    queued = [True] * len(items)
-    while queue:
-        i = queue.popleft()
-        queued[i] = False
-        src, q, writes = items[i]
-        level = eval_term(src, q, tables, lattice)
-        for cell in writes:
-            vid, p = cell
-            row = tables[vid]
-            new = bound(row[p], level)
-            if new != row[p]:
-                row[p] = new
-                for j in readers.get(cell, ()):
-                    if not queued[j]:
-                        queued[j] = True
-                        queue.append(j)
-    return {v: BaseType(lattice, nperms, tuple(tbl)) for v, tbl in tables.items()}
+def _has_ground(term) -> bool:
+    """Whether a ground type occurs anywhere in ``term``."""
+    if isinstance(term, TGround):
+        return True
+    if isinstance(term, TVar):
+        return False
+    if isinstance(term, (TJoin, TMeet)):
+        return _has_ground(term.lhs) or _has_ground(term.rhs)
+    if isinstance(term, TMerge):
+        return _has_ground(term.then) or _has_ground(term.els)
+    return _has_ground(term.term)
 
 
 def least_fixpoint(
@@ -509,18 +460,43 @@ def least_fixpoint(
 
     Upper bounds that stay violated at the fixpoint are left to the caller.
     """
-    return _fixpoint(constraints, requested, lattice, nperms, True)
+    vids = set(requested)
+    for c in constraints:
+        vids |= term_vars(c.lhs) | term_vars(c.rhs)
+    if not vids:
+        return {}  # nothing to solve: every constraint is ground
+    tables = {v: [lattice.bottom] * (1 << nperms) for v in vids}
 
+    items: list[tuple] = []  # (left side, instance, cells its right side writes)
+    readers: dict[tuple[int, int], list[int]] = {}
+    for c in constraints:
+        for q in entailed_sets(c.guard, nperms):
+            writes = _reads(c.rhs, q, TJoin)
+            if not writes:
+                continue  # a ground right side: left to the final check
+            for cell in _reads(c.lhs, q):
+                readers.setdefault(cell, []).append(len(items))
+            items.append((c.lhs, q, writes))
 
-def greatest_fixpoint(
-    constraints, requested, lattice: Lattice, nperms: int
-) -> dict[int, BaseType]:
-    """Greatest types for ``requested`` and every variable of
-    ``constraints`` meeting every upper bound of ``constraints``.
-
-    Lower bounds with no variable on the left are left to the caller.
-    """
-    return _fixpoint(constraints, requested, lattice, nperms, False)
+    join = lattice.join
+    queue = deque(range(len(items)))
+    queued = [True] * len(items)
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        src, q, writes = items[i]
+        level = eval_term(src, q, tables, lattice)
+        for cell in writes:
+            vid, p = cell
+            row = tables[vid]
+            new = join(row[p], level)
+            if new != row[p]:
+                row[p] = new
+                for j in readers.get(cell, ()):
+                    if not queued[j]:
+                        queued[j] = True
+                        queue.append(j)
+    return {v: BaseType(lattice, nperms, tuple(tbl)) for v, tbl in tables.items()}
 
 
 # -------------------------------------------------------------------- solve
@@ -530,13 +506,12 @@ def solve(
     lattice: Lattice,
     nperms: int,
     requested: tuple[int, ...] = (),
-) -> SolveResult:
-    """Least solution of a guarded constraint set, or UnsatError.
+) -> dict[int, BaseType]:
+    """Least substitution of a guarded constraint set, or UnsatError.
 
     ``least_solution`` decides the set; the constraint it refutes is
     reported with its witness and the core that greedy deletion in
-    generation order keeps, found by bisection (``_minimize_core``). Each variable gets one
-    interval under the empty guard, from its least to its greatest type.
+    generation order keeps, found by bisection (``_minimize_core``).
     """
     constraints = list(constraints)
     theta, refuted = least_solution(constraints, requested, lattice, nperms)
@@ -549,9 +524,7 @@ def solve(
             witness=q,
             core=_minimize_core(constraints, lattice, nperms),
         )
-    hi = greatest_fixpoint(constraints, requested, lattice, nperms)
-    intervals = [Interval(v, EPSILON, theta[v], hi[v]) for v in sorted(theta)]
-    return SolveResult(theta, intervals)
+    return theta
 
 
 def least_solution(constraints, requested, lattice: Lattice, nperms: int):
@@ -561,12 +534,21 @@ def least_solution(constraints, requested, lattice: Lattice, nperms: int):
 
     The least solution refutes a constraint exactly when every solution
     does, so the second item is None exactly when the set is satisfiable.
+    Only constraints with a ground part on the right are checked: the
+    fixpoint leaves every other one true. When its worklist drains, each
+    instance was last examined after the last raise of any cell its left
+    side reads, and that examination joined its left level into every cell
+    its right side reads. A right side made only of variables, meets,
+    merges and projections covers a level once each of those cells does.
+    So skipping the rest keeps the first refuted constraint, in generation
+    order, and its least witness.
     """
     theta = least_fixpoint(constraints, requested, lattice, nperms)
     for c in constraints:
-        q = constraint_witness(c, theta, lattice, nperms)
-        if q is not None:
-            return theta, (c, q)
+        if _has_ground(c.rhs):
+            q = constraint_witness(c, theta, lattice, nperms)
+            if q is not None:
+                return theta, (c, q)
     return theta, None
 
 

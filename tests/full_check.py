@@ -1,0 +1,20 @@
+"""The verdict that checks every constraint, as ``solver.least_solution``
+did before it checked only those with a ground part on the right.
+
+It runs the same least fixpoint, then asks ``constraint_witness`` about
+every constraint in generation order. ``least_solution`` must return the
+same verdict, the same refuted constraint and the same witness;
+``tests/test_targeted_check.py`` checks that.
+"""
+
+from permflow.constraints import constraint_witness
+from permflow.solver import least_fixpoint
+
+
+def full_least_solution(constraints, requested, lattice, nperms):
+    theta = least_fixpoint(constraints, requested, lattice, nperms)
+    for c in constraints:
+        q = constraint_witness(c, theta, lattice, nperms)
+        if q is not None:
+            return theta, (c, q)
+    return theta, None

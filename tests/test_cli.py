@@ -46,7 +46,17 @@ def test_infer_getinfo_json(capsys):
     assert fn["return"] == {"{}": "L", "{p}": "L", "{q}": "H", "{p,q}": "l1"}
     assert fn["inferred"] is True
     assert fn["constraints"] >= 4
-    assert fn["intervals"]
+
+
+def test_infer_json_function_entry_keys(capsys):
+    # every function entry, inferred or echoed, carries exactly these keys
+    code, out, _ = run(capsys, "infer", p("mixed_annot.pf"), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert {fn["inferred"] for fn in doc["functions"]} == {True, False}
+    for fn in doc["functions"]:
+        assert set(fn) == {"name", "inferred", "params", "return", "signature",
+                           "constraints"}
 
 
 PLANTED_LEAK = """\

@@ -22,7 +22,7 @@ def run_differential(count: int, seed: int = SEED) -> dict:
         constraints, lat, nperms, nvars = random_instance(rnd)
         requested = tuple(range(nvars))
         try:
-            got = solve(constraints, lat, nperms, requested).substitution
+            got = solve(constraints, lat, nperms, requested)
             got_sat = True
         except UnsatError:
             got_sat = False
@@ -57,7 +57,7 @@ def test_differential_smoke():
 def _agree(constraints, lat, nperms, nvars, tag):
     requested = tuple(range(nvars))
     try:
-        got = solve(constraints, lat, nperms, requested).substitution
+        got = solve(constraints, lat, nperms, requested)
         got_sat = True
     except UnsatError:
         got_sat = False

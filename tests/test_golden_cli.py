@@ -6,7 +6,8 @@ stderr and exit code of the in-process ``cli.main`` must equal the recorded
 ones in ``golden_cli.json``; so must the exit code of ``infer
 --emit-annotated`` and the text of the file it writes (``null`` when it
 writes none). Regenerate the file only for an intended output change, with
-``PYTHONPATH=src python -m tests.test_golden_cli``.
+``PYTHONPATH=src python -m tests.test_golden_cli``; it prints the keys
+whose entries changed, were added or were removed.
 """
 
 import contextlib
@@ -81,7 +82,30 @@ def test_corpus_cli_output_unchanged():
         assert got[key] == expected[key], key
 
 
+def _changed_keys(old: dict, new: dict) -> list[str]:
+    """The keys whose entries differ between two recordings, each marked
+    ``+`` (added), ``-`` (removed) or ``~`` (changed), in sorted order."""
+    out = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            out.append(f"+ {key}")
+        elif key not in new:
+            out.append(f"- {key}")
+        elif old[key] != new[key]:
+            out.append(f"~ {key}")
+    return out
+
+
 if __name__ == "__main__":
+    old = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN, "r", encoding="utf-8") as fh:
+            old = json.load(fh)
+    new = _record()
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(_record(), fh, indent=1, sort_keys=True)
+        json.dump(new, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    changed = _changed_keys(old, new)
+    for line in changed:
+        print(line)
+    print(f"{len(changed)} of {len(new)} entries changed")

@@ -69,17 +69,6 @@ def test_ill_typed_annotated_body_is_unsat():
     assert [owner for owner, _ in exc.value.core] == ["A.bad"]
 
 
-def test_intervals_reported_for_inferred_functions():
-    csys = load("illustrative.pf")
-    result = infer_system(csys)
-    (f,) = result.functions
-    assert f.intervals
-    # the guard family of the return variable is disjoint and exhaustive
-    ret_ivs = [iv for iv in f.intervals]
-    for pset in csys.universe.sets():
-        assert sum(iv.guard.entailed_by(pset) for iv in ret_ivs) == 1
-
-
 def test_nonmonotone_policy_inferred():
     csys = load("nonmono.pf")
     result = infer_system(csys)

@@ -6,11 +6,13 @@ second on both. Generation once copied every callee's constraints into its
 callers, which took the 1,280-function fan about 20 s; each function's own
 constraints take it under 2 s. Minimising the unsat core of a 160-function
 fan with a planted leak once reran the fixpoint per constraint, 5-8 s;
-bisection takes well under a second. The time bounds are generous, so only
-a return to exponential or quadratic behaviour fails them. The work after
-``solve`` is bounded by a ratio of two timings instead: it once scanned
-every interval for each function. The compiled interpreter is held to a
-speed ratio over the AST walker it replaced.
+bisection takes well under a second. A secret that flows through a chain
+of N calls into an L sink has a core of N+2 constraints, and its bisection
+reruns are pinned as a baseline to lower. The time bounds are generous, so
+only a return to exponential or quadratic behaviour fails them. The work
+after ``solve`` is bounded by a ratio of two timings instead: it once
+scanned the solver's whole output for each function. The compiled
+interpreter is held to a speed ratio over the AST walker it replaced.
 """
 
 import gc
@@ -54,6 +56,27 @@ def chain_source(n: int) -> str:
         "app A perms {p} {",
         "  const S : H = 5;",
         *funs,
+        "}",
+    ]) + "\n"
+
+
+def chain_leak_source(n: int) -> str:
+    """f0 returns an H constant, f_i returns call f_{i-1}(x), and top passes
+    f_{n-1}'s result to the annotated ``A.sink(y : L)``: no typing exists."""
+    funs = ["  fun f0(x) { init r = 0 in { r := S; return r } }"]
+    funs += [
+        f"  fun f{i}(x) {{ init r = 0 in {{ r := call A.f{i - 1}(x); return r }} }}"
+        for i in range(1, n)
+    ]
+    return "\n".join([
+        "lattice { levels L, H; order L < H; }",
+        "permissions { p }",
+        "app A perms {p} {",
+        "  const S : H = 5;",
+        "  fun sink(y : L) : L { init r = 0 in { r := y; return r } }",
+        *funs,
+        f"  fun top(x) {{ init r = 0 in {{ letvar y = 0 in {{ y := call A.f{n - 1}(x); "
+        "r := call A.sink(y) }; return r } }",
         "}",
     ]) + "\n"
 
@@ -126,12 +149,7 @@ def test_fan(k, n):
     assert elapsed < BOUND_S, f"{elapsed:.1f} s"
 
 
-@pytest.mark.parametrize("n", [40, 160], ids=["n40", "n160"])
-def test_planted_leak_core(n, monkeypatch):
-    # The core is found by bisection: one least-fixpoint run for the solve,
-    # then at most ceil(log2(m + 1)) + 1 reruns per core constraint, for m
-    # constraints. The one-at-a-time deletion loop made one rerun per
-    # constraint: 242 runs at N=40 and 962 at N=160.
+def _count_least_fixpoint(monkeypatch) -> list:
     calls = []
     real = solver.least_fixpoint
 
@@ -140,6 +158,16 @@ def test_planted_leak_core(n, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(solver, "least_fixpoint", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [40, 160], ids=["n40", "n160"])
+def test_planted_leak_core(n, monkeypatch):
+    # The core is found by bisection: one least-fixpoint run for the solve,
+    # then at most ceil(log2(m + 1)) + 1 reruns per core constraint, for m
+    # constraints. The one-at-a-time deletion loop made one rerun per
+    # constraint: 242 runs at N=40 and 962 at N=160.
+    calls = _count_least_fixpoint(monkeypatch)
     leak_at = n - 2  # the topmost A function
     csys = validate_system(parse_system(fan_source(2, n, leak_at)))
     m = len(gen_constraints(csys).all_constraints())
@@ -153,14 +181,33 @@ def test_planted_leak_core(n, monkeypatch):
     assert elapsed < BOUND_S, f"{elapsed:.1f} s"
 
 
+def test_chain_leak_core(monkeypatch):
+    # The core is the whole path: the H constant, each of the 40 call-ret
+    # constraints and the sink's call-arg. Bisection reruns the fixpoint
+    # over all 85 constraints about log2(85) times per core member: 253
+    # runs, a baseline for a core search confined to the path to lower.
+    calls = _count_least_fixpoint(monkeypatch)
+    n = 40
+    csys = validate_system(parse_system(chain_leak_source(n)))
+    assert len(gen_constraints(csys).all_constraints()) == 85
+    t0 = time.perf_counter()
+    with pytest.raises(InferUnsat) as info:
+        infer_system(csys)
+    elapsed = time.perf_counter() - t0
+    assert info.value.functions == [f"A.f{i}" for i in range(n)] + ["A.top"]
+    assert len(info.value.cause.core) == n + 2
+    assert len(calls) == 253
+    assert elapsed < BOUND_S, f"{elapsed:.1f} s"
+
+
 def test_work_after_solve_is_linear_in_n():
     # The post-solve pass is infer_system's wall time less its generate and
     # solve stages: everything it does per function after solve. 8x the
     # functions take 8x the time if that work is linear and 64x if it is
-    # quadratic; the scan of all intervals per function made it 30-55x,
-    # against 6-15x without. Each round pairs a median of small runs with
-    # one large run; the median round counts, so one slow moment of the
-    # host does not.
+    # quadratic; a scan of the solver's whole output per function made it
+    # 30-55x, against 6-15x without. Each round pairs a median of small
+    # runs with one large run; the median round counts, so one slow moment
+    # of the host does not.
     def post_solve_s(csys):
         t0 = time.perf_counter()
         stages = infer_system(csys).stage_timings
