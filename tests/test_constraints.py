@@ -8,6 +8,8 @@ from permflow.constraints import (
     Provenance,
     TGround,
     TJoin,
+    TMeet,
+    TMerge,
     TProj,
     TVar,
     constraint_witness,
@@ -217,3 +219,75 @@ def test_witness_is_least_failing_permission_set(rng):
             failing += want is not None
     assert failing > 100
 
+
+
+def _render_term(t, csys) -> str:
+    if isinstance(t, TVar):
+        return repr(t)
+    if isinstance(t, TGround):
+        return "[" + " ".join(csys.lattice.name(v) for v in t.type.table) + "]"
+    if isinstance(t, TJoin):
+        return f"({_render_term(t.lhs, csys)} | {_render_term(t.rhs, csys)})"
+    if isinstance(t, TMeet):
+        return f"({_render_term(t.lhs, csys)} & {_render_term(t.rhs, csys)})"
+    if isinstance(t, TMerge):
+        return (f"merge{t.perm}({_render_term(t.then, csys)}, "
+                f"{_render_term(t.els, csys)})")
+    return f"proj{t.pset}({_render_term(t.term, csys)})"
+
+
+def _render_generation(csys) -> str:
+    """Each function's signature, then its constraints in generation order
+    with their provenance, guard and both sides."""
+    gen = gen_constraints(csys)
+    names = csys.universe.names
+    lines = []
+    for qname, cs in gen.by_function.items():
+        sig = gen.signatures[qname]
+        params = ", ".join(_render_term(t, csys) for t in sig.params)
+        lines.append(f"{qname}({params}) -> {_render_term(sig.ret, csys)}")
+        for c in cs:
+            prov = c.provenance
+            lines.append(
+                f"  {prov.rule} {prov.span} name={prov.name} callee={prov.callee} "
+                f"arg={prov.arg} guard={c.guard.format(names)}: "
+                f"{_render_term(c.lhs, csys)} <= {_render_term(c.rhs, csys)}")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of _render_generation per corpus program: a renumbered variable, a
+# reordered constraint or a changed provenance shows here, though no corpus
+# program is unsatisfiable and the golden CLI file shows only counts
+GENERATION_DIGESTS = {
+    "arith.pf": "c2c19d8f621db957",
+    "branchy_infer.pf": "de300b503c2e5c14",
+    "callchain.pf": "947b8b3626d43fb6",
+    "constfun.pf": "76a7188b35d20fc9",
+    "escalate.pf": "8d480817fd4eb129",
+    "forward_infer.pf": "cb4a75385038f239",
+    "getcontactno.pf": "9d3fab2f3c2d64fe",
+    "getinfo.pf": "39e13344150811c7",
+    "getsecret.pf": "383f89c3cae3be9e",
+    "identity.pf": "530e04521083bc23",
+    "illustrative.pf": "2f33a1c1ef83813f",
+    "laundering.pf": "b9b380a8dc468140",
+    "laundering_fixed.pf": "2981059f13f777e0",
+    "leaky.pf": "4dfe42c06ac8d485",
+    "letscope.pf": "d18c3a3c34f36c4f",
+    "merge_nested.pf": "dc447b537dbeb47b",
+    "mixed_annot.pf": "4669fc3f6b30da62",
+    "nonmono.pf": "95b9ef70df964e0f",
+    "service_infer.pf": "ec18822f1b0975ac",
+    "while_loop.pf": "e25e25e74f285226",
+}
+
+
+def test_generation_is_pinned_on_the_corpus():
+    import hashlib
+
+    programs = sorted(f for f in os.listdir(PROGRAMS) if f.endswith(".pf"))
+    assert programs == sorted(GENERATION_DIGESTS)
+    for name in programs:
+        text = _render_generation(load(name))
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == GENERATION_DIGESTS[name], f"{name}:\n{text}"
