@@ -3,10 +3,10 @@
 Exit codes: 0 = success / well-typed / no violation; 1 = negative analysis
 verdict (type error, unsatisfiable constraints, noninterference violation);
 2 = usage, IO, parse, or validation error, including a stdout that the
-reader closed early; 3 = internal error (an unexpected exception, reported
-as one ``internal error: <Type>: <message>`` line on stderr). JSON mode
-emits one document on stdout with deterministic key order and no
-timestamps, in the bytes of ``json.dumps(doc, indent=2)``.
+reader closed early or that cannot take the output; 3 = internal error (an
+unexpected exception, reported as one ``internal error: <Type>: <message>``
+line on stderr). JSON mode emits one document on stdout with deterministic
+key order and no timestamps, in the bytes of ``json.dumps(doc, indent=2)``.
 """
 
 from __future__ import annotations
@@ -449,25 +449,32 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         code = args.fn(args)
-        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        sys.stdout.flush()  # so that a failing stdout fails here, not at exit
         return code
     except SystemExit2 as e:
-        print(f"error: {e}", file=sys.stderr)
+        _warn(f"error: {e}")
         return 2
-    except BrokenPipeError:  # the reader went away, as in ``permflow ... | head``
+    except OSError as e:
+        # the commands report their own files' errors, so this is stdout's:
+        # a reader that went away, as in ``permflow ... | head``, or a full
+        # device
         _silence_stdout()
-        with contextlib.suppress(OSError):
-            print("error: stdout was closed before the output was written",
-                  file=sys.stderr)
+        _warn(f"error: cannot write the output: {e}")
         return 2
     except Exception as e:  # a bug, never a verdict; BaseException passes
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        _warn(f"internal error: {type(e).__name__}: {e}")
         return 3
+
+
+def _warn(line: str) -> None:
+    """Print ``line`` on stderr if stderr takes it."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr)
 
 
 def _silence_stdout() -> None:
     """Point stdout's file descriptor at the null device, so that the flush
-    at interpreter exit neither fails nor reports the closed pipe again."""
+    at interpreter exit neither fails nor reports the failure again."""
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):

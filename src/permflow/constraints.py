@@ -5,15 +5,20 @@ appear on the left of ≤, meets, merges and projections on the right.
 Ground subterms fold eagerly, so a term containing no variable is always a
 single ground type.
 
-Generation is the one walk that applies the trace rules: it records every
-partial-subtyping side condition as a guarded constraint, tagged with its
-provenance (rule and source span), instead of checking it, and hands
+Generation applies the trace rules as their two judgements, Γ ⊢ e : τ for
+expressions and Γ; Λ ⊢ c : τ for commands under the trace Λ of the
+enclosing permission tests, over one context per system: the literal type,
+one ground term per declared constant, a counter of fresh variables, and
+the current function's app permissions and constraint list. It records
+every partial-subtyping side condition as a guarded constraint, tagged with
+its provenance (rule and source span), instead of checking it, and hands
 unknown function and local types fresh variables. Inference solves the
 constraints; the checker evaluates them over the annotations.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -230,17 +235,6 @@ def constraint_witness(c: Constraint, subst: dict[int, BaseType], lattice,
     return None
 
 
-class VarSupply:
-    """Numbers fresh type variables 0, 1, 2, ..."""
-
-    def __init__(self):
-        self.count = 0
-
-    def fresh(self) -> TVar:
-        self.count += 1
-        return TVar(self.count - 1)
-
-
 @dataclass
 class FunSignature:
     params: tuple[Term, ...]
@@ -266,9 +260,66 @@ def gen_constraints(csys: CheckedSystem) -> GenOutput:
     calling app's permissions; the callee's body constraints stay with the
     callee.
     """
-    supply = VarSupply()
+    lat = csys.lattice
+    literal = TGround(embed(lat.bottom, lat, csys.universe.count))
+    constants = {name: TGround(k.type) for name, k in csys.constants.items()}
+    ids = itertools.count()
     signatures: dict[str, FunSignature] = {}
     by_function: dict[str, list[Constraint]] = {}
+
+    def expr(gamma, e: Expr) -> Term:
+        """Γ ⊢ e : τ."""
+        if isinstance(e, IntLit):
+            return literal
+        if isinstance(e, Var):
+            return gamma[e.name] if e.name in gamma else constants[e.name]
+        if isinstance(e, BinOp):
+            return tjoin(expr(gamma, e.lhs), expr(gamma, e.rhs))
+        raise TypeError(f"not an expression: {e!r}")
+
+    def cmd(gamma, trace: Trace, c: Cmd) -> Term:
+        """Γ; Λ ⊢ c : τ, recording each side condition in ``out``."""
+        if isinstance(c, Assign):
+            out.append(Constraint(trace, expr(gamma, c.expr), gamma[c.name],
+                                  Provenance("assign", c.span, c.name)))
+            return gamma[c.name]
+        if isinstance(c, CallAssign):
+            sig = signatures[c.target]
+            for i, (arg, pt) in enumerate(zip(c.args, sig.params)):
+                out.append(Constraint(trace, expr(gamma, arg), tproj(pt, theta_app),
+                                      Provenance("call-arg", c.span, c.name, c.target, i)))
+            out.append(Constraint(trace, tproj(sig.ret, theta_app), gamma[c.name],
+                                  Provenance("call-ret", c.span, c.name, c.target)))
+            return gamma[c.name]
+        if isinstance(c, Block):
+            # Meet is idempotent and associative: the distinct member terms
+            # fold pairwise into a balanced tree, so the effect term's depth
+            # is ⌈log2 n⌉ for n variables written.
+            terms = list(dict.fromkeys(cmd(gamma, trace, m) for m in c.cmds))
+            while len(terms) > 1:
+                pairs = [tmeet(a, b) for a, b in zip(terms[::2], terms[1::2])]
+                terms = pairs + terms[2 * len(pairs):]
+            return terms[0]
+        if isinstance(c, If):
+            t = tmeet(cmd(gamma, trace, c.then), cmd(gamma, trace, c.els))
+            out.append(Constraint(trace, expr(gamma, c.cond), t,
+                                  Provenance("if-guard", c.span)))
+            return t
+        if isinstance(c, While):
+            t = cmd(gamma, trace, c.body)
+            out.append(Constraint(trace, expr(gamma, c.cond), t,
+                                  Provenance("while-guard", c.span)))
+            return t
+        if isinstance(c, Test):
+            p = csys.universe.index(c.perm)
+            return tmerge(p, cmd(gamma, trace.append(p, True), c.then),
+                          cmd(gamma, trace.append(p, False), c.els))
+        if isinstance(c, LetVar):
+            alpha = TVar(next(ids))
+            out.append(Constraint(trace, expr(gamma, c.init), alpha,
+                                  Provenance("letvar-init", c.span, c.name)))
+            return cmd({**gamma, c.name: alpha}, trace, c.body)
+        raise TypeError(f"not a command: {c!r}")
 
     for qname in csys.topo:
         decl = csys.fd[qname]
@@ -276,83 +327,16 @@ def gen_constraints(csys: CheckedSystem) -> GenOutput:
         if ft is not None:
             sig = FunSignature(tuple(TGround(t) for t in ft.params), TGround(ft.ret))
         else:
-            sig = FunSignature(tuple(supply.fresh() for _ in decl.params), supply.fresh())
+            sig = FunSignature(tuple(TVar(next(ids)) for _ in decl.params),
+                               TVar(next(ids)))
         gamma: dict[str, Term] = dict(zip(decl.params, sig.params))
         gamma[decl.ret_var] = sig.ret
-        collected: list[Constraint] = []
+        # the rules read these two, rebound per function: the calling app's
+        # permissions and the function's side conditions
+        theta_app = csys.theta[decl.app]
+        out: list[Constraint] = []
         if decl.body is not None:
-            _gen_cmd(gamma, EPSILON, decl.app, decl.body, csys, signatures, supply, collected)
+            cmd(gamma, EPSILON, decl.body)
         signatures[qname] = sig
-        by_function[qname] = list(dict.fromkeys(collected))
+        by_function[qname] = list(dict.fromkeys(out))
     return GenOutput(signatures, by_function)
-
-
-def _gen_expr(gamma, e: Expr, csys) -> Term:
-    lat = csys.lattice
-    n = csys.universe.count
-    if isinstance(e, IntLit):
-        return TGround(embed(lat.bottom, lat, n))
-    if isinstance(e, Var):
-        if e.name in gamma:
-            return gamma[e.name]
-        return TGround(csys.constants[e.name].type)
-    if isinstance(e, BinOp):
-        return tjoin(_gen_expr(gamma, e.lhs, csys),
-                     _gen_expr(gamma, e.rhs, csys))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _gen_cmd(gamma, trace, app, c: Cmd, csys, signatures, supply, out) -> Term:
-    if isinstance(c, Assign):
-        t = _gen_expr(gamma, c.expr, csys)
-        out.append(Constraint(trace, t, gamma[c.name],
-                              Provenance("assign", c.span, c.name)))
-        return gamma[c.name]
-    if isinstance(c, CallAssign):
-        sig = signatures[c.target]
-        theta_a = csys.theta[app]
-        for i, (arg, pt) in enumerate(zip(c.args, sig.params)):
-            s = _gen_expr(gamma, arg, csys)
-            out.append(Constraint(trace, s, tproj(pt, theta_a),
-                                  Provenance("call-arg", c.span, c.name, c.target, i)))
-        out.append(Constraint(trace, tproj(sig.ret, theta_a), gamma[c.name],
-                              Provenance("call-ret", c.span, c.name, c.target)))
-        return gamma[c.name]
-    if isinstance(c, Block):
-        # Meet is idempotent and associative: the distinct member terms fold
-        # pairwise into a balanced tree, so the effect term's depth is
-        # ⌈log2 n⌉ for n variables written.
-        terms = list(dict.fromkeys(
-            _gen_cmd(gamma, trace, app, m, csys, signatures, supply, out)
-            for m in c.cmds
-        ))
-        while len(terms) > 1:
-            pairs = [tmeet(a, b) for a, b in zip(terms[::2], terms[1::2])]
-            terms = pairs + terms[2 * len(pairs):]
-        return terms[0]
-    if isinstance(c, If):
-        te = _gen_expr(gamma, c.cond, csys)
-        t1 = _gen_cmd(gamma, trace, app, c.then, csys, signatures, supply, out)
-        t2 = _gen_cmd(gamma, trace, app, c.els, csys, signatures, supply, out)
-        out.append(Constraint(trace, te, tmeet(t1, t2), Provenance("if-guard", c.span)))
-        return tmeet(t1, t2)
-    if isinstance(c, While):
-        te = _gen_expr(gamma, c.cond, csys)
-        t = _gen_cmd(gamma, trace, app, c.body, csys, signatures, supply, out)
-        out.append(Constraint(trace, te, t, Provenance("while-guard", c.span)))
-        return t
-    if isinstance(c, Test):
-        p = csys.universe.index(c.perm)
-        t1 = _gen_cmd(gamma, trace.append(p, True), app, c.then, csys, signatures,
-                      supply, out)
-        t2 = _gen_cmd(gamma, trace.append(p, False), app, c.els, csys, signatures,
-                      supply, out)
-        return tmerge(p, t1, t2)
-    if isinstance(c, LetVar):
-        s = _gen_expr(gamma, c.init, csys)
-        alpha = supply.fresh()
-        out.append(Constraint(trace, s, alpha, Provenance("letvar-init", c.span, c.name)))
-        inner = dict(gamma)
-        inner[c.name] = alpha
-        return _gen_cmd(inner, trace, app, c.body, csys, signatures, supply, out)
-    raise TypeError(f"not a command: {c!r}")

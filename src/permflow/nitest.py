@@ -208,6 +208,9 @@ def nitest_system(
     ``strict`` also tests the cells whose return type is unobservable."""
     if len(domain) < 2:
         raise ValueError("domain must offer at least two values")
+    # a range's values are distinct, and it may be too long to copy
+    if not isinstance(domain, range) and len(set(domain)) < len(domain):
+        raise ValueError("domain values must be distinct")
     if observers is None:
         observers = tuple(range(len(csys.lattice)))
     cells = []

@@ -423,16 +423,47 @@ def test_interrupt_is_not_an_internal_error(monkeypatch):
 def test_closed_stdout_is_an_io_error(argv):
     # as in `permflow infer arith.pf --json | head -c 10`, but with the
     # reading end closed before the child writes anything
-    argv = [p(a) if a.endswith(".pf") else a for a in argv]
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.Popen([sys.executable, "-m", "permflow.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = _child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2, err
     assert len(err.splitlines()) <= 1 and err.startswith("error: "), err
+
+
+def _child(argv, **streams) -> subprocess.Popen:
+    """``python -m permflow.cli`` on ``argv``, corpus file names resolved."""
+    argv = [p(a) if a.endswith(".pf") else a for a in argv]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, "-m", "permflow.cli", *argv],
+                            env=env, **streams)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
+
+
+@needs_dev_full
+def test_full_stdout_is_an_io_error():
+    # as in `permflow infer getinfo.pf --json > /dev/full`
+    with open("/dev/full", "w") as full:
+        proc = _child(["infer", "getinfo.pf", "--json"], stdout=full,
+                      stderr=subprocess.PIPE)
+        err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@needs_dev_full
+def test_full_stderr_keeps_the_exit_code():
+    # as in `permflow check /nonexistent 2> /dev/full`: the error line is
+    # lost, the exit code is not
+    with open("/dev/full", "w") as full:
+        proc = _child(["check", "/nonexistent"], stdout=subprocess.PIPE, stderr=full)
+        out = proc.communicate(timeout=60)[0]
+    assert proc.returncode == 2
+    assert out == b""
 
 
 def test_back_to_back_calls_answer_as_fresh_processes(capsys, monkeypatch):

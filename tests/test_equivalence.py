@@ -11,6 +11,7 @@ types at bottom.
 from itertools import product
 
 from permflow.basetypes import FunctionType, PermUniverse
+from permflow.constraints import gen_constraints
 from permflow.lattice import load_lattice
 from permflow.syntax import Assign, BinOp, Block, FunDecl, If, IntLit, LetVar, Var, While
 from permflow.syntax import Test as PermTest
@@ -109,23 +110,22 @@ def test_trace_rules_match_declarative_search():
 
 def test_expression_types_are_minimal():
     # the checker's expression type is below every declaratively derivable one
-    from permflow.constraints import TGround, _gen_expr
-
     lattice = load_lattice(["L", "H"], [("L", "H")])
     universe = PermUniverse(("p",))
     types = all_types(lattice, 1)
     search = DeclarativeSearch(lattice, 1, {"p": 0})
 
-    dummy = FunDecl("A", "f", ("x",), "r", None, FunctionType((types[0],), types[0]))
-    sys = System(lattice, universe, {"A": 0}, {"A.f": dummy}, {})
-    csys = validate_system(sys)
-
     exprs = [e for e, _ in _exprs(("x", "r"), 5)]
+    assert len(exprs) == 66 and len(types) ** 2 == 16
     for e in exprs:
         for t_x, t_r in product(types, types):
             gamma = {"x": t_x, "r": t_r}
-            term_gamma = {name: TGround(t) for name, t in gamma.items()}
-            minimal = _gen_expr(term_gamma, e, csys).type
+            # the type is the left side of the one constraint of ``r := e``
+            decl = FunDecl("A", "f", ("x",), "r", Assign("r", e),
+                           FunctionType((t_x,), t_r))
+            csys = validate_system(System(lattice, universe, {"A": 0}, {"A.f": decl}, {}))
+            (c,) = gen_constraints(csys).by_function["A.f"]
+            minimal = c.lhs.type
             assert minimal == search.min_expr_type(gamma, e)
             for t in types:
                 if search.expr_has_type(gamma, e, t):

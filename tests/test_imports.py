@@ -6,7 +6,7 @@ imported name must be used in its module (a name listed in the module's
 resolve. ``permflow.oracle`` stays a leaf: only the package's re-export
 imports it, so the fixpoint cannot move back behind it. No package module
 imports another's underscore-prefixed names: those stay behind the module
-boundary.
+boundary, so each one that a package module defines must be used in it.
 """
 
 import ast
@@ -48,7 +48,10 @@ def _annotations(tree: ast.Module):
 
 
 def _used(tree: ast.Module) -> set[str]:
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    """Every name the module loads, in code or in a quoted annotation, or
+    re-exports."""
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for ann in _annotations(tree):  # quoted annotations name types too
         for node in ast.walk(ann):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -112,3 +115,28 @@ def test_no_package_module_imports_a_private_name(module):
         if alias.name.startswith("_")
     ]
     assert not private, f"{module} imports {private}"
+
+
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of each module-level function, class and assignment."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        names[n.id] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if "/" not in m])
+def test_every_private_name_is_used(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    used = _used(tree)
+    dead = {n: line for n, line in _defined(tree).items()
+            if n.startswith("_") and not n.startswith("__") and n not in used}
+    assert not dead, f"{module}: unused private names {dead}"

@@ -230,6 +230,14 @@ def test_domain_needs_two_values():
         nitest_system(load("leaky.pf"), domain=(1,))
 
 
+@pytest.mark.parametrize("domain", [(1, 1), (0, 0, 1)])
+def test_domain_values_must_be_distinct(domain):
+    # (1, 1) offers one value, so the leak in A.bad would go unseen, and a
+    # repeated value would count pairs twice
+    with pytest.raises(ValueError, match="domain values must be distinct"):
+        nitest_system(load("leaky.pf"), domain=domain)
+
+
 def test_empty_system_ok():
     src = """
 lattice { levels L, H; order L < H; }

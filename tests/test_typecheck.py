@@ -1,17 +1,16 @@
 import os
 
-from permflow.basetypes import embed
+from permflow.basetypes import FunctionType, embed
 from permflow.constraints import (
     Constraint,
     TGround,
-    VarSupply,
-    _gen_cmd,
-    _gen_expr,
     constraint_witness,
+    gen_constraints,
 )
 from permflow.parser import parse_system
-from permflow.system import validate_system
-from permflow.traces import EPSILON, apply_trace
+from permflow.syntax import Assign, BinOp, FunDecl, IntLit, Var
+from permflow.system import System, validate_system
+from permflow.traces import apply_trace
 from permflow.typecheck import (
     ANNOTATION,
     CALL_ARG,
@@ -34,6 +33,19 @@ def _sys(src: str):
     return validate_system(parse_system(src))
 
 
+def _expr_term(csys, gamma, e):
+    """The term that Γ ⊢ e : τ gives ``e``, the parameters typed as ``gamma``
+    says: the left side of the one constraint that a body ``r := e``
+    generates."""
+    lat = csys.lattice
+    ret = embed(lat.bottom, lat, csys.universe.count)
+    decl = FunDecl(next(iter(csys.theta)), "f", tuple(gamma), "r", Assign("r", e),
+                   FunctionType(tuple(gamma.values()), ret))
+    sys_ = System(lat, csys.universe, csys.theta, {decl.qualified: decl}, csys.constants)
+    (c,) = gen_constraints(validate_system(sys_)).by_function[decl.qualified]
+    return c.lhs
+
+
 def _error(csys, qname: str):
     """The checker's report on ``qname``, None when it typechecks."""
     return {v.function: v.error for v in check_system(csys).verdicts}[qname]
@@ -42,29 +54,23 @@ def _error(csys, qname: str):
 def test_var_rule(diamond):
     csys = load("getinfo.pf")
     t = bt(csys.lattice, "L", "l1", "l2", "H")
-    from permflow.syntax import Var
-
-    assert _gen_expr({"x": TGround(t)}, Var("x"), csys) == TGround(t)
+    assert _expr_term(csys, {"x": t}, Var("x")) == TGround(t)
 
 
 def test_op_rule_joins(diamond):
     csys = load("getinfo.pf")
     lat = csys.lattice
-    from permflow.syntax import BinOp, Var
-
     gamma = {
-        "x": TGround(embed(lat.level("l1"), lat, 2)),
-        "y": TGround(embed(lat.level("l2"), lat, 2)),
+        "x": embed(lat.level("l1"), lat, 2),
+        "y": embed(lat.level("l2"), lat, 2),
     }
-    t = _gen_expr(gamma, BinOp("+", Var("x"), Var("y")), csys)
+    t = _expr_term(csys, gamma, BinOp("+", Var("x"), Var("y")))
     assert t == TGround(embed(lat.level("H"), lat, 2))
 
 
 def test_literal_is_bottom():
     csys = load("getinfo.pf")
-    from permflow.syntax import IntLit
-
-    t = _gen_expr({}, IntLit(0), csys)
+    t = _expr_term(csys, {}, IntLit(0))
     assert t == TGround(embed(csys.lattice.bottom, csys.lattice, 2))
 
 
@@ -131,22 +137,21 @@ def test_identity_well_typed():
 
 
 def test_merge_rule_shapes_result(two_point):
-    # test(p) gives the merged effect of the two branches
+    # test(p) gives the merged effect of the two branches, which the
+    # enclosing while loop's guard constraint bounds
     csys = _sys("""
 lattice { levels L, H; order L < H; }
 permissions { p }
 app A perms {p} {
   const SECRET : H = 5;
   fun f() : { {p}: H, _: L } {
-    init r = 0 in { test(p) r := SECRET else r := 0; return r }
+    init r = 0 in { while 0 do { test(p) r := SECRET else r := 0 }; return r }
   }
 }
 """)
-    decl = csys.fd["A.f"]
-    gamma = {"r": TGround(csys.fd["A.f"].annotation.ret)}
-    out = []
-    t = _gen_cmd(gamma, EPSILON, "A", decl.body, csys, {}, VarSupply(), out)
-    assert t == gamma["r"]
+    out = gen_constraints(csys).by_function["A.f"]
+    (guard,) = [c for c in out if c.provenance.rule == "while-guard"]
+    assert guard.rhs == TGround(csys.fd["A.f"].annotation.ret)
     assert all(constraint_witness(c, {}, csys.lattice, 1) is None for c in out)
 
 
