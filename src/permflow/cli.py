@@ -394,8 +394,22 @@ def _require_64_bit(what: str, value: int) -> None:
         raise SystemExit2(f"{what} {value} is not a 64-bit integer")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help text reaches stdout or fails.
+
+    ``argparse`` drops an ``OSError`` from writing help; this one lets it
+    out of ``parse_args``, so that ``main`` reports it like any output
+    error. Its sub-parsers are of this class too.
+    """
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="permflow",
         description="permission-dependent information-flow analysis",
     )
@@ -446,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)  # help and usage errors exit here
         code = args.fn(args)
         sys.stdout.flush()  # so that a failing stdout fails here, not at exit
         return code

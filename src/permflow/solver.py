@@ -1,16 +1,22 @@
 """Constraint solving: the worklist solver, and the symbolic reference.
 
-``least_solution`` is the one verdict on a guarded constraint set. It finds
-the least solution with the worklist fixpoint below, then checks against it,
-in generation order, the constraints that the fixpoint can leave false: a
-constraint the least solution violates is violated by every solution, so
-the first one refutes the set. Inference (``solve``), the unsat-core
-search, the checker (``typecheck.check_system``) and ``oracle.oracle_solve``
-all call it. ``solve`` returns the least substitution, and reports an
-unsatisfiable set with the refuted constraint, its witness and an
-irreducible core: the one that deleting constraints one at a time in
-generation order would keep, found by bisection in O(c log n) reruns of the
-verdict for a core of c out of n constraints.
+``refutation`` is the one verdict on a guarded constraint set. Only the
+constraints with a ground part on the right, the *roots*, can be left false
+by the least solution, and a constraint the least solution violates is
+violated by every solution, so the first refuted root, in generation order,
+refutes the set. The least solution on the cells the roots read depends only
+on the roots' *cone*: the roots and, transitively, every constraint whose
+right side writes a variable that a member's left side or a root's right
+side reads. So the verdict runs the worklist fixpoint below over the cone
+alone; a set without roots has an empty cone and is satisfiable. Inference
+(``solve``), the unsat-core search, the checker (``typecheck.check_system``)
+and, through ``least_solution``, ``oracle.oracle_solve`` all call it.
+``solve`` returns the least substitution, solving the constraints outside
+the cone from the cone's tables up, and reports an unsatisfiable set with
+the refuted constraint, its witness and an irreducible core: the one that
+deleting constraints one at a time in generation order would keep. The
+constraints outside the cone never change a verdict, so that core is
+searched inside the cone, by galloping search from the last kept member.
 
 The fixpoint treats every (variable, permission set) pair as one unknown
 lattice element, a *cell*. A generated constraint (Λ, lhs ≤ rhs) holds when
@@ -453,19 +459,26 @@ def _has_ground(term) -> bool:
 
 
 def least_fixpoint(
-    constraints, requested, lattice: Lattice, nperms: int
+    constraints, requested, lattice: Lattice, nperms: int, start=None
 ) -> dict[int, BaseType]:
     """Least types for ``requested`` and every variable of ``constraints``
-    meeting every lower bound of ``constraints``.
+    meeting every lower bound of ``constraints``, raised from ``start``'s
+    types (bottom for a variable it lacks).
 
-    Upper bounds that stay violated at the fixpoint are left to the caller.
+    ``start`` must lie below that least solution, or the result is not
+    the least one. Upper bounds that stay violated at the fixpoint are left
+    to the caller.
     """
     vids = set(requested)
     for c in constraints:
         vids |= term_vars(c.lhs) | term_vars(c.rhs)
+    start = start or {}
+    vids |= start.keys()
     if not vids:
         return {}  # nothing to solve: every constraint is ground
-    tables = {v: [lattice.bottom] * (1 << nperms) for v in vids}
+    size = 1 << nperms
+    tables = {v: list(start[v].table) if v in start else [lattice.bottom] * size
+              for v in vids}
 
     items: list[tuple] = []  # (left side, instance, cells its right side writes)
     readers: dict[tuple[int, int], list[int]] = {}
@@ -501,6 +514,75 @@ def least_fixpoint(
 
 # -------------------------------------------------------------------- solve
 
+def _cone(constraints) -> list[int]:
+    """The indices, ascending, of the constraints that can decide the
+    verdict on ``constraints``.
+
+    The roots are the constraints with a ground part on the right. The cone
+    holds them and every constraint whose right side names a variable that
+    a root's sides or a member's left side names, closed transitively. So
+    every constraint that can raise a cell a member reads is a member; the
+    constraints outside can raise only cells that no member reads.
+    """
+    roots = [i for i, c in enumerate(constraints) if _has_ground(c.rhs)]
+    if not roots:
+        return []
+    writers: dict[int, list[int]] = {}
+    for i, c in enumerate(constraints):
+        for v in term_vars(c.rhs):
+            writers.setdefault(v, []).append(i)
+    members = set(roots)
+    todo = set()
+    for i in roots:
+        todo |= term_vars(constraints[i].lhs) | term_vars(constraints[i].rhs)
+    done: set[int] = set()
+    while todo:
+        v = todo.pop()
+        done.add(v)
+        for i in writers.get(v, ()):
+            if i not in members:
+                members.add(i)
+                todo |= term_vars(constraints[i].lhs) - done
+    return sorted(members)
+
+
+def refutation(constraints, lattice: Lattice, nperms: int):
+    """The verdict on ``constraints``: the indices of its cone (``_cone``),
+    the least solution of the cone, and the first root that solution
+    refutes with its least witness, or None when it refutes none.
+
+    The least solution of the whole set refutes a constraint exactly when
+    every solution does, so the third item is None exactly when the set is
+    satisfiable. Only the roots need checking: when the fixpoint's worklist
+    drains, each instance was last examined after the last raise of any
+    cell its left side reads, and that examination joined its left level
+    into every cell its right side reads; a right side made only of
+    variables, meets, merges and projections covers a level once each of
+    those cells does. And on every cell that a root reads the cone's least
+    solution is the whole set's, because the cone holds every constraint
+    that writes such a cell and, transitively, every constraint that writes
+    a cell a member's left side reads. So the first refuted root, in
+    generation order, and its least witness are those of the whole set.
+    """
+    cone = _cone(constraints)
+    members = [constraints[i] for i in cone]
+    theta = least_fixpoint(members, (), lattice, nperms)
+    for c in members:
+        if _has_ground(c.rhs):
+            q = constraint_witness(c, theta, lattice, nperms)
+            if q is not None:
+                return cone, theta, (c, q)
+    return cone, theta, None
+
+
+def _outside(constraints, cone: list[int]):
+    """The constraints whose indices are not in ``cone``, in order."""
+    if not cone:
+        return constraints
+    inside = set(cone)
+    return [c for i, c in enumerate(constraints) if i not in inside]
+
+
 def solve(
     constraints,
     lattice: Lattice,
@@ -509,12 +591,15 @@ def solve(
 ) -> dict[int, BaseType]:
     """Least substitution of a guarded constraint set, or UnsatError.
 
-    ``least_solution`` decides the set; the constraint it refutes is
-    reported with its witness and the core that greedy deletion in
-    generation order keeps, found by bisection (``_minimize_core``).
+    ``refutation`` decides the set; the constraint it refutes is reported
+    with its witness and the core that greedy deletion in generation order
+    keeps (``_minimize_core``). A satisfiable set is solved from the cone's
+    least solution up, over the constraints outside the cone only: none of
+    them writes a cell a cone member reads, so no cone member needs another
+    look.
     """
     constraints = list(constraints)
-    theta, refuted = least_solution(constraints, requested, lattice, nperms)
+    cone, theta, refuted = refutation(constraints, lattice, nperms)
     if refuted is not None:
         c, q = refuted
         raise UnsatError(
@@ -522,59 +607,60 @@ def solve(
             f"constraint refuted at permission set {q}",
             constraint=c,
             witness=q,
-            core=_minimize_core(constraints, lattice, nperms),
+            core=_minimize_core([constraints[i] for i in cone], lattice, nperms),
         )
-    return theta
+    return least_fixpoint(_outside(constraints, cone), requested, lattice, nperms, theta)
 
 
 def least_solution(constraints, requested, lattice: Lattice, nperms: int):
     """The least solution of ``constraints`` for ``requested`` and their
-    variables, and the first constraint it refutes with its least witness,
-    or None when it refutes none.
-
-    The least solution refutes a constraint exactly when every solution
-    does, so the second item is None exactly when the set is satisfiable.
-    Only constraints with a ground part on the right are checked: the
-    fixpoint leaves every other one true. When its worklist drains, each
-    instance was last examined after the last raise of any cell its left
-    side reads, and that examination joined its left level into every cell
-    its right side reads. A right side made only of variables, meets,
-    merges and projections covers a level once each of those cells does.
-    So skipping the rest keeps the first refuted constraint, in generation
-    order, and its least witness.
-    """
-    theta = least_fixpoint(constraints, requested, lattice, nperms)
-    for c in constraints:
-        if _has_ground(c.rhs):
-            q = constraint_witness(c, theta, lattice, nperms)
-            if q is not None:
-                return theta, (c, q)
-    return theta, None
+    variables, and ``refutation``'s refuted constraint with its least
+    witness, or None when the set is satisfiable."""
+    cone, theta, refuted = refutation(constraints, lattice, nperms)
+    outside = _outside(constraints, cone)
+    return least_fixpoint(outside, requested, lattice, nperms, theta), refuted
 
 
-def _minimize_core(constraints, lattice, nperms):
-    """The core that greedy deletion in generation order keeps, found by
-    bisection.
+def _minimize_core(cone, lattice, nperms):
+    """The core that greedy deletion in generation order keeps, searched
+    inside the cone by galloping search.
 
-    Greedy deletion drops ``constraints[i]`` when the constraints it has kept
-    so far together with ``constraints[i + 1:]`` are still unsatisfiable.
+    Greedy deletion drops ``cone[i]`` when the constraints it has kept so
+    far together with ``cone[i + 1:]`` are still unsatisfiable.
     Unsatisfiability is monotone in the constraint set, so the next
-    constraint it keeps is the largest ``j`` for which ``kept +
-    constraints[j:]`` is unsatisfiable, and a binary search finds ``j`` in
-    about log2(n) reruns of ``least_solution``. The search stops as soon as
-    ``kept`` alone is unsatisfiable: a core of c constraints costs at most
-    c·(⌈log2 n⌉ + 1) reruns instead of one per constraint.
+    constraint it keeps is the largest ``j`` for which ``kept + cone[j:]``
+    is unsatisfiable. An unbounded search from the last kept index finds
+    it (Bentley & Yao, "An almost optimal algorithm for unbounded
+    searching", IPL 1976): it probes 1, 3, 7, ... places past where it
+    starts until a probe is satisfiable, then bisects below that probe. A
+    member g places past the start (the cone's first index, or the one
+    after the previous member) costs at most 2·⌊log2(g + 1)⌋ + 1 reruns of
+    ``refutation``, and one more asks whether ``kept`` alone is already
+    unsatisfiable, where the search stops. The reruns see only the cone,
+    and a member next to the previous one costs two of them.
+
+    Greedy deletion over a whole constraint set keeps the same core as over
+    its cone: any subset has the same verdict as its part inside the cone,
+    because its own cone lies inside both. So a constraint outside the cone
+    is always dropped, and every other decision is the same.
     """
-    n = len(constraints)
+    n = len(cone)
     kept: list[int] = []
 
     def unsat_from(start: int) -> bool:
-        picked = [constraints[i] for i in kept] + constraints[start:]
-        return least_solution(picked, (), lattice, nperms)[1] is not None
+        picked = [cone[i] for i in kept] + cone[start:]
+        return refutation(picked, lattice, nperms)[2] is not None
 
-    lo = 0  # kept + constraints[lo:] is unsatisfiable; kept alone is not
+    lo = 0  # kept + cone[lo:] is unsatisfiable; kept alone is not
     while True:
         hi = n
+        step = 1
+        while lo + step < n:
+            if not unsat_from(lo + step):
+                hi = lo + step
+                break
+            lo += step
+            step *= 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if unsat_from(mid):
@@ -584,4 +670,4 @@ def _minimize_core(constraints, lattice, nperms):
         kept.append(lo)
         lo += 1
         if lo == n or unsat_from(n):
-            return [constraints[i] for i in kept]
+            return [cone[i] for i in kept]

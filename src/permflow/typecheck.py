@@ -13,8 +13,9 @@ The one non-syntax-directed point of the rules is the type chosen for a
 letvar-bound local. It is resolved by the least solution of the body's
 constraints, which is complete: if any choice admits a derivation, the
 least one does. So the verdict is inference's own,
-``solver.least_solution``, over the body's constraints, whose only
-variables are the locals.
+``solver.refutation``, over the body's constraints, whose only variables
+are the locals; the tables of a violation come from the same least
+solution of the constraints that can decide it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .basetypes import BaseType
 from .constraints import Constraint, eval_term, gen_constraints
-from .solver import least_solution
+from .solver import refutation
 from .syntax import Span
 from .system import CheckedSystem
 from .traces import EPSILON, Trace
@@ -107,7 +108,7 @@ def _first_violation(csys: CheckedSystem, qname: str,
                 ANNOTATION, f"called function {callee} has no type",
                 c.provenance.span, qname,
             )
-    locals_, refuted = least_solution(body, (), csys.lattice, csys.universe.count)
+    _, locals_, refuted = refutation(body, csys.lattice, csys.universe.count)
     return None if refuted is None else _violation(*refuted, locals_, csys, qname)
 
 

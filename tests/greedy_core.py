@@ -1,11 +1,13 @@
 """The one-at-a-time deletion loop that ``solver._minimize_core`` replaced.
 
-It reruns the least fixpoint once per constraint. The bisection in
+It reruns the verdict over every remaining constraint once per constraint,
+with the whole least solution checked against every constraint
+(``tests/full_check.py``). The galloping search inside the cone in
 ``solver._minimize_core`` must return exactly the core this loop returns,
 list for list; ``tests/test_core.py`` checks that.
 """
 
-from permflow.solver import least_solution
+from .full_check import full_least_solution
 
 
 def greedy_core(constraints, lattice, nperms):
@@ -21,4 +23,4 @@ def greedy_core(constraints, lattice, nperms):
 
 
 def _is_unsat(constraints, lattice, nperms) -> bool:
-    return least_solution(constraints, (), lattice, nperms)[1] is not None
+    return full_least_solution(constraints, (), lattice, nperms)[1] is not None

@@ -456,6 +456,26 @@ def test_full_stdout_is_an_io_error():
 
 
 @needs_dev_full
+@pytest.mark.parametrize("argv", [["--help"], ["infer", "-h"]])
+def test_help_to_full_stdout_is_an_io_error(argv):
+    # as in `permflow --help > /dev/full`: argparse drops the write error
+    with open("/dev/full", "w") as full:
+        proc = _child(argv, stdout=full, stderr=subprocess.PIPE)
+        err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: cannot write the output: "), err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["infer", "-h"]])
+def test_help_exits_zero(argv):
+    proc = _child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.startswith(b"usage: permflow") and err == b""
+
+
+@needs_dev_full
 def test_full_stderr_keeps_the_exit_code():
     # as in `permflow check /nonexistent 2> /dev/full`: the error line is
     # lost, the exit code is not

@@ -1,7 +1,8 @@
-"""The unsat core: bisection against the deletion loop it replaced.
+"""The unsat core: the search inside the cone against the deletion loop.
 
 ``solve`` reports the core that greedy deletion in generation order keeps
-(``tests/greedy_core.py``), found by bisection. On random unsatisfiable
+(``tests/greedy_core.py``), found by galloping search inside the cone of
+the constraints with a ground part on the right. On random unsatisfiable
 instances the two must agree list for list, and the symbolic reference
 must judge every core irreducible: unsatisfiable, and satisfiable once any
 one member is dropped.
@@ -39,7 +40,7 @@ def _unsat_instances(count: int, max_count: int):
 
 
 # the differential generator's own sizes, and longer sets where the
-# bisection takes several steps per kept constraint
+# search takes several steps per kept constraint
 @pytest.mark.parametrize("count, max_count", [(2000, 10), (300, 40)],
                          ids=["upto10", "upto40"])
 def test_core_is_greedy_and_irreducible(count, max_count):

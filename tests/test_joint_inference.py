@@ -148,13 +148,13 @@ def test_inferred_corpus_types_check():
 
 def _count_checks(monkeypatch) -> list:
     calls: list = []
-    real = typecheck.least_solution
+    real = typecheck.refutation
 
     def counting(constraints, *args):
         calls.append(constraints)
         return real(constraints, *args)
 
-    monkeypatch.setattr(typecheck, "least_solution", counting)
+    monkeypatch.setattr(typecheck, "refutation", counting)
     return calls
 
 

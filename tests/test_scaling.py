@@ -6,9 +6,11 @@ second on both. Generation once copied every callee's constraints into its
 callers, which took the 1,280-function fan about 20 s; each function's own
 constraints take it under 2 s. Minimising the unsat core of a 160-function
 fan with a planted leak once reran the fixpoint per constraint, 5-8 s;
-bisection takes well under a second. A secret that flows through a chain
-of N calls into an L sink has a core of N+2 constraints, and its bisection
-reruns are pinned as a baseline to lower. The time bounds are generous, so
+the search inside the cone of the ground right sides takes well under a
+second. A secret that flows through a chain of N calls into an L sink has
+a core of N+2 constraints; a bisection over every constraint took 2.6 s at
+N=160, and the reruns of the search inside the cone are pinned. The time
+bounds are generous, so
 only a return to exponential or quadratic behaviour fails them. The work
 after ``solve`` is bounded by a ratio of two timings instead: it once
 scanned the solver's whole output for each function. The compiled
@@ -149,28 +151,34 @@ def test_fan(k, n):
     assert elapsed < BOUND_S, f"{elapsed:.1f} s"
 
 
-def _count_least_fixpoint(monkeypatch) -> list:
+def _count_verdicts(monkeypatch) -> list:
     calls = []
-    real = solver.least_fixpoint
+    real = solver.refutation
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(solver, "least_fixpoint", counting)
+    monkeypatch.setattr(solver, "refutation", counting)
     return calls
 
 
 @pytest.mark.parametrize("n", [40, 160], ids=["n40", "n160"])
 def test_planted_leak_core(n, monkeypatch):
-    # The core is found by bisection: one least-fixpoint run for the solve,
-    # then at most ceil(log2(m + 1)) + 1 reruns per core constraint, for m
-    # constraints. The one-at-a-time deletion loop made one rerun per
-    # constraint: 242 runs at N=40 and 962 at N=160.
-    calls = _count_least_fixpoint(monkeypatch)
+    # One verdict for the solve, then at most ceil(log2(m + 1)) + 1 reruns
+    # per core constraint, for m constraints: the bound of a bisection over
+    # all of them, which the search inside the cone stays under. The
+    # one-at-a-time deletion loop made one rerun per constraint: 242 runs at
+    # N=40 and 962 at N=160. The cone is the same 10 constraints at every
+    # N: the sink's body; the leaking function's 4 writes of its letvar and
+    # its two call-args; and the 3 writes of the result of the function it
+    # calls.
+    calls = _count_verdicts(monkeypatch)
     leak_at = n - 2  # the topmost A function
     csys = validate_system(parse_system(fan_source(2, n, leak_at)))
-    m = len(gen_constraints(csys).all_constraints())
+    constraints = gen_constraints(csys).all_constraints()
+    m = len(constraints)
+    assert len(solver._cone(constraints)) == 10
     t0 = time.perf_counter()
     with pytest.raises(InferUnsat) as info:
         infer_system(csys)
@@ -181,22 +189,27 @@ def test_planted_leak_core(n, monkeypatch):
     assert elapsed < BOUND_S, f"{elapsed:.1f} s"
 
 
-def test_chain_leak_core(monkeypatch):
-    # The core is the whole path: the H constant, each of the 40 call-ret
-    # constraints and the sink's call-arg. Bisection reruns the fixpoint
-    # over all 85 constraints about log2(85) times per core member: 253
-    # runs, a baseline for a core search confined to the path to lower.
-    calls = _count_least_fixpoint(monkeypatch)
-    n = 40
+@pytest.mark.parametrize("n, constraints, runs", [(40, 85, 86), (160, 325, 326),
+                                                  (320, 645, 646)],
+                         ids=["n40", "n160", "n320"])
+def test_chain_leak_core(n, constraints, runs, monkeypatch):
+    # The core is the whole path: the H constant, each of the n call-ret
+    # constraints and the sink's call-arg. The cone adds two constraints
+    # to that path, the sink's own assignment and top's letvar initializer.
+    # Each core member lies next to the previous one in the cone, so the
+    # search makes about two verdict runs per member: one probe just past
+    # it, and one on the kept members alone. A bisection over all the
+    # constraints made 253 runs at N=40 and 1,275 at N=160.
+    calls = _count_verdicts(monkeypatch)
     csys = validate_system(parse_system(chain_leak_source(n)))
-    assert len(gen_constraints(csys).all_constraints()) == 85
+    assert len(gen_constraints(csys).all_constraints()) == constraints
     t0 = time.perf_counter()
     with pytest.raises(InferUnsat) as info:
         infer_system(csys)
     elapsed = time.perf_counter() - t0
     assert info.value.functions == [f"A.f{i}" for i in range(n)] + ["A.top"]
     assert len(info.value.cause.core) == n + 2
-    assert len(calls) == 253
+    assert len(calls) == runs
     assert elapsed < BOUND_S, f"{elapsed:.1f} s"
 
 
