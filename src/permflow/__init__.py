@@ -30,7 +30,6 @@ from .lattice import (
     load_lattice,
 )
 from .nitest import NIReport, Violation, nitest_system
-from .oracle import OracleUnsat, oracle_solve
 from .parser import ParseError, parse_system
 from .solver import (
     UnsatError,
@@ -58,7 +57,6 @@ __all__ = [
     "CycleInOrder", "Lattice", "LatticeError", "NotALattice",
     "UnknownLevelName", "load_lattice",
     "NIReport", "Violation", "nitest_system",
-    "OracleUnsat", "oracle_solve",
     "ParseError", "parse_system",
     "UnsatError", "decompose", "saturate",
     "solve", "symbolic_solve",

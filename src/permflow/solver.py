@@ -9,8 +9,7 @@ on the roots' *cone*: the roots and, transitively, every constraint whose
 right side writes a variable that a member's left side or a root's right
 side reads. So the verdict runs the worklist fixpoint below over the cone
 alone; a set without roots has an empty cone and is satisfiable. Inference
-(``solve``), the unsat-core search, the checker (``typecheck.check_system``)
-and, through ``least_solution``, ``oracle.oracle_solve`` all call it.
+(``solve``), the unsat-core search and ``typecheck.check_system`` call it.
 ``solve`` returns the least substitution, solving the constraints outside
 the cone from the cone's tables up, and reports an unsatisfiable set with
 the refuted constraint, its witness and an irreducible core: the one that
@@ -575,14 +574,6 @@ def refutation(constraints, lattice: Lattice, nperms: int):
     return cone, theta, None
 
 
-def _outside(constraints, cone: list[int]):
-    """The constraints whose indices are not in ``cone``, in order."""
-    if not cone:
-        return constraints
-    inside = set(cone)
-    return [c for i, c in enumerate(constraints) if i not in inside]
-
-
 def solve(
     constraints,
     lattice: Lattice,
@@ -609,16 +600,10 @@ def solve(
             witness=q,
             core=_minimize_core([constraints[i] for i in cone], lattice, nperms),
         )
-    return least_fixpoint(_outside(constraints, cone), requested, lattice, nperms, theta)
-
-
-def least_solution(constraints, requested, lattice: Lattice, nperms: int):
-    """The least solution of ``constraints`` for ``requested`` and their
-    variables, and ``refutation``'s refuted constraint with its least
-    witness, or None when the set is satisfiable."""
-    cone, theta, refuted = refutation(constraints, lattice, nperms)
-    outside = _outside(constraints, cone)
-    return least_fixpoint(outside, requested, lattice, nperms, theta), refuted
+    if cone:
+        inside = set(cone)
+        constraints = [c for i, c in enumerate(constraints) if i not in inside]
+    return least_fixpoint(constraints, requested, lattice, nperms, theta)
 
 
 def _minimize_core(cone, lattice, nperms):

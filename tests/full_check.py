@@ -1,13 +1,13 @@
-"""The verdict that checks every constraint, as ``solver.least_solution``
-did before it checked only those with a ground part on the right, over the
-least fixpoint of the whole set rather than of their cone.
+"""The verdict that checks every constraint, over the least fixpoint of the
+whole set rather than of the cone of those with a ground part on the right.
 
 It runs the least fixpoint over every constraint, then asks
 ``constraint_witness`` about every constraint in generation order.
-``least_solution`` and ``solver.refutation`` must return the same verdict,
-the same refuted constraint and the same witness;
-``tests/test_targeted_check.py`` and ``tests/test_cone.py`` check that, and
-``tests/greedy_core.py`` decides with it.
+``solver.solve`` and ``solver.refutation`` must reach the same verdict, the
+same refuted constraint and the same witness, and ``solve`` the same least
+solution of a satisfiable set; ``tests/test_targeted_check.py`` and
+``tests/test_cone.py`` check that, and ``tests/greedy_core.py`` decides with
+it.
 """
 
 from permflow.constraints import constraint_witness

@@ -1,9 +1,10 @@
-"""``least_solution`` checks only the constraints its fixpoint can leave false.
+"""``solve`` checks only the constraints its fixpoint can leave false.
 
 Those are the constraints with a ground part on the right. On random
-instances the verdict, the refuted constraint and its witness must equal
-those of the full check in ``tests/full_check.py``, and inference must ask
-``constraint_witness`` about no other constraint.
+instances ``solve``'s least solution, or its refuted constraint and that
+constraint's witness, must equal those of the full check in
+``tests/full_check.py``, and inference must ask ``constraint_witness`` about
+no other constraint.
 """
 
 import random
@@ -14,7 +15,7 @@ from permflow import solver
 from permflow.constraints import TGround, TJoin, TMeet, TMerge, TProj
 from permflow.inference import InferUnsat, infer_system
 from permflow.parser import parse_system
-from permflow.solver import least_solution
+from permflow.solver import UnsatError, solve
 from permflow.system import validate_system
 
 from .diffgen import random_instance
@@ -40,15 +41,15 @@ def test_targeted_check_matches_full_check():
     for i in range(2000):
         constraints, lat, nperms, nvars = random_instance(rnd)
         requested = tuple(range(nvars))
-        theta, refuted = least_solution(constraints, requested, lat, nperms)
         want_theta, want = full_least_solution(constraints, requested, lat, nperms)
-        assert theta == want_theta, i
         if want is None:
-            assert refuted is None, i
+            assert solve(constraints, lat, nperms, requested) == want_theta, i
             sat += 1
         else:
-            assert refuted is not None, i
-            assert refuted[0] is want[0] and refuted[1] == want[1], i
+            with pytest.raises(UnsatError) as err:
+                solve(constraints, lat, nperms, requested)
+            assert err.value.constraint is want[0], i
+            assert err.value.witness == want[1], i
             unsat += 1
         skipped += sum(not _ground_part(c.rhs) for c in constraints)
     assert sat > 400 and unsat > 400 and skipped > 1000, (sat, unsat, skipped)
