@@ -73,25 +73,14 @@ from .constraints import (
 from .lattice import Lattice
 from .traces import minterms, trace_of_set
 
-GROUND_VIOLATION = "GroundViolation"
-EMPTY_INTERVAL = "EmptyInterval"
-
-
 class UnsatError(Exception):
-    def __init__(
-        self,
-        kind: str,
-        message: str,
-        constraint: GenConstraint | None = None,
-        witness: int | None = None,
-        var: int | None = None,
-        core: list | None = None,
-    ):
+    """``constraint`` is refuted at permission set ``witness``."""
+
+    def __init__(self, message: str, constraint, witness: int,
+                 core: list | None = None):
         super().__init__(message)
-        self.kind = kind
         self.constraint = constraint
         self.witness = witness
-        self.var = var
         self.core = core or []
 
 
@@ -169,11 +158,7 @@ def _atomic(gc: GenConstraint, lattice: Lattice, nperms: int) -> list[GenConstra
             b = rhs.type.at(gc.rguard.remap(q))
             if not lattice.leq(a, b):
                 raise UnsatError(
-                    GROUND_VIOLATION,
-                    f"ground constraint refuted at permission set {q}",
-                    constraint=gc,
-                    witness=q,
-                )
+                    f"ground constraint refuted at permission set {q}", gc, q)
         return []
     if (
         isinstance(lhs, TVar)
@@ -365,13 +350,8 @@ def _sweep(atoms, lattice: Lattice, nperms: int, vids: set[int]) -> dict[int, Ba
                 if not lattice.leq(lo_v, hi_v):
                     p = lg.remap(q)
                     raise UnsatError(
-                        EMPTY_INTERVAL,
                         f"variable {vid} is forced above its bound at "
-                        f"permission set {p}",
-                        constraint=a,
-                        witness=q,
-                        var=vid,
-                    )
+                        f"permission set {p}", a, q)
         theta[vid] = t
     return theta
 
@@ -594,10 +574,7 @@ def solve(
     if refuted is not None:
         c, q = refuted
         raise UnsatError(
-            GROUND_VIOLATION,
-            f"constraint refuted at permission set {q}",
-            constraint=c,
-            witness=q,
+            f"constraint refuted at permission set {q}", c, q,
             core=_minimize_core([constraints[i] for i in cone], lattice, nperms),
         )
     if cone:

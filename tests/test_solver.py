@@ -15,8 +15,6 @@ from permflow.constraints import (
 )
 from permflow.parser import parse_system
 from permflow.solver import (
-    EMPTY_INTERVAL,
-    GROUND_VIOLATION,
     UnsatError,
     _sweep,
     decompose,
@@ -68,8 +66,7 @@ def test_decompose_refutes_ground(two_point):
     gc = GenConstraint(EPSILON, _ground(lat, "H", 1), EPSILON, _ground(lat, "L", 1))
     with pytest.raises(UnsatError) as err:
         decompose([gc], lat, 1)
-    assert err.value.kind == GROUND_VIOLATION
-    assert err.value.witness is not None
+    assert err.value.constraint == gc and err.value.witness == 0
 
 
 def test_decompose_splits_merge(two_point):
@@ -109,7 +106,9 @@ def test_saturate_transitivity_refutes(two_point):
     ]
     with pytest.raises(UnsatError) as err:
         saturate(atoms, lat, 1)
-    assert err.value.kind == GROUND_VIOLATION
+    # transitivity through v0 derives the refuted ground-ground atom
+    ground = GenConstraint(EPSILON, _ground(lat, "H", 1), EPSILON, _ground(lat, "L", 1))
+    assert err.value.constraint == ground and err.value.witness == 0
 
 
 def test_saturate_incompatible_guards_add_nothing(two_point):
@@ -152,8 +151,8 @@ def test_sweep_empty_interval(two_point):
     ]
     with pytest.raises(UnsatError) as err:
         _sweep(atoms, lat, 1, {0})
-    assert err.value.kind == EMPTY_INTERVAL
-    assert err.value.var == 0 and err.value.witness is not None
+    # v0's least type H breaks its upper bound L
+    assert err.value.constraint == atoms[1] and err.value.witness == 0
 
 
 def test_solve_illustrative(diamond):
