@@ -19,12 +19,11 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .basetypes import format_function_type
-from .inference import InferUnsat, annotate, infer_system
+from .inference import CheckReport, InferUnsat, annotate, check_system, infer_system
 from .interp import DEFAULT_FUEL, FuelExhausted, call_function
 from .nitest import DEFAULT_PAIR_CAP, NIReport, nitest_system
 from .parser import ParseError, parse_system
 from .system import CheckedSystem, ValidationError, to_source, validate_system
-from .typecheck import CheckReport, check_system
 
 
 # The interpreter recurses once per call level, so a long enough call chain

@@ -1,13 +1,27 @@
-"""Whole-system type inference.
+"""Type checking and whole-system type inference.
 
-Generates one joint constraint system over every body, solves it for the
-least substitution theta, and instantiates the function-type table. An
-annotated function enters generation with its annotation as its ground
-signature, so its body's constraints range over its letvar locals and the
-signature variables of the inferred functions it calls: checking it is
-solving them. The least solution therefore exists exactly when some typing
-of the inferred functions makes every body check, annotated ones included,
-and ``solve`` decides that in one pass.
+The trace rules' side conditions are exactly the guarded constraints that
+``constraints.gen_constraints`` generates, and an annotated function enters
+generation with its annotation as its ground signature, so its body's
+constraints range over its letvar locals and the signature variables of the
+inferred functions it calls. Both verdicts are one generation pass decided
+in the lattice of security types.
+
+``check_system`` decides each function's own constraints on their own and
+reports the first one, in generation order, that the annotations refute. A
+call site reads the callee's annotation, so a call to an unannotated callee
+is reported at the first such call, before any side condition. The type of
+a letvar-bound local is resolved by the least solution of the body's
+constraints, which is complete: if any choice admits a derivation, the
+least one does. So the verdict is ``solver.refutation`` over the body's
+constraints, and the tables of a violation come from the same least
+solution.
+
+``infer_system`` solves one joint system over every body for the least
+substitution theta and instantiates the function-type table. The least
+solution exists exactly when some typing of the inferred functions makes
+every body check, annotated ones included, and ``solve`` decides that in
+one pass.
 """
 
 from __future__ import annotations
@@ -16,14 +30,98 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .basetypes import BaseType, FunctionType
-from .constraints import Constraint, TGround, TVar, gen_constraints
-from .solver import UnsatError, solve
+from .constraints import Constraint, TGround, TVar, eval_term, gen_constraints
+from .solver import UnsatError, refutation, solve
+from .syntax import Span
 from .system import CheckedSystem
-# Re-exported, not called: perfbench/tracer.py wraps it by this module's name.
-from .typecheck import check_system
+from .traces import EPSILON, Trace
 
-__all__ = ["FunctionInference", "InferResult", "InferUnsat", "annotate",
-           "check_system", "infer_system"]
+SUBTYPE = "SubtypeViolation"
+CALL_ARG = "CallArgViolation"
+RETURN = "ReturnViolation"
+ANNOTATION = "AnnotationMismatch"
+
+
+@dataclass
+class TypeViolation:
+    kind: str
+    message: str
+    span: Span
+    lhs: BaseType | None = None
+    rhs: BaseType | None = None
+    trace: Trace = EPSILON
+    witness: int | None = None
+
+
+@dataclass
+class FunctionVerdict:
+    function: str
+    error: TypeViolation | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+@dataclass
+class CheckReport:
+    verdicts: list[FunctionVerdict] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(v.ok for v in self.verdicts)
+
+
+def _violation(c: Constraint, q: int, locals_: dict[int, BaseType],
+               csys: CheckedSystem) -> TypeViolation:
+    """The report for constraint ``c`` refuted at permission set ``q``, its
+    witness: a set that ``c.guard`` entails."""
+    lat = csys.lattice
+    n = csys.universe.count
+    tables = {vid: t.table for vid, t in locals_.items()}
+    lhs, rhs = (
+        BaseType(lat, n, tuple(eval_term(t, p, tables, lat) for p in range(1 << n)))
+        for t in (c.lhs, c.rhs)
+    )
+    prov = c.provenance
+    if prov.rule == "call-arg":
+        kind = CALL_ARG
+        message = f"{prov.describe()} exceeds the callee's view of its parameter"
+    elif prov.rule == "call-ret":
+        kind = RETURN
+        message = f"{prov.describe()} does not fit {prov.name!r}"
+    else:
+        kind = SUBTYPE
+        message = f"{prov.describe()}: required type is not dominated"
+    return TypeViolation(kind, message, prov.span, lhs, rhs, c.guard, q)
+
+
+def _first_violation(csys: CheckedSystem, qname: str,
+                     body: list[Constraint]) -> TypeViolation | None:
+    """The verdict on ``qname`` from its generated constraints ``body``."""
+    decl = csys.fd[qname]
+    if decl.annotation is None:
+        return TypeViolation(ANNOTATION, f"{qname} lacks a type annotation", decl.span)
+    # Generation appends a call's constraints in source order and
+    # deduplication keeps first occurrences, so the first constraint naming
+    # an unannotated callee comes from its first call.
+    for c in body:
+        callee = c.provenance.callee
+        if callee and csys.fd[callee].annotation is None:
+            return TypeViolation(
+                ANNOTATION, f"called function {callee} has no type", c.provenance.span
+            )
+    _, locals_, refuted = refutation(body, csys.lattice, csys.universe.count)
+    return None if refuted is None else _violation(*refuted, locals_, csys)
+
+
+def check_system(csys: CheckedSystem) -> CheckReport:
+    """Check every function against the annotations, in declaration order."""
+    gen = gen_constraints(csys)
+    return CheckReport([
+        FunctionVerdict(qname, _first_violation(csys, qname, gen.by_function[qname]))
+        for qname in csys.fd
+    ])
 
 
 @dataclass
@@ -48,11 +146,10 @@ class InferUnsat(Exception):
     witness permission set; ``core`` pairs each core constraint, in core
     order, with the function that owns it."""
 
-    def __init__(self, err: UnsatError, functions: list[str], reason: str,
+    def __init__(self, functions: list[str], reason: str,
                  core: list[tuple[str, Constraint]]):
-        names = ", ".join(functions) if functions else "the system"
-        super().__init__(f"no type assignment satisfies {names}: {reason}")
-        self.cause = err
+        super().__init__(
+            f"no type assignment satisfies {', '.join(functions)}: {reason}")
         self.functions = functions
         self.reason = reason
         self.core = core
@@ -77,7 +174,7 @@ def infer_system(csys: CheckedSystem) -> InferResult:
         theta = solve(all_constraints, lattice, nperms, requested)
     except UnsatError as err:
         functions, core = _blame(err, gen)
-        raise InferUnsat(err, functions, _reason(err, csys), core) from err
+        raise InferUnsat(functions, _reason(err, csys), core) from err
     t2 = time.perf_counter()
 
     functions: list[FunctionInference] = []

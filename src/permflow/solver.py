@@ -9,7 +9,7 @@ on the roots' *cone*: the roots and, transitively, every constraint whose
 right side writes a variable that a member's left side or a root's right
 side reads. So the verdict runs the worklist fixpoint below over the cone
 alone; a set without roots has an empty cone and is satisfiable. Inference
-(``solve``), the unsat-core search and ``typecheck.check_system`` call it.
+(``solve``), the unsat-core search and ``inference.check_system`` call it.
 ``solve`` returns the least substitution, solving the constraints outside
 the cone from the cone's tables up, and reports an unsatisfiable set with
 the refuted constraint, its witness and an irreducible core: the one that

@@ -19,7 +19,6 @@ from .lattice import Lattice
 from .syntax import (
     BINARY_LEVEL,
     Assign,
-    BinOp,
     Block,
     CallAssign,
     Cmd,
@@ -147,7 +146,7 @@ def _validate_function(sys: System, decl: FunDecl) -> None:
             if v not in scope and v not in consts:
                 raise OpenFunction(
                     f"variable {v!r} is not in scope in {decl.qualified}",
-                    e.span if isinstance(e, (Var, BinOp, IntLit)) else decl.span,
+                    e.span,
                 )
 
     def walk(c: Cmd, scope: set[str], tested: frozenset[str]):

@@ -9,11 +9,10 @@ import os
 import time
 
 from permflow.basetypes import embed
-from permflow.inference import annotate, infer_system
+from permflow.inference import CALL_ARG, annotate, check_system, infer_system
 from permflow.nitest import nitest_system
 from permflow.parser import parse_system
 from permflow.system import validate_system
-from permflow.typecheck import CALL_ARG, check_system
 
 from .conftest import SEED, bt, lattice_family, random_basetype, random_trace
 

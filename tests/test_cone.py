@@ -11,9 +11,8 @@ solution.
 
 import random
 
-from permflow import typecheck
 from permflow.constraints import gen_constraints, term_vars
-from permflow.inference import infer_system
+from permflow.inference import ANNOTATION, _violation, check_system, infer_system
 from permflow.parser import parse_system
 from permflow.solver import _cone, _has_ground, refutation
 from permflow.system import validate_system
@@ -91,15 +90,15 @@ def test_checker_reports_match_the_whole_least_solution():
     for i in range(1500):
         csys = _fully_annotated(rnd)
         gen = gen_constraints(csys)
-        for verdict in typecheck.check_system(csys).verdicts:
+        for verdict in check_system(csys).verdicts:
             err = verdict.error
-            if err is None or err.kind == typecheck.ANNOTATION:
+            if err is None or err.kind == ANNOTATION:
                 continue
             rejected += 1
             theta, want = full_least_solution(
                 gen.by_function[verdict.function], (), csys.lattice, csys.universe.count)
             assert want is not None, (i, verdict.function)
-            expected = typecheck._violation(*want, theta, csys, verdict.function)
+            expected = _violation(*want, theta, csys)
             # kind, message, span, lhs and rhs tables, trace and witness
             assert err == expected, (i, verdict.function)
     assert rejected > 1000, rejected

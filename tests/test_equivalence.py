@@ -12,11 +12,11 @@ from itertools import product
 
 from permflow.basetypes import FunctionType, PermUniverse
 from permflow.constraints import gen_constraints
+from permflow.inference import check_system
 from permflow.lattice import load_lattice
 from permflow.syntax import Assign, BinOp, Block, FunDecl, If, IntLit, LetVar, Var, While
 from permflow.syntax import Test as PermTest
 from permflow.system import System, validate_system
-from permflow.typecheck import check_system
 
 from .declarative import DeclarativeSearch, all_types
 

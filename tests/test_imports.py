@@ -3,18 +3,19 @@
 No linter is a dependency, so this parses every module with ``ast``: each
 imported name must be used in its module, where a name listed in the
 module's ``__all__`` counts as used. A package module lists an imported
-name in ``__all__`` without using it only for the three names that
-``perfbench`` imports: ``inference.check_system``, which its tracer wraps,
-and ``oracle.OracleUnsat`` and ``oracle.oracle_solve``, which its answer
-check calls. Every other name is imported from the module that defines it,
-and the package root exports nothing. ``permflow.oracle`` stays a leaf: no
-package module imports it. No package module imports another's
-underscore-prefixed names: those stay behind the module boundary, so each
-one that a package module defines must be used in it.
+name in ``__all__`` without using it only for the two names that
+``perfbench``'s answer check calls: ``oracle.OracleUnsat`` and
+``oracle.oracle_solve``. Every other name is imported from the module
+that defines it, and the package root exports nothing. ``permflow.oracle``
+stays a leaf: no package module imports it. No package module imports
+another's underscore-prefixed names: those stay behind the module boundary,
+so each one that a package module defines must be used in it. README's
+library table names each package module but the root, and no other.
 """
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -87,7 +88,6 @@ def test_every_import_is_used(module):
 # (module, name): the only imported names a package module may re-export
 # without using them, each one for perfbench
 REEXPORTS = {
-    ("inference.py", "check_system"),
     ("oracle.py", "OracleUnsat"),
     ("oracle.py", "oracle_solve"),
 }
@@ -155,3 +155,12 @@ def test_every_private_name_is_used(module):
     dead = {n: line for n, line in _defined(tree).items()
             if n.startswith("_") and not n.startswith("__") and n not in used}
     assert not dead, f"{module}: unused private names {dead}"
+
+
+def test_readme_library_table_names_every_module():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = {name for line in section.splitlines() if line.startswith("| `permflow.")
+            for name in re.findall(r"`permflow\.(\w+)`", line.split("|")[1])}
+    modules = {m[:-3] for m in PACKAGE if m != "__init__.py"}
+    assert rows == modules, (sorted(modules - rows), sorted(rows - modules))

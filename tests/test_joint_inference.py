@@ -15,14 +15,13 @@ import os
 import random
 from dataclasses import replace
 
-from permflow import typecheck
+from permflow import inference
 from permflow.basetypes import FunctionType
 from permflow.cli import main
-from permflow.inference import InferUnsat, annotate, infer_system
+from permflow.inference import InferUnsat, annotate, check_system, infer_system
 from permflow.parser import parse_system
 from permflow.syntax import CallAssign, subcommands
 from permflow.system import validate_system
-from permflow.typecheck import check_system
 
 from .conftest import SEED, random_basetype
 from .progen import annotate_some, random_checked_system
@@ -93,6 +92,11 @@ def test_dropped_annotations_bound_the_inferred_types():
         except InferUnsat as e:
             # on a fully annotated system, infer's verdict is check's
             assert rejected and set(e.functions) <= set(rejected), i
+            # every core constraint has an owner among the blamed functions,
+            # and the core is the solver's own, in its order
+            assert e.functions, i
+            assert {owner for owner, _ in e.core} <= set(e.functions), i
+            assert [c for _, c in e.core] == e.__cause__.core, i
             continue
         assert not rejected, i
         accepted += 1
@@ -148,13 +152,13 @@ def test_inferred_corpus_types_check():
 
 def _count_checks(monkeypatch) -> list:
     calls: list = []
-    real = typecheck.refutation
+    real = inference.refutation
 
     def counting(constraints, *args):
         calls.append(constraints)
         return real(constraints, *args)
 
-    monkeypatch.setattr(typecheck, "refutation", counting)
+    monkeypatch.setattr(inference, "refutation", counting)
     return calls
 
 

@@ -184,7 +184,7 @@ def test_planted_leak_core(n, monkeypatch):
         infer_system(csys)
     elapsed = time.perf_counter() - t0
     assert info.value.functions == [f"A.f{leak_at}"]
-    core = len(info.value.cause.core)
+    core = len(info.value.core)
     assert len(calls) <= 1 + core * (math.ceil(math.log2(m + 1)) + 1), (len(calls), core, m)
     assert elapsed < BOUND_S, f"{elapsed:.1f} s"
 
@@ -208,7 +208,7 @@ def test_chain_leak_core(n, constraints, runs, monkeypatch):
         infer_system(csys)
     elapsed = time.perf_counter() - t0
     assert info.value.functions == [f"A.f{i}" for i in range(n)] + ["A.top"]
-    assert len(info.value.cause.core) == n + 2
+    assert len(info.value.core) == n + 2
     assert len(calls) == runs
     assert elapsed < BOUND_S, f"{elapsed:.1f} s"
 

@@ -9,10 +9,9 @@ import random
 from dataclasses import replace
 
 from permflow.basetypes import BaseType, FunctionType
-from permflow.inference import InferUnsat, annotate, infer_system
+from permflow.inference import InferUnsat, annotate, check_system, infer_system
 from permflow.nitest import nitest_system
 from permflow.system import validate_system
-from permflow.typecheck import check_system
 
 from .conftest import SEED
 from .progen import _Gen, random_checked_system

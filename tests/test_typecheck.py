@@ -7,17 +7,17 @@ from permflow.constraints import (
     constraint_witness,
     gen_constraints,
 )
-from permflow.parser import parse_system
-from permflow.syntax import Assign, BinOp, FunDecl, IntLit, Var
-from permflow.system import System, validate_system
-from permflow.traces import apply_trace
-from permflow.typecheck import (
+from permflow.inference import (
     ANNOTATION,
     CALL_ARG,
     RETURN,
     SUBTYPE,
     check_system,
 )
+from permflow.parser import parse_system
+from permflow.syntax import Assign, BinOp, FunDecl, IntLit, Var
+from permflow.system import System, validate_system
+from permflow.traces import apply_trace
 
 from .conftest import bt, random_basetype, random_trace
 
@@ -259,17 +259,17 @@ app A perms {} {
 
 
 def test_check_system_generates_once(monkeypatch):
-    import permflow.typecheck as typecheck
+    import permflow.inference as inference
 
     csys = load("callchain.pf")
     assert len(csys.fd) > 1
     calls = []
-    real = typecheck.gen_constraints
+    real = inference.gen_constraints
 
     def counting(c):
         calls.append(c)
         return real(c)
 
-    monkeypatch.setattr(typecheck, "gen_constraints", counting)
+    monkeypatch.setattr(inference, "gen_constraints", counting)
     assert check_system(csys).ok
     assert calls == [csys]
