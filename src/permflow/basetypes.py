@@ -115,24 +115,6 @@ class BaseType:
             tuple(m(a, b) for a, b in zip(self.table, other.table)),
         )
 
-    def promote(self, perm: int) -> "BaseType":
-        """Re-index as if permission ``perm`` were present: t'(P) = t(P+p)."""
-        bit = self._bit(perm)
-        return BaseType(
-            self.lattice,
-            self.nperms,
-            tuple(self.table[p | bit] for p in range(len(self.table))),
-        )
-
-    def demote(self, perm: int) -> "BaseType":
-        """Re-index as if permission ``perm`` were absent: t'(P) = t(P-p)."""
-        bit = self._bit(perm)
-        return BaseType(
-            self.lattice,
-            self.nperms,
-            tuple(self.table[p & ~bit] for p in range(len(self.table))),
-        )
-
     def project(self, pset: int) -> "BaseType":
         """Constant base type holding this type's value at ``pset``."""
         return embed(self.table[pset], self.lattice, self.nperms)

@@ -161,7 +161,7 @@ def cmd_check(args) -> int:
         if err.witness is not None:
             under = (
                 f" under trace {err.trace.format(csys.universe.names)}"
-                if not err.trace.is_empty()
+                if err.trace.support
                 else ""
             )
             lines.append(

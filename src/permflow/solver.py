@@ -76,9 +76,8 @@ from .traces import minterms, trace_of_set
 class UnsatError(Exception):
     """``constraint`` is refuted at permission set ``witness``."""
 
-    def __init__(self, message: str, constraint, witness: int,
-                 core: list | None = None):
-        super().__init__(message)
+    def __init__(self, constraint, witness: int, core: list | None = None):
+        super().__init__("unsatisfiable constraint set")
         self.constraint = constraint
         self.witness = witness
         self.core = core or []
@@ -157,8 +156,7 @@ def _atomic(gc: GenConstraint, lattice: Lattice, nperms: int) -> list[GenConstra
             a = lhs.type.at(gc.lguard.remap(q))
             b = rhs.type.at(gc.rguard.remap(q))
             if not lattice.leq(a, b):
-                raise UnsatError(
-                    f"ground constraint refuted at permission set {q}", gc, q)
+                raise UnsatError(gc, q)
         return []
     if (
         isinstance(lhs, TVar)
@@ -348,10 +346,7 @@ def _sweep(atoms, lattice: Lattice, nperms: int, vids: set[int]) -> dict[int, Ba
                 lo_v = t.at(lg.remap(q))
                 hi_v = g.at(rg.remap(q))
                 if not lattice.leq(lo_v, hi_v):
-                    p = lg.remap(q)
-                    raise UnsatError(
-                        f"variable {vid} is forced above its bound at "
-                        f"permission set {p}", a, q)
+                    raise UnsatError(a, q)
         theta[vid] = t
     return theta
 
@@ -573,10 +568,8 @@ def solve(
     cone, theta, refuted = refutation(constraints, lattice, nperms)
     if refuted is not None:
         c, q = refuted
-        raise UnsatError(
-            f"constraint refuted at permission set {q}", c, q,
-            core=_minimize_core([constraints[i] for i in cone], lattice, nperms),
-        )
+        core = _minimize_core([constraints[i] for i in cone], lattice, nperms)
+        raise UnsatError(c, q, core=core)
     if cone:
         inside = set(cone)
         constraints = [c for i, c in enumerate(constraints) if i not in inside]

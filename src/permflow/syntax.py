@@ -268,8 +268,8 @@ def format_cmd(c: Cmd, indent: int) -> str:
     raise TypeError(f"not a command: {c!r}")
 
 
-def format_fun(decl: FunDecl, universe: PermUniverse, indent: int = 1) -> str:
-    pad = "  " * indent
+def format_fun(decl: FunDecl, universe: PermUniverse) -> str:
+    """A function declaration, indented one level inside its ``app``."""
     if decl.annotation is not None:
         params = ", ".join(
             f"{p} : {format_type(t, universe)}"
@@ -279,11 +279,11 @@ def format_fun(decl: FunDecl, universe: PermUniverse, indent: int = 1) -> str:
     else:
         params = ", ".join(decl.params)
         ret = ""
-    lines = [f"{pad}fun {decl.name}({params}){ret} {{"]
-    lines.append(f"{pad}  init {decl.ret_var} = 0 in {{")
+    lines = [f"  fun {decl.name}({params}){ret} {{"]
+    lines.append(f"    init {decl.ret_var} = 0 in {{")
     if decl.body is not None:
-        lines.append(format_cmd(decl.body, indent + 2) + ";")
-    lines.append(f"{pad}    return {decl.ret_var}")
-    lines.append(f"{pad}  }}")
-    lines.append(f"{pad}}}")
+        lines.append(format_cmd(decl.body, 3) + ";")
+    lines.append(f"      return {decl.ret_var}")
+    lines.append("    }")
+    lines.append("  }")
     return "\n".join(lines)

@@ -3,15 +3,13 @@
 A trace records the signed permissions accumulated from enclosing permission
 tests: positively checked permissions in ``pos``, negatively checked ones in
 ``neg``. Order and repetition are irrelevant for consistent traces, so the
-two bitmasks are a canonical form; applying a trace to a base type re-indexes
-it through P -> (P | pos) & ~neg.
+two bitmasks are a canonical form; a trace re-indexes a permission set
+through P -> (P | pos) & ~neg.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .basetypes import BaseType
 
 
 class InconsistentTrace(ValueError):
@@ -32,12 +30,6 @@ class Trace:
     @property
     def support(self) -> int:
         return self.pos | self.neg
-
-    def is_empty(self) -> bool:
-        return self.pos == 0 and self.neg == 0
-
-    def entailed_by(self, pset: int) -> bool:
-        return (pset & self.pos) == self.pos and (pset & self.neg) == 0
 
     def remap(self, pset: int) -> int:
         return (pset | self.pos) & ~self.neg
@@ -84,14 +76,6 @@ def trace_of_set(pset: int, nperms: int) -> Trace:
     """The full sign assignment that only ``pset`` entails."""
     full = (1 << nperms) - 1
     return Trace(pset, full & ~pset)
-
-
-def apply_trace(t: BaseType, trace: Trace) -> BaseType:
-    return BaseType(
-        t.lattice,
-        t.nperms,
-        tuple(t.table[trace.remap(p)] for p in range(len(t.table))),
-    )
 
 
 def minterms(support: int) -> list[Trace]:

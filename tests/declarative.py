@@ -6,6 +6,11 @@ type, and a function declaration is typable when its body admits some type
 under the annotated environment. Feasible only at micro scale (two-point
 lattice, one permission), which is exactly where it arbitrates the
 syntax-directed checker.
+
+It also holds the trace algebra the declarative ``test`` rule reads and the
+analyses never run: ``apply_trace`` re-indexes a base type through a trace,
+``promote`` and ``demote`` apply a one-literal trace, and ``entailed_by``
+says whether a permission set satisfies a trace.
 """
 
 from __future__ import annotations
@@ -26,6 +31,30 @@ from permflow.syntax import (
     Var,
     While,
 )
+from permflow.traces import Trace
+
+
+def apply_trace(t: BaseType, trace: Trace) -> BaseType:
+    """``t`` read through ``trace``: t'(P) = t((P | pos) & ~neg)."""
+    return BaseType(
+        t.lattice,
+        t.nperms,
+        tuple(t.table[trace.remap(p)] for p in range(len(t.table))),
+    )
+
+
+def promote(t: BaseType, perm: int) -> BaseType:
+    """``t`` as if permission ``perm`` were present: t'(P) = t(P+p)."""
+    return apply_trace(t, Trace(pos=1 << perm))
+
+
+def demote(t: BaseType, perm: int) -> BaseType:
+    """``t`` as if permission ``perm`` were absent: t'(P) = t(P-p)."""
+    return apply_trace(t, Trace(neg=1 << perm))
+
+
+def entailed_by(trace: Trace, pset: int) -> bool:
+    return (pset & trace.pos) == trace.pos and (pset & trace.neg) == 0
 
 
 def all_types(lattice, nperms):
@@ -100,8 +129,8 @@ class DeclarativeSearch:
             return False
         if isinstance(c, Test):
             p = self.perm_index[c.perm]
-            up = {k: v.promote(p) for k, v in gamma.items()}
-            down = {k: v.demote(p) for k, v in gamma.items()}
+            up = {k: promote(v, p) for k, v in gamma.items()}
+            down = {k: demote(v, p) for k, v in gamma.items()}
             for t1 in self.types:
                 if not self.cmd_has_type(up, c.then, t1):
                     continue

@@ -10,6 +10,7 @@ from permflow.basetypes import (
 from permflow.parser import Parser
 
 from .conftest import bt, lattice_family, random_basetype
+from .declarative import demote, promote
 
 
 def test_embed_is_constant(two_point, diamond):
@@ -59,23 +60,23 @@ def test_promote_demote_two_point(two_point):
     t = bt(two_point, "L", "H")
     H = embed(two_point.level("H"), two_point, 1)
     L = embed(two_point.level("L"), two_point, 1)
-    assert t.promote(0) == H
-    assert t.demote(0) == L
+    assert promote(t, 0) == H
+    assert demote(t, 0) == L
 
 
 def test_promote_constant_fixed_point(diamond):
     for name in diamond.names:
         c = embed(diamond.level(name), diamond, 2)
-        assert c.promote(0) == c and c.promote(1) == c
-        assert c.demote(0) == c and c.demote(1) == c
+        assert promote(c, 0) == c and promote(c, 1) == c
+        assert demote(c, 0) == c and demote(c, 1) == c
 
 
 def test_promote_on_two_permissions(diamond):
     # t = {{}: L, {p}: l1, {q}: l2, {p,q}: H}; evaluate t(P ∪ {q}) per set
     t = bt(diamond, "L", "l1", "l2", "H")
     expect = tuple(t.table[p | 0b10] for p in range(4))
-    assert t.promote(1).table == expect
-    assert t.promote(1) == bt(diamond, "l2", "H", "l2", "H")
+    assert promote(t, 1).table == expect
+    assert promote(t, 1) == bt(diamond, "l2", "H", "l2", "H")
 
 
 def test_project(two_point):

@@ -21,6 +21,8 @@ from permflow.syntax import Span
 from permflow.system import validate_system
 from permflow.traces import EPSILON, Trace
 
+from .declarative import entailed_by
+
 PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
 
 
@@ -204,7 +206,7 @@ def test_witness_is_least_failing_permission_set(rng):
     def full_scan(c, subst, lat, nperms):
         tables = {v: t.table for v, t in subst.items()}
         for q in range(1 << nperms):
-            if c.guard.entailed_by(q) and not lat.leq(
+            if entailed_by(c.guard, q) and not lat.leq(
                     eval_term(c.lhs, q, tables, lat), eval_term(c.rhs, q, tables, lat)):
                 return q
         return None

@@ -9,18 +9,26 @@ name in ``__all__`` without using it only for the two names that
 that defines it, and the package root exports nothing. ``permflow.oracle``
 stays a leaf: no package module imports it. No package module imports
 another's underscore-prefixed names: those stay behind the module boundary,
-so each one that a package module defines must be used in it. README's
-library table names each package module but the root, and no other.
+so each one that a package module defines must be used in it. Every
+public module-level function and class of a package module, and every
+public method of a module-level class, is loaded somewhere in the package
+or in ``perfbench/*.py`` outside its own definition: a method counts as
+loaded where any attribute of its name is read. Names that only tests use
+belong in the tests; ``UNCALLED`` lists the exceptions, each with its
+reason. README's library table names each package module but the root,
+and no other.
 """
 
 import ast
 import os
 import re
+from collections import Counter
 
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src", "permflow")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 # package modules by file name, test modules as tests/<file name>
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py")) + sorted(
     f"tests/{f}" for f in os.listdir(os.path.join(ROOT, "tests")) if f.endswith(".py")
@@ -41,7 +49,7 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _annotations(tree: ast.Module):
+def _annotations(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.arg) and node.annotation is not None:
             yield node.annotation
@@ -51,16 +59,19 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
+def _quoted(tree: ast.AST) -> list[str]:
+    """The names in the tree's quoted annotations, which name types too."""
+    return [n.id for ann in _annotations(tree) for node in ast.walk(ann)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for n in ast.walk(ast.parse(node.value, mode="eval"))
+            if isinstance(n, ast.Name)]
+
+
 def _loaded(tree: ast.Module) -> set[str]:
     """Every name the module loads, in code or in a quoted annotation."""
     used = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    for ann in _annotations(tree):  # quoted annotations name types too
-        for node in ast.walk(ann):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                inner = ast.parse(node.value, mode="eval")
-                used |= {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
-    return used
+    return used | set(_quoted(tree))
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -164,3 +175,54 @@ def test_readme_library_table_names_every_module():
             for name in re.findall(r"`permflow\.(\w+)`", line.split("|")[1])}
     modules = {m[:-3] for m in PACKAGE if m != "__init__.py"}
     assert rows == modules, (sorted(modules - rows), sorted(rows - modules))
+
+
+# public names that nothing in the package or perfbench loads, with why
+UNCALLED = {
+    # the differential suite's reference for ``solve``; it moves to the
+    # tests once no benchmark layer wraps the symbolic pipeline it runs
+    "solver.symbolic_solve",
+    # argparse calls it on ``--help``
+    "_Parser.print_help",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function and
+    class, and of each public method of a module-level class."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*funcs, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, funcs) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _reads(tree: ast.AST) -> list[str]:
+    """Each name and attribute the tree loads, once per occurrence."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)] + _quoted(tree)
+
+
+def test_every_public_name_is_loaded_outside_tests():
+    bench = sorted(f for f in os.listdir(PERFBENCH) if f.endswith(".py"))
+    trees = [_parse(m) for m in PACKAGE]
+    reads = Counter()
+    for tree in trees + [_parse(f"perfbench/{f}") for f in bench]:
+        reads.update(_reads(tree))
+    unloaded, excused = [], set()
+    for module, tree in zip(PACKAGE, trees):
+        for name, node in _public_definitions(tree):
+            short = name.rsplit(".", 1)[-1]
+            if reads[short] > _reads(node).count(short):
+                continue
+            qualified = name if "." in name else f"{module[:-3]}.{name}"
+            if qualified in UNCALLED:
+                excused.add(qualified)
+            else:
+                unloaded.append(f"{module}:{node.lineno} {name}")
+    assert not unloaded, f"loaded by tests only: {unloaded}"
+    assert excused == UNCALLED, f"no longer unloaded: {sorted(UNCALLED - excused)}"

@@ -59,6 +59,33 @@ def test_unsat_blames_involved_functions():
     assert set(exc.value.functions) <= {"A.f", "M.main"}
 
 
+TWO_LEAKS = """\
+// Two independent leaks into one sink.
+lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  const s1 : H = 1;
+  const s2 : H = 2;
+  fun f() { init v = 0 in { v := s1; v := call A.sink(v); return v } }
+  fun g() { init w = 0 in { w := s2; w := call A.sink(w); return w } }
+  fun sink(y : L) : L { init r = 0 in { r := y; return r } }
+}
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the reason names A.f's call at 7:38 while the core is A.g's "
+    "assign and call-arg on line 8 (ROADMAP items 5 and 11)",
+)
+def test_unsat_reason_names_a_core_constraint():
+    with pytest.raises(InferUnsat) as exc:
+        infer_system(validate_system(parse_system(TWO_LEAKS)))
+    err = exc.value.__cause__
+    assert err.constraint in err.core
+
+
 def test_ill_typed_annotated_body_is_unsat():
     # the body's own constraints refute its annotation: the joint system
     # has no solution, and the blame is the function that check rejects

@@ -10,6 +10,7 @@ from permflow.parser import parse_system
 from permflow.system import validate_system
 
 from .conftest import bt, random_basetype
+from .declarative import demote, promote
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
 
@@ -141,10 +142,10 @@ def test_promotion_stability_under_projection(rng, two_point):
         for pset in (0, 1):
             proj = {n: t.project(pset) for n, t in gamma.items()}
             if pset & 1:
-                promoted = {n: t.promote(0).project(pset) for n, t in gamma.items()}
+                promoted = {n: promote(t, 0).project(pset) for n, t in gamma.items()}
                 assert _relation(proj, obs) == _relation(promoted, obs)
             else:
-                demoted = {n: t.demote(0).project(pset) for n, t in gamma.items()}
+                demoted = {n: demote(t, 0).project(pset) for n, t in gamma.items()}
                 assert _relation(proj, obs) == _relation(demoted, obs)
 
 

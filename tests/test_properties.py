@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from permflow.basetypes import BaseType, embed, merge
 from permflow.lattice import load_lattice
-from permflow.traces import Trace, apply_trace
+from permflow.traces import Trace
+
+from .declarative import apply_trace, demote, promote
 
 DIAMOND = load_lattice(
     ["L", "l1", "l2", "H"],
@@ -87,8 +89,8 @@ def test_trace_preserves_join(s, t, a):
 @given(basetypes(), basetypes(), st.integers(0, NPERMS - 1))
 def test_merge_projections(t1, t2, p):
     m = merge(p, t1, t2)
-    assert m.promote(p) == t1.promote(p)
-    assert m.demote(p) == t2.demote(p)
+    assert promote(m, p) == promote(t1, p)
+    assert demote(m, p) == demote(t2, p)
 
 
 @given(basetypes())

@@ -1,20 +1,26 @@
-"""End-to-end soundness over randomized whole programs.
+"""End-to-end soundness over randomized whole programs, and exhaustively
+over the micro-scale family of ``test_equivalence``.
 
 Anything the checker or the inference engine accepts must pass the
-exhaustive noninterference grid; generated programs are loop-free, so
-every cell is conclusive.
+exhaustive noninterference grid; randomly generated programs are
+loop-free, so every cell is conclusive.
 """
 
 import random
 from dataclasses import replace
+from itertools import product
 
-from permflow.basetypes import BaseType, FunctionType
+from permflow.basetypes import BaseType, FunctionType, PermUniverse
 from permflow.inference import InferUnsat, annotate, check_system, infer_system
+from permflow.lattice import load_lattice
 from permflow.nitest import nitest_system
-from permflow.system import validate_system
+from permflow.syntax import FunDecl
+from permflow.system import System, validate_system
 
 from .conftest import SEED
+from .declarative import all_types
 from .progen import _Gen, random_checked_system
+from .test_equivalence import micro_bodies
 
 
 def test_inferred_systems_are_noninterferent():
@@ -59,3 +65,26 @@ def test_randomly_annotated_systems_accepted_only_if_noninterferent():
         rep = nitest_system(csys, domain=(0, 1))
         assert rep.ok, (i, rep.violations[:1])
     assert accepted > 50  # the family genuinely exercises accepted systems
+
+
+def test_micro_family_accepted_only_if_noninterferent():
+    # every micro body under every annotation of x and r; the leak count
+    # among rejected functions measures precision and bounds nothing
+    lattice = load_lattice(["L", "H"], [("L", "H")])
+    universe = PermUniverse(("p",))
+    types = all_types(lattice, 1)
+    systems = accepted = leaky_rejected = 0
+    for body in micro_bodies():
+        for t_x, t_r in product(types, types):
+            decl = FunDecl("A", "f", ("x",), "r", body, FunctionType((t_x,), t_r))
+            csys = validate_system(
+                System(lattice, universe, {"A": 0}, {"A.f": decl}, {}))
+            ok = check_system(csys).ok
+            rep = nitest_system(csys, domain=(0, 1), fuel=200)
+            systems += 1
+            if ok:
+                accepted += 1
+                assert rep.ok, (body, t_x.table, t_r.table, rep.violations[:1])
+            elif not rep.ok:
+                leaky_rejected += 1
+    assert (systems, accepted, leaky_rejected) == (16_512, 12_868, 845)

@@ -5,23 +5,17 @@ from permflow.traces import (
     EPSILON,
     InconsistentTrace,
     Trace,
-    apply_trace,
     minterms,
     trace_of_set,
 )
 
 from .conftest import bt, lattice_family, random_basetype, random_trace
+from .declarative import apply_trace, demote, entailed_by, promote
 
 
 def test_epsilon_identity(two_point):
     t = bt(two_point, "L", "H")
     assert apply_trace(t, EPSILON) == t
-
-
-def test_apply_positive_is_promotion(two_point):
-    t = bt(two_point, "L", "H")
-    assert apply_trace(t, Trace(pos=0b1)) == t.promote(0)
-    assert apply_trace(t, Trace(neg=0b1)) == t.demote(0)
 
 
 def test_first_application_wins(two_point):
@@ -31,13 +25,13 @@ def test_first_application_wins(two_point):
 
 
 def test_entails_and_sat():
-    assert Trace(pos=0b01).entailed_by(0b01)
-    assert not Trace(pos=0b11).entailed_by(0b01)
+    assert entailed_by(Trace(pos=0b01), 0b01)
+    assert not entailed_by(Trace(pos=0b11), 0b01)
     # +p and -p have no common model; +p and -q have {p} as their only one
     assert not Trace(pos=0b1).compatible(Trace(neg=0b1))
     a, b = Trace(pos=0b01), Trace(neg=0b10)
     assert a.compatible(b)
-    assert [pset for pset in range(4) if a.entailed_by(pset) and b.entailed_by(pset)] == [0b01]
+    assert [p for p in range(4) if entailed_by(a, p) and entailed_by(b, p)] == [0b01]
 
 
 def test_inconsistent_trace_rejected():
@@ -50,7 +44,7 @@ def test_minterms_partition():
     cells = minterms(support)
     assert len(cells) == 4
     for pset in range(8):
-        assert sum(c.entailed_by(pset) for c in cells) == 1
+        assert sum(entailed_by(c, pset) for c in cells) == 1
 
 
 def test_diff_is_literal_set_difference():
@@ -62,7 +56,7 @@ def test_diff_is_literal_set_difference():
 
 def test_trace_of_set():
     t = trace_of_set(0b01, 2)
-    assert [p for p in range(4) if t.entailed_by(p)] == [0b01]
+    assert [p for p in range(4) if entailed_by(t, p)] == [0b01]
 
 
 # Randomized algebraic laws of the trace application.
@@ -129,9 +123,9 @@ def test_present_permission_promotion_is_identity(rng):
             p = rng.randrange(nperms)
             for pset in range(1 << nperms):
                 if pset >> p & 1:
-                    assert t.promote(p).at(pset) == t.at(pset)
+                    assert promote(t, p).at(pset) == t.at(pset)
                 else:
-                    assert t.demote(p).at(pset) == t.at(pset)
+                    assert demote(t, p).at(pset) == t.at(pset)
 
 
 def test_application_monotone(rng):
@@ -170,7 +164,7 @@ def test_order_reflected_by_both_signs(rng):
             s = random_basetype(rng, lat, nperms)
             t = random_basetype(rng, lat, nperms)
             p = rng.randrange(nperms)
-            both = s.promote(p).leq(t.promote(p)) and s.demote(p).leq(t.demote(p))
+            both = promote(s, p).leq(promote(t, p)) and demote(s, p).leq(demote(t, p))
             assert both == s.leq(t)
 
 

@@ -17,9 +17,9 @@ from permflow.inference import (
 from permflow.parser import parse_system
 from permflow.syntax import Assign, BinOp, FunDecl, IntLit, Var
 from permflow.system import System, validate_system
-from permflow.traces import apply_trace
 
 from .conftest import bt, random_basetype, random_trace
+from .declarative import apply_trace, entailed_by
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
 
@@ -90,7 +90,7 @@ app A perms {} {
     err = _error(csys, "A.f")
     assert err is not None and err.kind == SUBTYPE
     # the witness entails the guard and violates the pointwise order
-    assert err.trace.entailed_by(err.witness)
+    assert entailed_by(err.trace, err.witness)
     lat = csys.lattice
     assert not lat.leq(err.lhs.at(err.witness), err.rhs.at(err.witness))
 
