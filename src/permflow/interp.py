@@ -12,17 +12,25 @@ Languages 12(1), 1987), kept in ``System.compiled`` so that they live and
 die with their system. Compilation resolves permission bits, constant
 values, each operator with its 64-bit wrap, and each command's fixed fuel
 cost: one unit for the command and one per node of its expressions. A
-command charges that cost in one subtraction before its expressions run;
-a ``while`` charges one unit and its condition's nodes again per
-iteration. Expressions are pure, so fuel runs out in the same command as
-in a node-by-node walk (``tests/walker.py``), and a finished run leaves the
-same fuel. Exhaustion leaves ``remaining`` at -1, as the walk does.
+chain of ``+`` and ``-`` is one closure that folds its literals, reads its
+names inline and wraps its exact sum once. A command charges its cost in
+one subtraction before its expressions run; a block whose members are all
+assignments charges itself and all of them in one; a ``while`` charges one
+unit and its condition's nodes again per iteration. Fuel is one counter
+that no program reads, and expressions are pure, so charging fixed costs
+early within straight-line code changes nothing a run shows: a run
+exhausts exactly when the node-by-node walk (``tests/walker.py``) does, a
+finished run leaves the same fuel, and exhaustion leaves ``remaining`` at
+-1, as the walk does.
 
-One race differs, on systems that fail validation only: when a command
-reads an unbound variable and also runs out of fuel, the walk raises
-whichever it reaches first, while compiled code always raises
-``FuelExhausted``. Likewise a ``test`` of an undeclared permission fails
-when its body is compiled, not when the branch runs.
+Races differ on systems that fail validation only. When code charged in
+one step (a command, or a block of assignments) reads an unbound variable
+and also runs out of fuel, the walk raises whichever it reaches first,
+while compiled code always raises ``FuelExhausted``; and an
+``UnboundVariable`` from such code can leave less fuel than the walk,
+which has charged only the nodes before the read. Likewise a ``test`` of an
+undeclared permission fails when its body is compiled, not when the branch
+runs.
 """
 
 from __future__ import annotations
@@ -92,19 +100,15 @@ CmdCode = Callable[[dict[str, int], ExecContext], None]
 
 
 # ----------------------------------------------------------- expressions
+#
+# A chain of ``+`` and ``-`` wraps its exact sum once: wrapping commutes
+# with ``+`` and ``-``, so that is the value of wrapping at every step.
+# A name read inline raises ``UnboundVariable`` from the ``KeyError``:
+#     try: ... env[name] ...
+#     except KeyError as err: raise _unbound(err) from None
 
-def _add(a: ExprCode, b: ExprCode) -> ExprCode:
-    def add(env):
-        v = a(env) + b(env)
-        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
-    return add
-
-
-def _sub(a: ExprCode, b: ExprCode) -> ExprCode:
-    def sub(env):
-        v = a(env) - b(env)
-        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
-    return sub
+def _unbound(err: KeyError) -> UnboundVariable:
+    return UnboundVariable(f"unbound variable {err.args[0]!r}")
 
 
 def _mul(a: ExprCode, b: ExprCode) -> ExprCode:
@@ -126,7 +130,144 @@ def _lt(a: ExprCode, b: ExprCode) -> ExprCode:
     return lt
 
 
-_BINOPS = {"+": _add, "-": _sub, "*": _mul, "==": _eq, "<": _lt}
+def _eq_literal(name: str, value: int) -> ExprCode:
+    def eq(env):
+        try:
+            return 1 if env[name] == value else 0
+        except KeyError as err:
+            raise _unbound(err) from None
+    return eq
+
+
+def _lt_literal(name: str, value: int) -> ExprCode:
+    def lt(env):
+        try:
+            return 1 if env[name] < value else 0
+        except KeyError as err:
+            raise _unbound(err) from None
+    return lt
+
+
+# The common chains: k plus one to three names, plus at most one subterm
+# that is called (``r * a + b``).
+
+def _sum1(k: int, called: ExprCode | None, a: str) -> ExprCode:
+    def chain(env):
+        try:
+            v = env[a] + k
+        except KeyError as err:
+            raise _unbound(err) from None
+        if called is not None:
+            v += called(env)
+        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
+    return chain
+
+
+def _sum2(k: int, called: ExprCode | None, a: str, b: str) -> ExprCode:
+    def chain(env):
+        try:
+            v = env[a] + env[b] + k
+        except KeyError as err:
+            raise _unbound(err) from None
+        if called is not None:
+            v += called(env)
+        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
+    return chain
+
+
+def _sum3(k: int, called: ExprCode | None, a: str, b: str, c: str) -> ExprCode:
+    def chain(env):
+        try:
+            v = env[a] + env[b] + env[c] + k
+        except KeyError as err:
+            raise _unbound(err) from None
+        if called is not None:
+            v += called(env)
+        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
+    return chain
+
+
+_SUMS = {1: _sum1, 2: _sum2, 3: _sum3}
+
+
+def _chain(e: BinOp, sys: System) -> tuple[ExprCode, int]:
+    """One closure for the chain of ``+`` and ``-`` rooted at ``e``, and its
+    node count: literals fold into one integer, names are read inline and
+    other subterms are called."""
+    k = 0
+    plus: list[str] = []
+    minus: list[str] = []
+    consts: list[tuple[str, int, int]] = []  # (name, value, sign)
+    called: list[tuple[ExprCode, int]] = []  # (code, sign)
+    cost = 0
+    todo = [(e, 1)]  # left to right
+    while todo:
+        t, sign = todo.pop()
+        cost += 1
+        if isinstance(t, BinOp) and t.op in ("+", "-"):
+            todo.append((t.rhs, sign if t.op == "+" else -sign))
+            todo.append((t.lhs, sign))
+        elif isinstance(t, IntLit):
+            k += sign * _wrap(t.value)
+        elif isinstance(t, Var) and t.name in sys.constants:
+            consts.append((t.name, _wrap(sys.constants[t.name].value), sign))
+        elif isinstance(t, Var):
+            (plus if sign > 0 else minus).append(t.name)
+        else:
+            code, n = _compile_expr(t, sys)
+            cost += n - 1  # the subterm's own node is counted above
+            called.append((code, sign))
+
+    if not (plus or minus or consts or called):
+        value = _wrap(k)
+        return (lambda env: value), cost
+    if not (minus or consts) and len(plus) in _SUMS and len(called) <= 1:
+        if not called:
+            return _SUMS[len(plus)](k, None, *plus), cost
+        (code, sign), = called
+        if sign > 0:
+            return _SUMS[len(plus)](k, code, *plus), cost
+
+    def chain(env):
+        v = k
+        try:
+            for name in plus:
+                v += env[name]
+            for name in minus:
+                v -= env[name]
+        except KeyError as err:
+            raise _unbound(err) from None
+        for name, value, sign in consts:
+            # a bound name shadows the constant, as in the walk
+            v += sign * env.get(name, value)
+        for code, sign in called:
+            v += sign * code(env)
+        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
+    return chain, cost
+
+
+def _operator(make, with_literal=None):
+    """How a node whose closure ``make`` calls its operands' closures
+    compiles; ``with_literal`` reads a name and a literal inline instead."""
+    def compile_node(e: BinOp, sys: System) -> tuple[ExprCode, int]:
+        lhs, rhs = e.lhs, e.rhs
+        if (with_literal is not None and isinstance(rhs, IntLit)
+                and isinstance(lhs, Var) and lhs.name not in sys.constants):
+            return with_literal(lhs.name, _wrap(rhs.value)), 3
+        lhs_code, n_lhs = _compile_expr(lhs, sys)
+        rhs_code, n_rhs = _compile_expr(rhs, sys)
+        return make(lhs_code, rhs_code), 1 + n_lhs + n_rhs
+    return compile_node
+
+
+# operator -> how a node of it compiles, with the fuel it costs
+_BINOPS = {
+    "+": _chain,
+    "-": _chain,
+    "*": _operator(_mul),
+    "==": _operator(_eq, _eq_literal),
+    "<": _operator(_lt, _lt_literal),
+}
 
 
 def _compile_expr(e: Expr, sys: System) -> tuple[ExprCode, int]:
@@ -149,9 +290,7 @@ def _compile_expr(e: Expr, sys: System) -> tuple[ExprCode, int]:
                 raise UnboundVariable(f"unbound variable {name!r}") from None
         return var, 1
     if isinstance(e, BinOp) and e.op in _BINOPS:
-        lhs, n_lhs = _compile_expr(e.lhs, sys)
-        rhs, n_rhs = _compile_expr(e.rhs, sys)
-        return _BINOPS[e.op](lhs, rhs), 1 + n_lhs + n_rhs
+        return _BINOPS[e.op](e, sys)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -177,6 +316,22 @@ def _compile_cmd(c: Cmd, sys: System) -> CmdCode:
             fuel.remaining = left
             env[name] = expr(env)
         return assign
+
+    if isinstance(c, Block) and all(isinstance(m, Assign) for m in c.cmds):
+        # straight-line code: the block and its members, charged at once
+        compiled = [(m.name, *_compile_expr(m.expr, sys)) for m in c.cmds]
+        assigns = tuple((name, expr) for name, expr, _ in compiled)
+        cost = 1 + sum(1 + n for _, _, n in compiled)
+
+        def straight(env, ctx):
+            fuel = ctx.fuel
+            left = fuel.remaining - cost
+            if left < 0:
+                _exhausted(fuel)
+            fuel.remaining = left
+            for name, expr in assigns:
+                env[name] = expr(env)
+        return straight
 
     if isinstance(c, Block):
         members = tuple(_compile_cmd(m, sys) for m in c.cmds)

@@ -145,6 +145,9 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
     # An environment's store slot is its mixed-radix index over the domain
     # positions, in parameter order.
     m = d ** len(hidden)
+    ret_var, body = decl.ret_var, decl.body
+    # one context for the cell's runs; each run starts with the full fuel
+    ctx = ExecContext(decl.app, perms, Fuel(fuel))
     tested = 0
     inconclusive = 0
     names = (*obs, *hidden)
@@ -158,8 +161,15 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
         for j, (offset, hid) in enumerate(valuations):
             out = store.get(base + offset)
             if out is None:
+                # a run values the parameters and starts the return
+                # variable at 0, as a call does
+                env = dict(zip(names, obs_vals + hid))
+                env[ret_var] = 0
+                ctx.fuel.remaining = fuel
                 try:
-                    out = _run(csys, decl, dict(zip(names, obs_vals + hid)), perms, fuel)
+                    if body is not None:
+                        exec_cmd(env, ctx, body, csys)
+                    out = env[ret_var]
                 except FuelExhausted:
                     out = _EXHAUSTED
                 store[base + offset] = out
@@ -187,15 +197,6 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
     return CellVerdict(qname, perms, observer, tested, "ok")
 
 
-def _run(csys, decl, env: dict[str, int], perms: int, fuel: int) -> int:
-    """Run ``decl`` on the parameter valuation ``env`` as a call does, with
-    the return variable starting at 0."""
-    env[decl.ret_var] = 0
-    if decl.body is not None:
-        exec_cmd(env, ExecContext(decl.app, perms, Fuel(fuel)), decl.body, csys)
-    return env[decl.ret_var]
-
-
 def nitest_system(
     csys: CheckedSystem,
     observers: tuple[int, ...] | None = None,
@@ -211,6 +212,11 @@ def nitest_system(
     # a range's values are distinct, and it may be too long to copy
     if not isinstance(domain, range) and len(set(domain)) < len(domain):
         raise ValueError("domain values must be distinct")
+    # a run takes a value as it is, while a call wraps it to 64 bits, so a
+    # wider value would report witnesses that no call replays
+    ends = (domain[0], domain[-1]) if isinstance(domain, range) else domain
+    if not all(-(1 << 63) <= v < 1 << 63 for v in ends):
+        raise ValueError("domain values must be 64-bit integers")
     if observers is None:
         observers = tuple(range(len(csys.lattice)))
     cells = []

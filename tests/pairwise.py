@@ -4,17 +4,18 @@ Runs both sides of every pair of environments that agree on the observable
 part, in (observable, hidden 1, hidden 2) order, and stops at the first pair
 whose outputs differ.  Used only as a test oracle for
 ``permflow.nitest._test_cell``, which runs each environment once and must
-report the same verdicts, counts and witnesses.  It takes the harness's
-store of shared run outcomes in the same place but never reads it: every
-run it compares, it makes itself.
+report the same verdicts, counts and witnesses.  Each side runs as a call
+on the parameters' values.  It takes the harness's store of shared run
+outcomes in the same place but never reads it: every run it compares, it
+makes itself.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from permflow.interp import FuelExhausted
-from permflow.nitest import CellVerdict, Violation, _observable_split, _run
+from permflow.interp import FuelExhausted, call_function
+from permflow.nitest import CellVerdict, Violation, _observable_split
 
 
 def pairwise_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap,
@@ -35,8 +36,10 @@ def pairwise_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_
                 env2 = dict(zip(obs, obs_vals)) | dict(zip(hidden, hid2))
                 tested += 1
                 try:
-                    out1 = _run(csys, decl, dict(env1), perms, fuel)
-                    out2 = _run(csys, decl, dict(env2), perms, fuel)
+                    out1 = call_function(csys, qname, [env1[p] for p in decl.params],
+                                         perms, fuel)
+                    out2 = call_function(csys, qname, [env2[p] for p in decl.params],
+                                         perms, fuel)
                 except FuelExhausted:
                     inconclusive += 1
                     continue

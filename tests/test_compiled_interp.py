@@ -7,8 +7,10 @@ small argument grid. On a subset the fuel is swept from 0 to the full cost
 of the run, so that each exhaustion boundary is hit.
 """
 
+import importlib.util
 import os
 import random
+import sys
 from dataclasses import replace
 from itertools import product
 
@@ -17,14 +19,16 @@ import pytest
 from permflow import interp
 from permflow.interp import DEFAULT_FUEL, ExecContext, Fuel, FuelExhausted, UnboundVariable
 from permflow.parser import parse_system
-from permflow.syntax import Assign, Var
+from permflow.syntax import Assign, BinOp, Block, IntLit, Var
 from permflow.system import validate_system
 
 from . import walker
 from .conftest import SEED
 from .progen import random_checked_system
+from .test_nitest_buckets import NI_GRID
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
 I64_MAX = (1 << 63) - 1
 
 
@@ -170,6 +174,67 @@ def test_while_loop_program_fuel_sweep():
         _sweep_fuel(csys, qname, (3,) * len(decl.params), 0)
 
 
+# Chains of + and - that mix literals, declared constants, parameters and
+# * subterms; near +-2^63 their partial sums overflow. Some literals lie
+# past 64 bits, in comparisons too. mix's body is a block of three
+# assignments.
+CHAINS = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {p} {
+  const K : L = 9223372036854775807;
+  const M : H = 18446744073709551617;
+  fun mix(x : L, y : L) : L {
+    init r = 0 in {
+      r := x + K - 3 + y * 2 - (M - x) + 1;
+      r := r - (x - y) + (2 - K) + x * y;
+      r := 0 - x - y - M - 1 + r - (y - (x - 4));
+      return r
+    }
+  }
+  fun cmp(x : L, y : L) : L {
+    init r = 0 in {
+      test(p) r := x + y + K else r := y * x + 9223372036854775807;
+      if x < 9223372036854775809 then r := r + x + y else r := r - 1;
+      if y == 18446744073709551617 then r := r + y + 1 else r := r + K + K;
+      return r
+    }
+  }
+}
+"""
+NEAR_EDGES = (I64_MAX, I64_MAX - 1, -I64_MAX - 1, -I64_MAX, 1 << 62, -3, 0, 1)
+
+
+def test_chains_agree_near_the_edges():
+    csys = validate_system(parse_system(CHAINS))
+    assert _agree_on_grid(csys, grid=NEAR_EDGES) == 2 * 2 * len(NEAR_EDGES) ** 2
+    for perms in csys.universe.sets():
+        _sweep_fuel(csys, "A.mix", (I64_MAX, -3), perms)
+        _sweep_fuel(csys, "A.cmp", (0, I64_MAX), perms)
+
+
+def _load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_ni_grid_systems_agree(monkeypatch):
+    # the systems that the ni-grid workload times, at seeds 0-3, and the
+    # buckets suite's copy of their shape: every run of the 0..2 grid
+    workloads = _load_workloads(monkeypatch)
+    sources = [job.source for seed in range(4)
+               for job in workloads.make_pass("ni-grid", seed)]
+    sources.append(NI_GRID)
+    for shape in ("r := r + a + b", "r := r * a + b", "i < 2"):
+        assert any(shape in source for source in sources), shape
+    for source in sources:
+        csys = validate_system(parse_system(source))
+        assert _agree_on_grid(csys) == 2 * 2 * 3 ** 5
+
+
 def test_unbound_variable_in_assign():
     csys = validate_system(parse_system(LOOPS))
     ghost = Assign("r", Var("ghost"))
@@ -178,6 +243,26 @@ def test_unbound_variable_in_assign():
         with pytest.raises(UnboundVariable):
             module.exec_cmd({}, ExecContext("A", 0, left), ghost, csys)
         assert left.remaining == 8, module  # the command and its one node
+
+
+X_PLUS_GHOST = BinOp("-", BinOp("+", Var("x"), Var("ghost")), IntLit(1))
+
+
+@pytest.mark.parametrize("cmd, left", [
+    # compiled code charges the command's six units before it reads; the
+    # walk stops at the fifth
+    (Assign("r", X_PLUS_GHOST), {interp: 4, walker: 5}),
+    # and a block of assignments, the block's unit and both members first
+    (Block((Assign("r", X_PLUS_GHOST), Assign("s", IntLit(0)))),
+     {interp: 1, walker: 4}),
+], ids=["assign", "block"])
+def test_unbound_variable_in_a_chain(cmd, left):
+    csys = validate_system(parse_system(LOOPS))
+    for module in (interp, walker):
+        fuel = Fuel(10)
+        with pytest.raises(UnboundVariable, match="'ghost'"):
+            module.exec_cmd({"x": 1}, ExecContext("A", 0, fuel), cmd, csys)
+        assert fuel.remaining == left[module], module
 
 
 def test_compiled_code_lives_with_its_system():

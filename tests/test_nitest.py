@@ -239,6 +239,39 @@ def test_domain_values_must_be_distinct(domain):
         nitest_system(load("leaky.pf"), domain=domain)
 
 
+# h = 2^64 wraps to 0 in a call, so a run that kept it whole would report
+# a violation (out2 = 1) that no call replays
+WRAPS_TO_ZERO = """
+lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun f(x : L, h : H) : L {
+    init r = 0 in { r := h; r := 0; if h then r := 1 else r := 0; return r }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("domain", [
+    (0, 2**64), (-2**63 - 1, 0),
+    range(2**63 - 1, 2**63 + 1), range(-2**63 - 1, -2**63 + 1),
+], ids=["past-top", "below-bottom", "range-past-top", "range-below-bottom"])
+def test_domain_values_must_be_64_bit(domain):
+    csys = validate_system(parse_system(WRAPS_TO_ZERO))
+    assert call_function(csys, "A.f", [0, 2**64], 0) == 0
+    with pytest.raises(ValueError, match="domain values must be 64-bit integers"):
+        nitest_system(csys, domain=domain)
+
+
+def test_domain_at_the_64_bit_edges():
+    csys = validate_system(parse_system(WRAPS_TO_ZERO))
+    for domain in ((-2**63, 0), (0, 2**63 - 1), range(0, 2**63, 2**63 - 1)):
+        cell = nitest_system(csys, domain=domain).violations[0]
+        w = cell.witness
+        for env, expected in ((w.env1, w.out1), (w.env2, w.out2)):
+            assert call_function(csys, "A.f", [env["x"], env["h"]], cell.perms) == expected
+
+
 def test_empty_system_ok():
     src = """
 lattice { levels L, H; order L < H; }

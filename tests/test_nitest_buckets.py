@@ -120,22 +120,27 @@ def test_generated_systems_match_pairwise(monkeypatch, domain):
 
 @pytest.mark.parametrize("domain", [(0, 1), (0, 1, 2)], ids=["0..1", "0..2"])
 def test_harness_runs_are_calls(monkeypatch, domain):
-    # An environment values the parameters only, and running it gives what
-    # a call on those arguments returns, or both run out of fuel.
-    runs = []  # (function, arguments, permissions, output or None)
-    real = nitest._run
+    # An environment values the parameters only, the return variable starts
+    # at 0 and each run starts with the whole fuel; running it gives what a
+    # call on those arguments returns, or both run out of fuel.
+    runs = []  # (function, arguments, permissions, fuel, output or None)
+    real = nitest.exec_cmd
 
-    def recording(csys, decl, env, perms, fuel):
-        assert env.keys() == set(decl.params)
-        call = (decl.qualified, [env[name] for name in decl.params], perms)
+    def recording(env, ctx, c, csys):
+        decl = next(d for d in csys.fd.values()
+                    if d.body is c and d.app == ctx.app
+                    and env.keys() == {*d.params, d.ret_var})
+        assert env[decl.ret_var] == 0
+        call = (decl.qualified, [env[name] for name in decl.params],
+                ctx.caller_perms, ctx.fuel.remaining)
         try:
-            out = real(csys, decl, env, perms, fuel)
+            real(env, ctx, c, csys)
         except FuelExhausted:
             runs.append((*call, None))
             raise
-        runs.append((*call, out))
-        return out
-    monkeypatch.setattr(nitest, "_run", recording)
+        runs.append((*call, env[decl.ret_var]))
+        return env
+    monkeypatch.setattr(nitest, "exec_cmd", recording)
     rnd = random.Random(SEED + 50 + len(domain))
     exhausted = 0
     for _ in range(40):
@@ -144,7 +149,8 @@ def test_harness_runs_are_calls(monkeypatch, domain):
             runs.clear()
             nitest_system(csys, domain=domain, fuel=fuel, strict=True)
             assert runs
-            for qname, args, perms, out in runs:
+            for qname, args, perms, start, out in runs:
+                assert start == fuel
                 try:
                     expected = call_function(csys, qname, args, perms, fuel)
                 except FuelExhausted:

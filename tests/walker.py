@@ -3,8 +3,10 @@
 It walks each command and expression node by node and spends one unit of
 fuel per node it enters, plus one per ``while`` iteration, at the moment it
 enters it.  ``permflow.interp`` compiles each body to closures once and
-charges each command's fixed cost in one subtraction; the two must agree
-on every result, every exception type and the fuel left over.  Used only
+charges each command's fixed cost, or a whole block of assignments', in one
+subtraction; the two must agree on every result, every exception type and
+the fuel left over, save for the races on systems that fail validation
+that ``permflow.interp``'s docstring lists.  Used only
 as a test oracle (``tests/test_compiled_interp.py``) and as the slow side
 of the relative-speed guard in ``tests/test_scaling.py``.
 """
