@@ -130,64 +130,18 @@ def _lt(a: ExprCode, b: ExprCode) -> ExprCode:
     return lt
 
 
-def _eq_literal(name: str, value: int) -> ExprCode:
-    def eq(env):
+def _step(name: str, k: int, called: ExprCode | None) -> ExprCode:
+    """The chain ``name + k``, plus ``called`` if given: a loop counter's
+    step, or ``r * a + b``, read without the loops of the general chain."""
+    def step(env):
         try:
-            return 1 if env[name] == value else 0
-        except KeyError as err:
-            raise _unbound(err) from None
-    return eq
-
-
-def _lt_literal(name: str, value: int) -> ExprCode:
-    def lt(env):
-        try:
-            return 1 if env[name] < value else 0
-        except KeyError as err:
-            raise _unbound(err) from None
-    return lt
-
-
-# The common chains: k plus one to three names, plus at most one subterm
-# that is called (``r * a + b``).
-
-def _sum1(k: int, called: ExprCode | None, a: str) -> ExprCode:
-    def chain(env):
-        try:
-            v = env[a] + k
+            v = env[name] + k
         except KeyError as err:
             raise _unbound(err) from None
         if called is not None:
             v += called(env)
         return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
-    return chain
-
-
-def _sum2(k: int, called: ExprCode | None, a: str, b: str) -> ExprCode:
-    def chain(env):
-        try:
-            v = env[a] + env[b] + k
-        except KeyError as err:
-            raise _unbound(err) from None
-        if called is not None:
-            v += called(env)
-        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
-    return chain
-
-
-def _sum3(k: int, called: ExprCode | None, a: str, b: str, c: str) -> ExprCode:
-    def chain(env):
-        try:
-            v = env[a] + env[b] + env[c] + k
-        except KeyError as err:
-            raise _unbound(err) from None
-        if called is not None:
-            v += called(env)
-        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
-    return chain
-
-
-_SUMS = {1: _sum1, 2: _sum2, 3: _sum3}
+    return step
 
 
 def _chain(e: BinOp, sys: System) -> tuple[ExprCode, int]:
@@ -221,53 +175,34 @@ def _chain(e: BinOp, sys: System) -> tuple[ExprCode, int]:
     if not (plus or minus or consts or called):
         value = _wrap(k)
         return (lambda env: value), cost
-    if not (minus or consts) and len(plus) in _SUMS and len(called) <= 1:
-        if not called:
-            return _SUMS[len(plus)](k, None, *plus), cost
-        (code, sign), = called
-        if sign > 0:
-            return _SUMS[len(plus)](k, code, *plus), cost
+    if (len(plus) == 1 and not (minus or consts or called[1:])
+            and all(sign > 0 for _, sign in called)):
+        return _step(plus[0], k, called[0][0] if called else None), cost
 
     def chain(env):
         v = k
         try:
             for name in plus:
                 v += env[name]
-            for name in minus:
-                v -= env[name]
+            if minus:
+                for name in minus:
+                    v -= env[name]
         except KeyError as err:
             raise _unbound(err) from None
-        for name, value, sign in consts:
-            # a bound name shadows the constant, as in the walk
-            v += sign * env.get(name, value)
-        for code, sign in called:
-            v += sign * code(env)
+        if consts:
+            for name, value, sign in consts:
+                # a bound name shadows the constant, as in the walk
+                v += sign * env.get(name, value)
+        if called:
+            for code, sign in called:
+                v += sign * code(env)
         return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
     return chain, cost
 
 
-def _operator(make, with_literal=None):
-    """How a node whose closure ``make`` calls its operands' closures
-    compiles; ``with_literal`` reads a name and a literal inline instead."""
-    def compile_node(e: BinOp, sys: System) -> tuple[ExprCode, int]:
-        lhs, rhs = e.lhs, e.rhs
-        if (with_literal is not None and isinstance(rhs, IntLit)
-                and isinstance(lhs, Var) and lhs.name not in sys.constants):
-            return with_literal(lhs.name, _wrap(rhs.value)), 3
-        lhs_code, n_lhs = _compile_expr(lhs, sys)
-        rhs_code, n_rhs = _compile_expr(rhs, sys)
-        return make(lhs_code, rhs_code), 1 + n_lhs + n_rhs
-    return compile_node
-
-
-# operator -> how a node of it compiles, with the fuel it costs
-_BINOPS = {
-    "+": _chain,
-    "-": _chain,
-    "*": _operator(_mul),
-    "==": _operator(_eq, _eq_literal),
-    "<": _operator(_lt, _lt_literal),
-}
+# operator -> the closure of a node of it, given its operands' closures; a
+# chain of ``+`` and ``-`` compiles as a whole (``_chain``)
+_BINOPS = {"+": None, "-": None, "*": _mul, "==": _eq, "<": _lt}
 
 
 def _compile_expr(e: Expr, sys: System) -> tuple[ExprCode, int]:
@@ -289,8 +224,12 @@ def _compile_expr(e: Expr, sys: System) -> tuple[ExprCode, int]:
             except KeyError:
                 raise UnboundVariable(f"unbound variable {name!r}") from None
         return var, 1
+    if isinstance(e, BinOp) and e.op in ("+", "-"):
+        return _chain(e, sys)
     if isinstance(e, BinOp) and e.op in _BINOPS:
-        return _BINOPS[e.op](e, sys)
+        lhs, n_lhs = _compile_expr(e.lhs, sys)
+        rhs, n_rhs = _compile_expr(e.rhs, sys)
+        return _BINOPS[e.op](lhs, rhs), 1 + n_lhs + n_rhs
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -177,7 +177,8 @@ def test_while_loop_program_fuel_sweep():
 # Chains of + and - that mix literals, declared constants, parameters and
 # * subterms; near +-2^63 their partial sums overflow. Some literals lie
 # past 64 bits, in comparisons too. mix's body is a block of three
-# assignments.
+# assignments; inc's are a name and a literal, with a * subterm added or
+# subtracted.
 CHAINS = """lattice { levels L, H; order L < H; }
 permissions { p }
 app A perms {p} {
@@ -199,6 +200,14 @@ app A perms {p} {
       return r
     }
   }
+  fun inc(x : L, y : L) : L {
+    init r = 0 in {
+      r := x + 1;
+      r := r - y * 3;
+      r := r + 2 + x * y;
+      return r
+    }
+  }
 }
 """
 NEAR_EDGES = (I64_MAX, I64_MAX - 1, -I64_MAX - 1, -I64_MAX, 1 << 62, -3, 0, 1)
@@ -206,7 +215,7 @@ NEAR_EDGES = (I64_MAX, I64_MAX - 1, -I64_MAX - 1, -I64_MAX, 1 << 62, -3, 0, 1)
 
 def test_chains_agree_near_the_edges():
     csys = validate_system(parse_system(CHAINS))
-    assert _agree_on_grid(csys, grid=NEAR_EDGES) == 2 * 2 * len(NEAR_EDGES) ** 2
+    assert _agree_on_grid(csys, grid=NEAR_EDGES) == 3 * 2 * len(NEAR_EDGES) ** 2
     for perms in csys.universe.sets():
         _sweep_fuel(csys, "A.mix", (I64_MAX, -3), perms)
         _sweep_fuel(csys, "A.cmp", (0, I64_MAX), perms)
@@ -252,10 +261,12 @@ X_PLUS_GHOST = BinOp("-", BinOp("+", Var("x"), Var("ghost")), IntLit(1))
     # compiled code charges the command's six units before it reads; the
     # walk stops at the fifth
     (Assign("r", X_PLUS_GHOST), {interp: 4, walker: 5}),
+    # a name and a literal, read without the general chain's loops
+    (Assign("r", BinOp("+", Var("ghost"), IntLit(1))), {interp: 6, walker: 7}),
     # and a block of assignments, the block's unit and both members first
     (Block((Assign("r", X_PLUS_GHOST), Assign("s", IntLit(0)))),
      {interp: 1, walker: 4}),
-], ids=["assign", "block"])
+], ids=["assign", "step", "block"])
 def test_unbound_variable_in_a_chain(cmd, left):
     csys = validate_system(parse_system(LOOPS))
     for module in (interp, walker):
