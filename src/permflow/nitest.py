@@ -26,8 +26,12 @@ set P only through ``P & T``, for T the permissions that the body's own
 ``test`` commands read: the interpreter reads the caller's permissions
 only in ``test``, and a call runs its callee under its app's permissions.
 So a function's cells are computed one permission class ``P & T`` at a
-time, and the cells of a class read one store of the outcomes of the runs
-they made: each (class, environment) runs at most once.
+time: the class's first tested cell within the pair cap runs all d^n
+environments in one loop, into a store, and every cell of the class reads
+its buckets from that store.  The top observer's cell has the fewest
+pairs, d^n, so under the default observers these are the runs the cells
+visit anyway; a lower observer alone may cost a class all d^n runs, at
+most ``pair_cap / d^|hidden|``, where its cell would stop at a witness.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
-from operator import mul
 
 from .interp import DEFAULT_FUEL, ExecContext, Fuel, FuelExhausted, exec_cmd
 from .syntax import Test, subcommands
@@ -103,7 +106,7 @@ def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
         classes.setdefault(perms & tested, []).append(perms)
     cells = {}
     for members in classes.values():
-        store = {}  # environment slot -> outcome of a run this class made
+        store = []  # the class's run outcomes, in environment slot order
         for observer in observers:
             for perms in members:
                 if strict or csys.lattice.leq(ft.ret.at(perms), observer):
@@ -121,9 +124,10 @@ _EXHAUSTED = object()  # the outcome of a run that ran out of fuel
 
 def _slots(names, place, d):
     """The store slot offset of each valuation of ``names``, in ``product`` order."""
-    weights = [place[name] for name in names]
-    for digits in product(range(d), repeat=len(names)):
-        yield sum(map(mul, digits, weights))
+    slots = [0]
+    for name in names:
+        slots = [s + v * place[name] for s in slots for v in range(d)]
+    return slots
 
 
 def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap,
@@ -137,58 +141,48 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
             note=f"{pair_count} pairs exceed the cap of {pair_cap}",
         )
 
-    # A bucket's pairs, taken in (hid1, hid2) order and skipping those with
-    # an exhausted side, first differ at (i, j): i the bucket's first
-    # finished run, j the first finished run whose output differs from i's.
-    # A run mutates its environment, so a witness's is rebuilt from its
-    # valuation, in the same key order: observable, then hidden.
+    # the class's first cell within the cap runs every environment: a run
+    # starts the return variable at 0, as a call does, and has the full fuel
+    if not store:
+        ret_var, body, params = decl.ret_var, decl.body, decl.params
+        ctx = ExecContext(decl.app, perms, Fuel(fuel))
+        for vals in product(domain, repeat=len(params)):
+            env = dict(zip(params, vals))
+            env[ret_var] = 0
+            ctx.fuel.remaining = fuel
+            try:
+                if body is not None:
+                    exec_cmd(env, ctx, body, csys)
+                store.append(env[ret_var])
+            except FuelExhausted:
+                store.append(_EXHAUSTED)
+
     # An environment's store slot is its mixed-radix index over the domain
-    # positions, in parameter order.
+    # positions, in parameter order.  A bucket's pairs, in (hid1, hid2)
+    # order and skipping those with an exhausted side, first differ at
+    # (i, j): i the bucket's first finished run, j the first finished run
+    # whose output differs from i's.  A witness's environments are rebuilt
+    # from their slots, in the key order observable, then hidden.
     m = d ** len(hidden)
-    ret_var, body = decl.ret_var, decl.body
-    # one context for the cell's runs; each run starts with the full fuel
-    ctx = ExecContext(decl.app, perms, Fuel(fuel))
-    tested = 0
-    inconclusive = 0
-    names = (*obs, *hidden)
     place = {name: d ** i for i, name in enumerate(reversed(gamma))}
-    offsets = list(_slots(hidden, place, d))
-    buckets = zip(_slots(obs, place, d), product(domain, repeat=len(obs)))
-    for base, obs_vals in buckets:
-        first = None  # (index, hidden valuation, output) of the first finished run
-        exhausted = 0
-        valuations = zip(offsets, product(domain, repeat=len(hidden)))
-        for j, (offset, hid) in enumerate(valuations):
-            out = store.get(base + offset)
-            if out is None:
-                # a run values the parameters and starts the return
-                # variable at 0, as a call does
-                env = dict(zip(names, obs_vals + hid))
-                env[ret_var] = 0
-                ctx.fuel.remaining = fuel
-                try:
-                    if body is not None:
-                        exec_cmd(env, ctx, body, csys)
-                    out = env[ret_var]
-                except FuelExhausted:
-                    out = _EXHAUSTED
-                store[base + offset] = out
-            if out is _EXHAUSTED:
-                exhausted += 1
-                continue
-            if first is None:
-                first = (j, hid, out)
-            elif out != first[2]:
-                i, hid1, out1 = first
-                low = dict(zip(obs, obs_vals))
-                env1 = low | dict(zip(hidden, hid1))
-                env2 = low | dict(zip(hidden, hid))
+    offsets = _slots(hidden, place, d)
+    tested = inconclusive = 0
+    for base in _slots(obs, place, d):
+        row = [store[base + o] for o in offsets]
+        if row[0] is not _EXHAUSTED and row.count(row[0]) == m:
+            tested += m * m
+            continue
+        i = next((k for k, out in enumerate(row) if out is not _EXHAUSTED), 0)
+        for j, out in enumerate(row):
+            if out is not _EXHAUSTED and out != row[i]:
+                env1, env2 = ({name: domain[(base + offsets[k]) // place[name] % d]
+                               for name in (*obs, *hidden)} for k in (i, j))
                 return CellVerdict(
                     qname, perms, observer, tested + i * m + j + 1, "violation",
-                    witness=Violation(env1, env2, out1, out),
+                    witness=Violation(env1, env2, row[i], out),
                 )
         tested += m * m
-        inconclusive += m * m - (m - exhausted) ** 2
+        inconclusive += m * m - (m - row.count(_EXHAUSTED)) ** 2
     if inconclusive:
         return CellVerdict(
             qname, perms, observer, tested, "inconclusive",
@@ -207,10 +201,14 @@ def nitest_system(
 ) -> NIReport:
     """Test every function over a grid of observers and caller permissions;
     ``strict`` also tests the cells whose return type is unobservable."""
-    if len(domain) < 2:
+    try:
+        d = len(domain)
+    except OverflowError:  # a range longer than sys.maxsize
+        raise ValueError("domain range too large") from None
+    if d < 2:
         raise ValueError("domain must offer at least two values")
     # a range's values are distinct, and it may be too long to copy
-    if not isinstance(domain, range) and len(set(domain)) < len(domain):
+    if not isinstance(domain, range) and len(set(domain)) < d:
         raise ValueError("domain values must be distinct")
     # a run takes a value as it is, while a call wraps it to 64 bits, so a
     # wider value would report witnesses that no call replays

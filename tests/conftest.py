@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import random
+import sys
 
 import pytest
 
@@ -8,11 +10,23 @@ from permflow.lattice import Lattice, load_lattice
 from permflow.traces import Trace
 
 SEED = int(os.environ.get("PERMFLOW_SEED", "20260810"))
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
 
 
 @pytest.fixture
 def rng():
     return random.Random(SEED)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded by path: the benchmark's systems."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,8 @@ small argument grid. On a subset the fuel is swept from 0 to the full cost
 of the run, so that each exhaustion boundary is hit.
 """
 
-import importlib.util
 import os
 import random
-import sys
 from dataclasses import replace
 from itertools import product
 
@@ -28,7 +26,6 @@ from .progen import random_checked_system
 from .test_nitest_buckets import NI_GRID
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
-WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
 I64_MAX = (1 << 63) - 1
 
 
@@ -221,19 +218,9 @@ def test_chains_agree_near_the_edges():
         _sweep_fuel(csys, "A.cmp", (0, I64_MAX), perms)
 
 
-def _load_workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-def test_benchmark_ni_grid_systems_agree(monkeypatch):
+def test_benchmark_ni_grid_systems_agree(workloads):
     # the systems that the ni-grid workload times, at seeds 0-3, and the
     # buckets suite's copy of their shape: every run of the 0..2 grid
-    workloads = _load_workloads(monkeypatch)
     sources = [job.source for seed in range(4)
                for job in workloads.make_pass("ni-grid", seed)]
     sources.append(NI_GRID)

@@ -263,6 +263,12 @@ def test_domain_values_must_be_64_bit(domain):
         nitest_system(csys, domain=domain)
 
 
+def test_domain_range_too_long_to_count():
+    # 2^63 values, each a 64-bit integer: len() cannot count them
+    with pytest.raises(ValueError, match="domain range too large"):
+        nitest_system(load("leaky.pf"), domain=range(-2**62, 2**62))
+
+
 def test_domain_at_the_64_bit_edges():
     csys = validate_system(parse_system(WRAPS_TO_ZERO))
     for domain in ((-2**63, 0), (0, 2**63 - 1), range(0, 2**63, 2**63 - 1)):

@@ -1,9 +1,9 @@
 """The bucketed NI harness against its pairwise reference and against the
 interpreter's calls, and its cost.
 
-``nitest._test_cell`` runs each environment once per bucket of equal
-observable parts, and reads runs that another cell of the function made in
-the same permission class from a shared store; ``tests/pairwise.py`` runs
+``nitest._test_cell`` decides a cell bucket by bucket, over environments of
+equal observable parts, from a store where the first cell of its
+permission class ran every environment once; ``tests/pairwise.py`` runs
 both sides of every pair.  Both must give field-for-field equal cells:
 verdicts, pair counts, fuel notes and witnesses, down to the key order of
 the witness environments.
@@ -105,15 +105,22 @@ def _randomly_annotated(rnd):
     return validate_system(replace(sys0, fd=fd))
 
 
-@pytest.mark.parametrize("domain", [(0, 1), (0, 1, 2)], ids=["0..1", "0..2"])
-def test_generated_systems_match_pairwise(monkeypatch, domain):
+# Under the default observers the top observer's cell visits every
+# environment of its class anyway; with a bottom observer alone, a class's
+# cells are decided from runs made up front that a witness may leave unread.
+@pytest.mark.parametrize("domain, bottom_only", [
+    ((0, 1), False), ((0, 1, 2), False), ((0, 1), True), ((0, 1, 2), True),
+], ids=["0..1", "0..2", "0..1-bottom", "0..2-bottom"])
+def test_generated_systems_match_pairwise(monkeypatch, domain, bottom_only):
     verdicts = set()
     rnd = random.Random(SEED + 40 + len(domain))
     for _ in range(60):
         csys = _randomly_annotated(rnd)
+        observers = (csys.lattice.bottom,) if bottom_only else None
         for fuel in (DEFAULT_FUEL, 12):
             cells, _ = _bucketed_matching_pairwise(
-                monkeypatch, csys, domain=domain, fuel=fuel, strict=True)
+                monkeypatch, csys, observers=observers, domain=domain, fuel=fuel,
+                strict=True)
             verdicts |= {c.verdict for c in cells}
     assert {"ok", "violation", "inconclusive"} <= verdicts
 
@@ -271,6 +278,30 @@ def test_one_interpreter_call_per_predicted_run(monkeypatch):
     assert _unshared_runs(csys, cells, domain) == 1223
 
 
+def test_a_class_runs_every_environment_once(monkeypatch):
+    # With the L observer alone, N.safe's P={p} cell is skipped, so its
+    # class runs nothing; N.leak's class runs all 3^5 environments up
+    # front, though its cells stop at a witness after 4 of them.
+    csys = validate_system(parse_system(NI_GRID))
+    L = csys.lattice.level("L")
+    cells, runs = _bucketed_matching_pairwise(monkeypatch, csys, observers=(L,),
+                                              domain=range(0, 3))
+    assert [c.verdict for c in cells] == ["ok", "skipped", "violation", "violation"]
+    assert runs == 2 * 3 ** 5 == 486
+    tested = {"N.safe": 0b1, "N.leak": 0}
+    assert _shared_runs(csys, cells, range(0, 3), tested) == 247
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_benchmark_ni_grid_runs(monkeypatch, workloads, seed):
+    # the systems that the ni-grid workload times: each of the 3^5
+    # environments runs once per permission class
+    for job in workloads.make_pass("ni-grid", seed):
+        csys = validate_system(parse_system(job.source))
+        _, runs = _bucketed_matching_pairwise(monkeypatch, csys, domain=range(0, 3))
+        assert runs == 729
+
+
 # A.g's nested tests over p and q split its classes into four.  Called from
 # B, A.g runs under B's permissions whatever the caller of B.f or B.k
 # holds, so its tests split no class of theirs; B.f's own test of q does.
@@ -334,7 +365,8 @@ def test_cells_come_observer_major_then_permission_set(source):
 def test_one_store_live_at_a_time(monkeypatch, source):
     # Each (function, permission class) gets its own store, which its cells
     # use one after another; the next class starts only when they are done.
-    # A store holds the outcomes of the runs its cells made, and no others.
+    # A store lists the outcomes of the runs its first cell within the pair
+    # cap made, one per environment, and no others.
     csys = validate_system(parse_system(source))
     tested = TESTED[source]
     received = []  # (function, permission class, store) per tested cell
