@@ -26,12 +26,11 @@ set P only through ``P & T``, for T the permissions that the body's own
 ``test`` commands read: the interpreter reads the caller's permissions
 only in ``test``, and a call runs its callee under its app's permissions.
 So a function's cells are computed one permission class ``P & T`` at a
-time: the class's first tested cell within the pair cap runs all d^n
-environments in one loop, into a store, and every cell of the class reads
-its buckets from that store.  The top observer's cell has the fewest
-pairs, d^n, so under the default observers these are the runs the cells
-visit anyway; a lower observer alone may cost a class all d^n runs, at
-most ``pair_cap / d^|hidden|``, where its cell would stop at a witness.
+time, and the cells of a class share one store: the outcomes in
+environment slot order, allocated by the class's first cell within the
+pair cap.  Before a cell reads a bucket, it runs the bucket's environments
+that the store lacks, so each (class, environment) runs at most once, and
+a cell that stops at a witness leaves the later buckets unrun.
 """
 
 from __future__ import annotations
@@ -141,54 +140,57 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
             note=f"{pair_count} pairs exceed the cap of {pair_cap}",
         )
 
-    # the class's first cell within the cap runs every environment: a run
-    # starts the return variable at 0, as a call does, and has the full fuel
-    if not store:
-        ret_var, body, params = decl.ret_var, decl.body, decl.params
-        ctx = ExecContext(decl.app, perms, Fuel(fuel))
-        for vals in product(domain, repeat=len(params)):
-            env = dict(zip(params, vals))
-            env[ret_var] = 0
-            ctx.fuel.remaining = fuel
-            try:
-                if body is not None:
-                    exec_cmd(env, ctx, body, csys)
-                store.append(env[ret_var])
-            except FuelExhausted:
-                store.append(_EXHAUSTED)
+    if not store:  # the class's first cell within the cap
+        store += [None] * d ** len(gamma)
 
-    # An environment's store slot is its mixed-radix index over the domain
-    # positions, in parameter order.  A bucket's pairs, in (hid1, hid2)
-    # order and skipping those with an exhausted side, first differ at
-    # (i, j): i the bucket's first finished run, j the first finished run
-    # whose output differs from i's.  A witness's environments are rebuilt
-    # from their slots, in the key order observable, then hidden.
+    # A slot is an environment's mixed-radix index over the domain positions
+    # in parameter order; ``slots`` lists the cell's in bucket order, so each
+    # bucket is a row of m.  The row's runs missing from the store run first,
+    # each as a call: return variable at 0, full fuel.  A bucket's pairs, in
+    # (hid1, hid2) order and skipping any with an exhausted side, first differ
+    # at (i, j): i the first finished run, j the first finished one unlike i.
     m = d ** len(hidden)
-    place = {name: d ** i for i, name in enumerate(reversed(gamma))}
-    offsets = _slots(hidden, place, d)
-    tested = inconclusive = 0
-    for base in _slots(obs, place, d):
-        row = [store[base + o] for o in offsets]
-        if row[0] is not _EXHAUSTED and row.count(row[0]) == m:
-            tested += m * m
-            continue
-        i = next((k for k, out in enumerate(row) if out is not _EXHAUSTED), 0)
-        for j, out in enumerate(row):
-            if out is not _EXHAUSTED and out != row[i]:
-                env1, env2 = ({name: domain[(base + offsets[k]) // place[name] % d]
-                               for name in (*obs, *hidden)} for k in (i, j))
-                return CellVerdict(
-                    qname, perms, observer, tested + i * m + j + 1, "violation",
-                    witness=Violation(env1, env2, row[i], out),
-                )
-        tested += m * m
-        inconclusive += m * m - (m - row.count(_EXHAUSTED)) ** 2
+    names = (*obs, *hidden)
+    slots = _slots(names, {name: d ** i for i, name in enumerate(reversed(gamma))}, d)
+    outs = [store[s] for s in slots]
+    hids = list(product(domain, repeat=len(hidden)))
+    ret_var, body = decl.ret_var, decl.body
+    ctx = ExecContext(decl.app, perms, Fuel(fuel))
+    inconclusive = 0
+    for r, low in zip(range(0, len(slots), m), product(domain, repeat=len(obs))):
+        row = outs[r:r + m]
+        if None in row:
+            for k, hid in enumerate(hids):
+                if row[k] is None:
+                    env = dict(zip(names, low + hid))
+                    env[ret_var] = 0
+                    ctx.fuel.remaining = fuel
+                    try:
+                        if body is not None:
+                            exec_cmd(env, ctx, body, csys)
+                        out = env[ret_var]
+                    except FuelExhausted:
+                        out = _EXHAUSTED
+                    row[k] = store[slots[r + k]] = out
+        i = 0
+        while row[i] is _EXHAUSTED and i < m - 1:
+            i += 1
+        exhausted = row.count(_EXHAUSTED)
+        if row.count(row[i]) + exhausted < m:  # a finished run differs from i's
+            j = next(k for k, out in enumerate(row)
+                     if out is not _EXHAUSTED and out != row[i])
+            env1, env2 = (dict(zip(names, low + hids[k])) for k in (i, j))
+            return CellVerdict(
+                qname, perms, observer, (r + i) * m + j + 1, "violation",
+                witness=Violation(env1, env2, row[i], row[j]),
+            )
+        inconclusive += m * m - (m - exhausted) ** 2
     if inconclusive:
         return CellVerdict(
-            qname, perms, observer, tested, "inconclusive",
+            qname, perms, observer, len(slots) * m, "inconclusive",
             note=f"{inconclusive} pair(s) ran out of fuel",
         )
-    return CellVerdict(qname, perms, observer, tested, "ok")
+    return CellVerdict(qname, perms, observer, len(slots) * m, "ok")
 
 
 def nitest_system(

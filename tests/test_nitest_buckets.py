@@ -2,8 +2,9 @@
 interpreter's calls, and its cost.
 
 ``nitest._test_cell`` decides a cell bucket by bucket, over environments of
-equal observable parts, from a store where the first cell of its
-permission class ran every environment once; ``tests/pairwise.py`` runs
+equal observable parts, from a store that the cells of its permission
+class share: a bucket's environments that no cell of the class ran yet run
+before the bucket is read; ``tests/pairwise.py`` runs
 both sides of every pair.  Both must give field-for-field equal cells:
 verdicts, pair counts, fuel notes and witnesses, down to the key order of
 the witness environments.
@@ -106,8 +107,8 @@ def _randomly_annotated(rnd):
 
 
 # Under the default observers the top observer's cell visits every
-# environment of its class anyway; with a bottom observer alone, a class's
-# cells are decided from runs made up front that a witness may leave unread.
+# environment of its class anyway; with a bottom observer alone, no cell of
+# a class is the top one, and a witness leaves later buckets unrun.
 @pytest.mark.parametrize("domain, bottom_only", [
     ((0, 1), False), ((0, 1, 2), False), ((0, 1), True), ((0, 1, 2), True),
 ], ids=["0..1", "0..2", "0..1-bottom", "0..2-bottom"])
@@ -278,25 +279,25 @@ def test_one_interpreter_call_per_predicted_run(monkeypatch):
     assert _unshared_runs(csys, cells, domain) == 1223
 
 
-def test_a_class_runs_every_environment_once(monkeypatch):
+def test_a_witness_leaves_later_buckets_unrun(monkeypatch):
     # With the L observer alone, N.safe's P={p} cell is skipped, so its
-    # class runs nothing; N.leak's class runs all 3^5 environments up
-    # front, though its cells stop at a witness after 4 of them.
+    # class runs nothing.  N.leak's cells stop at a witness in their first
+    # bucket of 3^3 environments, which runs whole, before it is read: 23
+    # more runs than the 4 that the witness pair needs.
     csys = validate_system(parse_system(NI_GRID))
     L = csys.lattice.level("L")
     cells, runs = _bucketed_matching_pairwise(monkeypatch, csys, observers=(L,),
                                               domain=range(0, 3))
     assert [c.verdict for c in cells] == ["ok", "skipped", "violation", "violation"]
-    assert runs == 2 * 3 ** 5 == 486
+    assert runs == 3 ** 5 + 3 ** 3 == 270
     tested = {"N.safe": 0b1, "N.leak": 0}
-    assert _shared_runs(csys, cells, range(0, 3), tested) == 247
+    assert _shared_runs(csys, cells, range(0, 3), tested) == 3 ** 5 + 4 == 247
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_benchmark_ni_grid_runs(monkeypatch, workloads, seed):
+def test_benchmark_ni_grid_runs(monkeypatch, workloads):
     # the systems that the ni-grid workload times: each of the 3^5
     # environments runs once per permission class
-    for job in workloads.make_pass("ni-grid", seed):
+    for job in workloads.make_pass("ni-grid", 0):
         csys = validate_system(parse_system(job.source))
         _, runs = _bucketed_matching_pairwise(monkeypatch, csys, domain=range(0, 3))
         assert runs == 729
@@ -365,8 +366,8 @@ def test_cells_come_observer_major_then_permission_set(source):
 def test_one_store_live_at_a_time(monkeypatch, source):
     # Each (function, permission class) gets its own store, which its cells
     # use one after another; the next class starts only when they are done.
-    # A store lists the outcomes of the runs its first cell within the pair
-    # cap made, one per environment, and no others.
+    # A store has one slot per environment, and the top observer's cell
+    # visits them all, so the stores' slots number the runs.
     csys = validate_system(parse_system(source))
     tested = TESTED[source]
     received = []  # (function, permission class, store) per tested cell
