@@ -23,6 +23,21 @@ exhausts exactly when the node-by-node walk (``tests/walker.py``) does, a
 finished run leaves the same fuel, and exhaustion leaves ``remaining`` at
 -1, as the walk does.
 
+One run may cover a batch of environments that follow one control path.
+A value is then an int, shared by the whole batch, or a ``Column``: a list
+with one int per environment.  Expressions on ints run the int-only code
+(one chain of ``+`` and ``-`` included); a column's arithmetic, comparisons
+and truth test raise ``TypeError``, which turns the expression to its
+column code, so an int run pays nothing for batches.  A column is wrapped
+to 64 bits only when its least or greatest value leaves the range.  An
+``if`` or ``while`` whose condition is true for some environments of the
+batch and false for others raises ``Diverged(mask)``, ``mask`` marking the
+environments that take the ``then`` branch or enter the loop; the caller
+splits the batch and reruns its parts from the start (``nitest``).
+``test`` reads the caller's permission set, one int for the whole batch,
+and never diverges.  Fuel stays one counter per batch: environments on one
+path charge the same fuel, so they run out of it together.
+
 Races differ on systems that fail validation only. When code charged in
 one step (a command, or a block of assignments) reads an unbound variable
 and also runs out of fuel, the walk raises whichever it reaches first,
@@ -36,6 +51,8 @@ runs.
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import repeat
+from operator import add, eq, lt, mul, sub
 
 from .syntax import (
     Assign,
@@ -67,6 +84,15 @@ class UnboundVariable(RuntimeError):
     """Signals a validator bug; validated systems cannot reach this."""
 
 
+class Diverged(Exception):
+    """A batch's environments disagree on a branch; ``mask[k]`` is true
+    when environment ``k`` takes the ``then`` branch or enters the loop."""
+
+    def __init__(self, mask: list[bool]):
+        super().__init__("the batch's environments take different branches")
+        self.mask = mask
+
+
 def _wrap(v: int) -> int:
     v &= _U64 - 1
     return v - _U64 if v > _I64_MAX else v
@@ -95,8 +121,21 @@ def _exhausted(fuel: Fuel):
     raise FuelExhausted("evaluation fuel exhausted")
 
 
-ExprCode = Callable[[dict[str, int]], int]
-CmdCode = Callable[[dict[str, int], ExecContext], None]
+class Column(list):
+    """A value that differs across a batch: one int per environment, never
+    changed in place.  Its arithmetic, comparisons and truth test raise
+    ``TypeError``, as for an unsupported operand, so compiled code takes
+    its int-only path under ``try`` and turns to columns on the error."""
+
+    __slots__ = ()
+    __add__ = __radd__ = __iadd__ = __mul__ = __rmul__ = __imul__ = None
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = None
+
+
+# A value is an int, shared by every environment of a batch, or a column.
+Value = int | Column
+ExprCode = Callable[[dict[str, Value]], Value]
+CmdCode = Callable[[dict[str, Value], ExecContext], None]
 
 
 # ----------------------------------------------------------- expressions
@@ -106,40 +145,114 @@ CmdCode = Callable[[dict[str, int], ExecContext], None]
 # A name read inline raises ``UnboundVariable`` from the ``KeyError``:
 #     try: ... env[name] ...
 #     except KeyError as err: raise _unbound(err) from None
+#
+# Ints take the int-only code, which raises ``TypeError`` when it meets a
+# column; the column code that catches it builds a new column, wrapped only
+# when its least or greatest value leaves 64 bits.  Expressions are pure,
+# so the column code may evaluate a subterm again.
 
 def _unbound(err: KeyError) -> UnboundVariable:
     return UnboundVariable(f"unbound variable {err.args[0]!r}")
 
 
+def _column(values) -> Column:
+    col = Column(values)
+    if min(col) < _I64_MIN or max(col) > _I64_MAX:
+        return Column(map(_wrap, col))
+    return col
+
+
+def _lift(op, x: Value, y: Value):
+    """``op`` per environment, on two values of which one is a column."""
+    if isinstance(x, Column):
+        return map(op, x, y if isinstance(y, Column) else repeat(y))
+    return map(op, repeat(x), y)
+
+
+def _col_sum(k: int, terms: list[tuple[Value, int]]) -> Column:
+    """``k`` plus the signed ``terms``, at least one a column, wrapped."""
+    cols = []
+    for x, sign in terms:
+        if isinstance(x, Column):
+            cols.append((x, sign))
+        else:
+            k += sign * x
+    col = repeat(k)
+    for x, sign in cols:
+        col = map(add if sign > 0 else sub, col, x)
+    return _column(col)
+
+
+def _decide(col) -> bool:
+    """The branch that every environment of a column of conditions takes."""
+    if 0 not in col:
+        return True
+    if any(col):
+        raise Diverged([v != 0 for v in col])
+    return False
+
+
 def _mul(a: ExprCode, b: ExprCode) -> ExprCode:
-    def mul(env):
-        v = a(env) * b(env)
+    def mul_(env):
+        try:
+            v = a(env) * b(env)
+        except TypeError:  # a column
+            return _column(_lift(mul, a(env), b(env)))
         return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
-    return mul
+    return mul_
 
 
-def _eq(a: ExprCode, b: ExprCode) -> ExprCode:
-    def eq(env):
-        return 1 if a(env) == b(env) else 0
-    return eq
+# A comparison compiled as a condition gives a bool, or decides a column's
+# branch; as a value it gives 1 or 0, or a column of them.
+
+def _eq(a: ExprCode, b: ExprCode, cond: bool = False) -> ExprCode:
+    if cond:
+        def eq_cond(env):
+            try:
+                return True if a(env) == b(env) else False
+            except TypeError:  # a column
+                return _decide(list(_lift(eq, a(env), b(env))))
+        return eq_cond
+
+    def eq_(env):
+        try:
+            return 1 if a(env) == b(env) else 0
+        except TypeError:  # a column
+            return Column(map(int, _lift(eq, a(env), b(env))))
+    return eq_
 
 
-def _lt(a: ExprCode, b: ExprCode) -> ExprCode:
-    def lt(env):
-        return 1 if a(env) < b(env) else 0
-    return lt
+def _lt(a: ExprCode, b: ExprCode, cond: bool = False) -> ExprCode:
+    if cond:
+        def lt_cond(env):
+            try:
+                return True if a(env) < b(env) else False
+            except TypeError:  # a column
+                return _decide(list(_lift(lt, a(env), b(env))))
+        return lt_cond
+
+    def lt_(env):
+        try:
+            return 1 if a(env) < b(env) else 0
+        except TypeError:  # a column
+            return Column(map(int, _lift(lt, a(env), b(env))))
+    return lt_
 
 
-def _step(name: str, k: int, called: ExprCode | None) -> ExprCode:
+def _step(name: str, k: int, called: ExprCode | None,
+          terms: Callable[[dict[str, Value]], list]) -> ExprCode:
     """The chain ``name + k``, plus ``called`` if given: a loop counter's
-    step, or ``r * a + b``, read without the loops of the general chain."""
+    step, or ``r * a + b``, read without the loops of the general chain;
+    ``terms`` reads the chain's terms for ``_col_sum``."""
     def step(env):
         try:
             v = env[name] + k
+            if called is not None:
+                v += called(env)
         except KeyError as err:
             raise _unbound(err) from None
-        if called is not None:
-            v += called(env)
+        except TypeError:  # a column
+            return _col_sum(k, terms(env))
         return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
     return step
 
@@ -175,9 +288,20 @@ def _chain(e: BinOp, sys: System) -> tuple[ExprCode, int]:
     if not (plus or minus or consts or called):
         value = _wrap(k)
         return (lambda env: value), cost
+
+    def terms(env):
+        try:
+            return ([(env[name], 1) for name in plus]
+                    + [(env[name], -1) for name in minus]
+                    # a bound name shadows the constant, as in the walk
+                    + [(env.get(name, value), sign) for name, value, sign in consts]
+                    + [(code(env), sign) for code, sign in called])
+        except KeyError as err:
+            raise _unbound(err) from None
+
     if (len(plus) == 1 and not (minus or consts or called[1:])
             and all(sign > 0 for _, sign in called)):
-        return _step(plus[0], k, called[0][0] if called else None), cost
+        return _step(plus[0], k, called[0][0] if called else None, terms), cost
 
     def chain(env):
         v = k
@@ -187,15 +311,16 @@ def _chain(e: BinOp, sys: System) -> tuple[ExprCode, int]:
             if minus:
                 for name in minus:
                     v -= env[name]
+            if consts:
+                for name, value, sign in consts:
+                    v += sign * env.get(name, value)
+            if called:
+                for code, sign in called:
+                    v += sign * code(env)
         except KeyError as err:
             raise _unbound(err) from None
-        if consts:
-            for name, value, sign in consts:
-                # a bound name shadows the constant, as in the walk
-                v += sign * env.get(name, value)
-        if called:
-            for code, sign in called:
-                v += sign * code(env)
+        except TypeError:  # a column
+            return _col_sum(k, terms(env))
         return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
     return chain, cost
 
@@ -231,6 +356,24 @@ def _compile_expr(e: Expr, sys: System) -> tuple[ExprCode, int]:
         rhs, n_rhs = _compile_expr(e.rhs, sys)
         return _BINOPS[e.op](lhs, rhs), 1 + n_lhs + n_rhs
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _compile_cond(e: Expr, sys: System) -> tuple[ExprCode, int]:
+    """The closure that decides a branch on ``e`` for the whole batch, or
+    raises ``Diverged``, and the fuel ``e`` costs."""
+    if isinstance(e, BinOp) and e.op in ("==", "<"):
+        lhs, n_lhs = _compile_expr(e.lhs, sys)
+        rhs, n_rhs = _compile_expr(e.rhs, sys)
+        return _BINOPS[e.op](lhs, rhs, True), 1 + n_lhs + n_rhs
+    code, cost = _compile_expr(e, sys)
+
+    def cond(env):
+        v = code(env)
+        try:
+            return True if v else False
+        except TypeError:  # a column
+            return _decide(v)
+    return cond, cost
 
 
 # -------------------------------------------------------------- commands
@@ -286,7 +429,7 @@ def _compile_cmd(c: Cmd, sys: System) -> CmdCode:
         return block
 
     if isinstance(c, If):
-        cond, cost = _compile_expr(c.cond, sys)
+        cond, cost = _compile_cond(c.cond, sys)
         cost += 1
         then = _compile_cmd(c.then, sys)
         els = _compile_cmd(c.els, sys)
@@ -306,7 +449,7 @@ def _compile_cmd(c: Cmd, sys: System) -> CmdCode:
     if isinstance(c, While):
         # entering costs the command and its condition; each iteration
         # costs one unit and the condition again
-        cond, cost = _compile_expr(c.cond, sys)
+        cond, cost = _compile_cond(c.cond, sys)
         cost += 1
         body = _compile_cmd(c.body, sys)
 
@@ -397,14 +540,15 @@ def _code(sys: System, c: Cmd) -> CmdCode:
     return entry[1]
 
 
-def _function(sys: System, qname: str) -> Callable[[list[int], int, Fuel], int]:
-    """A closure that runs ``qname`` on arguments, for a caller's permissions."""
+def _function(sys: System, qname: str) -> Callable[[list[Value], int, Fuel], Value]:
+    """A closure that runs ``qname`` on 64-bit arguments, for a caller's
+    permissions."""
     decl = sys.fd[qname]
     params, ret_var, app = decl.params, decl.ret_var, decl.app
     body = None if decl.body is None else _code(sys, decl.body)
 
     def invoke(args, caller_perms, fuel):
-        env = {p: _wrap(v) for p, v in zip(params, args)}
+        env = dict(zip(params, args))
         env[ret_var] = 0
         if body is not None:
             body(env, ExecContext(app, caller_perms, fuel))
@@ -412,8 +556,10 @@ def _function(sys: System, qname: str) -> Callable[[list[int], int, Fuel], int]:
     return invoke
 
 
-def exec_cmd(env: dict[str, int], ctx: ExecContext, c: Cmd, sys: System) -> dict[str, int]:
-    """Execute ``c``, mutating and returning ``env``."""
+def exec_cmd(env: dict[str, Value], ctx: ExecContext, c: Cmd,
+             sys: System) -> dict[str, Value]:
+    """Execute ``c``, mutating and returning ``env``: one environment, or a
+    batch of them whose columns all have one length."""
     _code(sys, c)(env, ctx)
     return env
 
@@ -433,4 +579,5 @@ def call_function(
         raise ValueError(
             f"{qname} takes {len(decl.params)} argument(s), got {len(args)}"
         )
-    return _function(sys, qname)(list(args), caller_perms, Fuel(fuel))
+    args = [v if _I64_MIN <= v <= _I64_MAX else _wrap(v) for v in args]
+    return _function(sys, qname)(args, caller_perms, Fuel(fuel))

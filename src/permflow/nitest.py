@@ -31,15 +31,41 @@ environment slot order, allocated by the class's first cell within the
 pair cap.  Before a cell reads a bucket, it runs the bucket's environments
 that the store lacks, so each (class, environment) runs at most once, and
 a cell that stops at a witness leaves the later buckets unrun.
+``NIReport.runs`` counts those (class, environment) runs.
+
+The runs go in batches.  A bucket's missing environments run as one
+batch, in which a parameter is an int when the batch agrees on it, as on
+the observable ones, and otherwise a column (``interp.Column``).  A cell whose buckets hold one
+environment each cannot find a witness in a bucket, so it batches its
+missing environments across buckets: all of them when the cell has at most
+``_BATCH`` (4,096) environments, else by windows of consecutive ones that
+differ only in their last parameters, at most ``_BATCH`` of them unless the
+domain alone is larger.  That bounds a batch's memory.  A batch that diverges
+(``interp.Diverged``) splits by the mask into two parts that rerun from the
+start, and a part that diverges again runs one environment at a time; the
+parts wait on a worklist, never on the stack.  So an environment costs at
+most two batched runs and one single run.  Without that bound, a loop that
+splits off one environment per iteration would rerun the rest of the
+batch from the start each time: work cubic in the batch size.  A batch
+that runs out of fuel does so for each of its environments, which all
+followed one path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import product
+from operator import itemgetter
 
-from .interp import DEFAULT_FUEL, ExecContext, Fuel, FuelExhausted, exec_cmd
+from .interp import (
+    DEFAULT_FUEL,
+    Column,
+    Diverged,
+    ExecContext,
+    Fuel,
+    FuelExhausted,
+    exec_cmd,
+)
 from .syntax import Test, subcommands
 from .system import CheckedSystem
 
@@ -68,6 +94,7 @@ class CellVerdict:
 @dataclass
 class NIReport:
     cells: list[CellVerdict] = field(default_factory=list)
+    runs: int = 0  # the (permission class, environment) runs made
 
     @property
     def violations(self) -> list[CellVerdict]:
@@ -89,7 +116,8 @@ def _observable_split(gamma, perms, observer):
 
 
 def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
-    """The cells of ``qname``, observer-major, then permission set ascending."""
+    """The cells of ``qname``, observer-major, then permission set ascending,
+    and the number of runs they made."""
     decl = csys.fd[qname]
     ft = decl.annotation
     if ft is None:
@@ -104,6 +132,7 @@ def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
     for perms in csys.universe.sets():
         classes.setdefault(perms & tested, []).append(perms)
     cells = {}
+    runs = 0
     for members in classes.values():
         store = []  # the class's run outcomes, in environment slot order
         for observer in observers:
@@ -115,18 +144,93 @@ def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
                     cell = CellVerdict(qname, perms, observer, 0, "skipped",
                                        note="return type not observable")
                 cells[observer, perms] = cell
-    return [cells[o, perms] for o in observers for perms in csys.universe.sets()]
+        runs += len(store) - store.count(None)
+    return [cells[o, perms] for o in observers for perms in csys.universe.sets()], runs
 
 
 _EXHAUSTED = object()  # the outcome of a run that ran out of fuel
+_BATCH = 4096  # the widest window of one-environment buckets, unless d is wider
 
 
 def _slots(names, place, d):
     """The store slot offset of each valuation of ``names``, in ``product`` order."""
     slots = [0]
     for name in names:
-        slots = [s + v * place[name] for s in slots for v in range(d)]
+        offsets = range(0, d * place[name], place[name])
+        slots = [s + o for s in slots for o in offsets]
     return slots
+
+
+def _valuation(names, domain, q):
+    """The q-th valuation of ``names`` over ``domain``, in ``product`` order."""
+    d = len(domain)
+    values = []
+    for _ in names:
+        q, digit = divmod(q, d)
+        values.append(domain[digit])
+    return dict(zip(names, reversed(values)))
+
+
+def _columns(n, domain):
+    """For each of n names, its value in each valuation of the n names over
+    ``domain``, in ``product`` order."""
+    d = len(domain)
+    return [[v for v in domain for _ in range(d ** i)] * d ** (n - 1 - i)
+            for i in reversed(range(n))]
+
+
+def _outcome(csys, decl, ctx, fuel, env):
+    """Run ``decl``'s body on ``env`` as a call does, return variable 0 and
+    full fuel: its result, or ``_EXHAUSTED``."""
+    env[decl.ret_var] = 0
+    ctx.fuel.remaining = fuel
+    try:
+        if decl.body is not None:
+            exec_cmd(env, ctx, decl.body, csys)
+    except FuelExhausted:  # a batch follows one path, so it runs out as one
+        return _EXHAUSTED
+    return env[decl.ret_var]
+
+
+def _run(csys, decl, ctx, fuel, shared, names, cols, batch):
+    """The outcome of running each environment that ``batch`` numbers as a
+    call, return variable 0 and full fuel: its result, or ``_EXHAUSTED``.
+    Environment k values the parameters in ``shared`` as given and
+    ``names[i]`` as ``cols[i][k]``.
+
+    The environments run as one batch, a parameter an int when they agree
+    on it and a column otherwise.  A batch that diverges splits into its
+    ``then`` and ``else`` parts, which rerun from the start; a part that
+    diverges again runs one environment at a time.  So each environment
+    costs at most two batched runs and one single run."""
+    outs = {}
+    todo = [(batch, True)]  # (environment numbers, whether a divergence splits it)
+    singles = []
+    while todo:
+        part, splits = todo.pop()
+        env = dict(shared)
+        for name, col in zip(names, cols):
+            vals = [col[k] for k in part]
+            env[name] = vals[0] if vals.count(vals[0]) == len(vals) else Column(vals)
+        try:
+            out = _outcome(csys, decl, ctx, fuel, env)
+        except Diverged as err:
+            if splits:
+                todo.append(([k for k, t in zip(part, err.mask) if not t], False))
+                todo.append(([k for k, t in zip(part, err.mask) if t], False))
+            else:
+                singles += part
+            continue
+        if isinstance(out, Column):
+            outs.update(zip(part, out))
+        else:
+            for k in part:
+                outs[k] = out
+    for k in singles:  # runs of ints
+        env = dict(shared)
+        env.update(zip(names, map(itemgetter(k), cols)))
+        outs[k] = _outcome(csys, decl, ctx, fuel, env)
+    return [outs[k] for k in batch]
 
 
 def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap,
@@ -145,46 +249,60 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
 
     # A slot is an environment's mixed-radix index over the domain positions
     # in parameter order; ``slots`` lists the cell's in bucket order, so each
-    # bucket is a row of m.  The row's runs missing from the store run first,
-    # each as a call: return variable at 0, full fuel.  A bucket's pairs, in
-    # (hid1, hid2) order and skipping any with an exhausted side, first differ
-    # at (i, j): i the first finished run, j the first finished one unlike i.
+    # bucket is a row of m, and the q-th valuation of ``names`` fills slot
+    # ``slots[q]``.  A bucket's pairs, in (hid1, hid2) order and skipping
+    # any with an exhausted side, first differ at (i, j): i the first
+    # finished run, j the first finished one unlike i.
+    #
+    # Runs go by windows of w valuations that share all but their last t
+    # names: a bucket, or when buckets hold one environment each (m is 1,
+    # so no bucket holds a witness), as many valuations as ``_BATCH``
+    # allows.  A window's runs missing from the store make one batch.
     m = d ** len(hidden)
     names = (*obs, *hidden)
     slots = _slots(names, {name: d ** i for i, name in enumerate(reversed(gamma))}, d)
     outs = [store[s] for s in slots]
-    hids = list(product(domain, repeat=len(hidden)))
-    ret_var, body = decl.ret_var, decl.body
+    t = len(hidden)
+    if m == 1:
+        while t < len(names) and d ** (t + 1) <= max(_BATCH, d):
+            t += 1
+    w = d ** t
+    lead, trail = names[:len(names) - t], names[len(names) - t:]
+    cols = _columns(t, domain)
     ctx = ExecContext(decl.app, perms, Fuel(fuel))
-    inconclusive = 0
-    for r, low in zip(range(0, len(slots), m), product(domain, repeat=len(obs))):
-        row = outs[r:r + m]
-        if None in row:
-            for k, hid in enumerate(hids):
-                if row[k] is None:
-                    env = dict(zip(names, low + hid))
-                    env[ret_var] = 0
-                    ctx.fuel.remaining = fuel
-                    try:
-                        if body is not None:
-                            exec_cmd(env, ctx, body, csys)
-                        out = env[ret_var]
-                    except FuelExhausted:
-                        out = _EXHAUSTED
-                    row[k] = store[slots[r + k]] = out
-        i = 0
-        while row[i] is _EXHAUSTED and i < m - 1:
-            i += 1
-        exhausted = row.count(_EXHAUSTED)
-        if row.count(row[i]) + exhausted < m:  # a finished run differs from i's
-            j = next(k for k, out in enumerate(row)
-                     if out is not _EXHAUSTED and out != row[i])
-            env1, env2 = (dict(zip(names, low + hids[k])) for k in (i, j))
-            return CellVerdict(
-                qname, perms, observer, (r + i) * m + j + 1, "violation",
-                witness=Violation(env1, env2, row[i], row[j]),
-            )
-        inconclusive += m * m - (m - exhausted) ** 2
+
+    def fill(r):
+        """Run the missing valuations of the window at r."""
+        batch = [k for k in range(w) if outs[r + k] is None]
+        if batch:
+            shared = _valuation(lead, domain, r // w)
+            for k, out in zip(batch, _run(csys, decl, ctx, fuel, shared, trail, cols,
+                                          batch)):
+                outs[r + k] = store[slots[r + k]] = out
+
+    if m == 1:
+        # each exhausted run leaves its bucket's one pair undecided
+        for r in range(0, len(slots), w):
+            fill(r)
+        inconclusive = outs.count(_EXHAUSTED)
+    else:
+        inconclusive = 0
+        for r in range(0, len(slots), m):
+            fill(r)  # the bucket's runs, before it is read
+            row = outs[r:r + m]
+            i = 0
+            while row[i] is _EXHAUSTED and i < m - 1:
+                i += 1
+            exhausted = row.count(_EXHAUSTED)
+            if row.count(row[i]) + exhausted < m:  # a finished run differs from i's
+                j = next(k for k, out in enumerate(row)
+                         if out is not _EXHAUSTED and out != row[i])
+                env1, env2 = (_valuation(names, domain, r + k) for k in (i, j))
+                return CellVerdict(
+                    qname, perms, observer, (r + i) * m + j + 1, "violation",
+                    witness=Violation(env1, env2, row[i], row[j]),
+                )
+            inconclusive += m * m - (m - exhausted) ** 2
     if inconclusive:
         return CellVerdict(
             qname, perms, observer, len(slots) * m, "inconclusive",
@@ -219,7 +337,10 @@ def nitest_system(
         raise ValueError("domain values must be 64-bit integers")
     if observers is None:
         observers = tuple(range(len(csys.lattice)))
-    cells = []
+    report = NIReport()
     for qname in csys.fd:
-        cells += _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict)
-    return NIReport(cells)
+        cells, runs = _function_cells(csys, qname, observers, domain, fuel, pair_cap,
+                                      strict)
+        report.cells += cells
+        report.runs += runs
+    return report

@@ -4,18 +4,29 @@ On every corpus function, on derandomized ``progen`` systems and on a few
 hand-written loops, both must agree on the return value or the exception
 type, and on the fuel left over, for every caller permission set over a
 small argument grid. On a subset the fuel is swept from 0 to the full cost
-of the run, so that each exhaustion boundary is hit.
+of the run, so that each exhaustion boundary is hit.  The batches that the
+noninterference harness runs must agree with the walk of each of their
+environments, one at a time.
 """
 
 import os
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from permflow import interp
-from permflow.interp import DEFAULT_FUEL, ExecContext, Fuel, FuelExhausted, UnboundVariable
+from permflow import interp, nitest
+from permflow.interp import (
+    DEFAULT_FUEL,
+    Diverged,
+    ExecContext,
+    Fuel,
+    FuelExhausted,
+    UnboundVariable,
+)
+from permflow.nitest import nitest_system
 from permflow.parser import parse_system
 from permflow.syntax import Assign, BinOp, Block, IntLit, Var
 from permflow.system import validate_system
@@ -23,7 +34,7 @@ from permflow.system import validate_system
 from . import walker
 from .conftest import SEED
 from .progen import random_checked_system
-from .test_nitest_buckets import NI_GRID
+from .test_nitest_buckets import HIDDEN_LOOP, NI_GRID, _randomly_annotated
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), "..", "programs")
 I64_MAX = (1 << 63) - 1
@@ -273,3 +284,83 @@ def test_compiled_code_lives_with_its_system():
     assert _load("while_loop.pf") == csys
     assert "compiled" not in repr(csys)
     assert replace(csys).compiled == {}
+
+
+def _walk(env, ctx, c, sys, fuel):
+    """The walk of one environment: its final environment and the fuel
+    left, or ``FuelExhausted`` and -1."""
+    left = Fuel(fuel)
+    try:
+        walker.exec_cmd(env, ExecContext(ctx.app, ctx.caller_perms, left), c, sys)
+    except FuelExhausted:
+        return FuelExhausted, left.remaining
+    return env, left.remaining
+
+
+def _batches_agree(monkeypatch, csys, seen, **kwargs):
+    """Run the NI harness with each batch checked against the walk of its
+    environments, one at a time: each final environment and the fuel left,
+    or running out of fuel; count in ``seen`` how batches of more than one
+    environment ended."""
+    real = nitest.exec_cmd
+
+    def checking(env, ctx, c, sys):
+        start = ctx.fuel.remaining
+        walked = [_walk(one, ctx, c, sys, start) for one in walker.split(env)]
+        n = len(walked)
+        try:
+            real(env, ctx, c, sys)
+        except FuelExhausted:
+            # environments on one path run out of fuel together
+            assert walked == [(FuelExhausted, -1)] * n
+            seen["exhausted"] += n > 1
+            raise
+        except Diverged as err:
+            assert len(err.mask) == n and True in err.mask and False in err.mask
+            seen["diverged"] += 1
+            raise
+        assert [(one, ctx.fuel.remaining) for one in walker.split(env, n)] == walked
+        seen["finished"] += n > 1
+        return env
+    with monkeypatch.context() as m:
+        m.setattr(nitest, "exec_cmd", checking)
+        return nitest_system(csys, **kwargs)
+
+
+def test_batches_agree_with_the_walk_on_generated_systems(monkeypatch):
+    rnd = random.Random(SEED + 71)
+    seen = Counter()
+    for _ in range(60):
+        csys = _randomly_annotated(rnd)
+        for fuel in (DEFAULT_FUEL, 12):
+            _batches_agree(monkeypatch, csys, seen, domain=(0, 1, 2), fuel=fuel,
+                           strict=True)
+    assert seen["finished"] and seen["exhausted"] and seen["diverged"], seen
+
+
+@pytest.mark.parametrize("source", [NI_GRID, HIDDEN_LOOP], ids=["ni-grid", "hidden-loop"])
+def test_batches_agree_with_the_walk_over_a_fuel_sweep(monkeypatch, source):
+    # fuel 0 to 60 takes both programs' batches from running out at once to
+    # finishing; the hidden loop's batches diverge and split
+    csys = validate_system(parse_system(source))
+    seen = Counter()
+    for fuel in range(0, 61):
+        report = _batches_agree(monkeypatch, csys, seen, domain=(0, 1, 2),
+                                fuel=fuel, strict=True)
+        seen[report.cells[-1].verdict] += 1
+    assert seen["finished"] and seen["exhausted"], seen
+    assert bool(seen["diverged"]) == (source == HIDDEN_LOOP), seen
+    # exhausted cells at low fuel, decided ones once the runs fit
+    assert seen["inconclusive"] and seen["inconclusive"] < 61, seen
+
+
+def test_batches_agree_with_the_walk_near_the_edges(monkeypatch):
+    # columns whose sums and products leave 64 bits, and comparisons of
+    # columns against literals past 64 bits that split the batch; the
+    # loops bound by parameters near 2^63 run out of fuel
+    seen = Counter()
+    for source in (CHAINS, LOOPS):
+        csys = validate_system(parse_system(source))
+        _batches_agree(monkeypatch, csys, seen, domain=NEAR_EDGES, fuel=500,
+                       strict=True)
+    assert seen["finished"] and seen["diverged"] and seen["exhausted"], seen

@@ -4,10 +4,11 @@ interpreter's calls, and its cost.
 ``nitest._test_cell`` decides a cell bucket by bucket, over environments of
 equal observable parts, from a store that the cells of its permission
 class share: a bucket's environments that no cell of the class ran yet run
-before the bucket is read; ``tests/pairwise.py`` runs
+as one batch before the bucket is read; ``tests/pairwise.py`` runs
 both sides of every pair.  Both must give field-for-field equal cells:
 verdicts, pair counts, fuel notes and witnesses, down to the key order of
-the witness environments.
+the witness environments.  ``NIReport.runs`` counts the (permission class,
+environment) runs, batched or not.
 """
 
 import random
@@ -26,31 +27,29 @@ from permflow.system import validate_system
 from .conftest import SEED
 from .pairwise import pairwise_cell
 from .progen import _Gen
+from .walker import split
 
 
-def _counting(calls):
-    """``nitest.exec_cmd``, counting its calls: a traced run's interpreter runs."""
+def _batches(monkeypatch, sizes):
+    """Patch ``nitest.exec_cmd`` to append the size of each batch it runs."""
     real = nitest.exec_cmd
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-    return counting
+    def sizing(env, *rest):
+        sizes.append(len(split(env)))
+        return real(env, *rest)
+    monkeypatch.setattr(nitest, "exec_cmd", sizing)
 
 
 def _bucketed_matching_pairwise(monkeypatch, csys, **kwargs):
     """The harness's cells, checked against the pairwise reference's, and
-    the number of interpreter runs the harness made."""
-    calls = []
-    with monkeypatch.context() as m:
-        m.setattr(nitest, "exec_cmd", _counting(calls))
-        cells = nitest_system(csys, **kwargs).cells
+    the number of runs the harness made."""
+    report = nitest_system(csys, **kwargs)
     with monkeypatch.context() as m:
         m.setattr(nitest, "_test_cell", pairwise_cell)
         reference = nitest_system(csys, **kwargs).cells
     # reprs show the key order of the witness environments too
-    assert [repr(c) for c in cells] == [repr(c) for c in reference]
-    return cells, len(calls)
+    assert [repr(c) for c in report.cells] == [repr(c) for c in reference]
+    return report.cells, report.runs
 
 
 def _visited(csys, cell, domain):
@@ -130,23 +129,30 @@ def test_generated_systems_match_pairwise(monkeypatch, domain, bottom_only):
 def test_harness_runs_are_calls(monkeypatch, domain):
     # An environment values the parameters only, the return variable starts
     # at 0 and each run starts with the whole fuel; running it gives what a
-    # call on those arguments returns, or both run out of fuel.
+    # call on those arguments returns, or both run out of fuel.  A batch
+    # that finishes or runs out of fuel records each of its environments;
+    # one that diverges is rerun in parts, which record them.
     runs = []  # (function, arguments, permissions, fuel, output or None)
     real = nitest.exec_cmd
+    batched = 0  # batches of more than one environment
 
     def recording(env, ctx, c, csys):
+        nonlocal batched
         decl = next(d for d in csys.fd.values()
                     if d.body is c and d.app == ctx.app
                     and env.keys() == {*d.params, d.ret_var})
         assert env[decl.ret_var] == 0
-        call = (decl.qualified, [env[name] for name in decl.params],
-                ctx.caller_perms, ctx.fuel.remaining)
+        calls = [(decl.qualified, [one[name] for name in decl.params],
+                  ctx.caller_perms, ctx.fuel.remaining) for one in split(env)]
+        batched += len(calls) > 1
         try:
             real(env, ctx, c, csys)
         except FuelExhausted:
-            runs.append((*call, None))
+            runs.extend((*call, None) for call in calls)
             raise
-        runs.append((*call, env[decl.ret_var]))
+        out = env[decl.ret_var]
+        outs = out if isinstance(out, list) else [out] * len(calls)
+        runs.extend((*call, out) for call, out in zip(calls, outs, strict=True))
         return env
     monkeypatch.setattr(nitest, "exec_cmd", recording)
     rnd = random.Random(SEED + 50 + len(domain))
@@ -155,8 +161,10 @@ def test_harness_runs_are_calls(monkeypatch, domain):
         csys = _randomly_annotated(rnd)
         for fuel in (DEFAULT_FUEL, 12):
             runs.clear()
-            nitest_system(csys, domain=domain, fuel=fuel, strict=True)
-            assert runs
+            report = nitest_system(csys, domain=domain, fuel=fuel, strict=True)
+            # a batch that diverges records nothing: its parts record its
+            # environments, so each (class, environment) is recorded once
+            assert runs and len(runs) == report.runs
             for qname, args, perms, start, out in runs:
                 assert start == fuel
                 try:
@@ -166,6 +174,7 @@ def test_harness_runs_are_calls(monkeypatch, domain):
                     exhausted += 1
                 assert out == expected, (qname, args, perms, fuel)
     assert exhausted  # the fuel bound was reached, on both sides
+    assert batched
 
 
 # The loop runs 4 - n times, so a bucket's first hidden valuations (n = 0)
@@ -207,6 +216,98 @@ def test_fuel_sweep_on_hidden_loop_matches_pairwise(monkeypatch):
     assert any(c.verdict == "ok" for c in cells)
 
 
+# Batches that diverge.  A loop bound by a hidden parameter splits its
+# batch at the first check, and the larger part again at the second; the
+# test of ``h == i`` in a counted loop would split off one environment per
+# iteration if parts split without end.
+COUNT_TO_N = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun f(n : H) : L {
+    init r = 0 in { letvar i = 0 in { while i < n do { i := i + 1 } }; return r }
+  }
+}
+"""
+SPLIT_EACH_STEP = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun same(x : L, h : H) : L {
+    init r = 0 in {
+      letvar i = 0 in {
+        while i < 8 do { if h == i then r := r + x else r := r + x; i := i + 1 }
+      };
+      return r
+    }
+  }
+  fun leak(x : L, h : H) : L {
+    init r = 0 in {
+      letvar i = 0 in {
+        while i < 8 do { if h == i then r := r + x else r := r; i := i + 1 }
+      };
+      return r
+    }
+  }
+}
+"""
+
+
+def test_a_long_hidden_loop_splits_without_recursion(monkeypatch):
+    # 1,500 environments in one bucket: the batch splits off n = 0 at the
+    # first check and the rest at the second, so the rest run one at a time
+    csys = validate_system(parse_system(COUNT_TO_N))
+    sizes = []
+    _batches(monkeypatch, sizes)
+    report = nitest_system(csys, domain=range(0, 1500), pair_cap=10**7)
+    assert [c.verdict for c in report.cells] == ["ok"] * 4
+    assert report.runs == 1500
+    assert sizes[:3] == [1500, 1499, 1] and sizes[3:] == [1] * 1499
+
+
+def test_splitting_costs_at_most_three_runs_per_environment(monkeypatch):
+    csys = validate_system(parse_system(SPLIT_EACH_STEP))
+    L, H = csys.lattice.level("L"), csys.lattice.level("H")
+    for observers in ((L, H), (L,)):
+        sizes = []
+        with monkeypatch.context() as m:
+            _batches(m, sizes)
+            cells, runs = _bucketed_matching_pairwise(
+                monkeypatch, csys, observers=observers, domain=range(0, 10))
+        assert {c.verdict for c in cells} == {"ok", "violation"}
+        # each environment: its batch, its part of the batch, and one run
+        assert runs < sum(sizes) <= 3 * runs
+        assert sizes.count(1) > 8  # parts that split again ran one by one
+
+
+PRODUCT = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun f(a : L, b : L) : L { init r = 0 in { r := a * b; return r } }
+}
+"""
+SUCCESSOR = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun g(a : L) : L { init r = 0 in { r := a + 1; return r } }
+}
+"""
+
+
+@pytest.mark.parametrize("source, d, expected", [
+    # 70^2 exceeds the 4,096 valuations a window may span, so each window
+    # varies b alone; 5,000 exceeds it too, but a window spans the domain
+    (PRODUCT, 70, [70] * 70), (SUCCESSOR, 5000, [5000]),
+], ids=["product", "successor"])
+def test_buckets_of_one_run_in_bounded_batches(monkeypatch, source, d, expected):
+    # every parameter is observable, so each bucket holds one environment
+    csys = validate_system(parse_system(source))
+    sizes = []
+    with monkeypatch.context() as m:
+        _batches(m, sizes)
+        _, runs = _bucketed_matching_pairwise(monkeypatch, csys, domain=range(0, d),
+                                              pair_cap=10**7)
+    assert sizes == expected and runs == sum(expected)
+
+
 WIDE = """lattice { levels L, H; order L < H; }
 permissions { p }
 app A perms {} {
@@ -219,25 +320,27 @@ app A perms {} {
 
 def test_one_interpreter_run_per_environment(monkeypatch):
     # The body tests no permission, so both permission sets and both
-    # observers share one store: each environment runs once in all.
+    # observers share one store: each environment runs once in all, in one
+    # batch per bucket of the first cell.
     csys = validate_system(parse_system(WIDE))
-    calls = []
-    monkeypatch.setattr(nitest, "exec_cmd", _counting(calls))
+    sizes = []
+    _batches(monkeypatch, sizes)
     L = csys.lattice.level("L")
     domain = (0, 1, 2)
-    cells = nitest_system(csys, domain=domain).cells
+    report = nitest_system(csys, domain=domain)
+    cells = report.cells
     assert len(cells) == 4 and all(c.verdict == "ok" for c in cells)
     d = len(domain)
-    assert len(calls) == d ** 5 == 243
+    assert report.runs == d ** 5 == 243
+    assert sizes == [d ** 3] * d ** 2
     cell = next(c for c in cells if c.perms == 0 and c.observer == L)
     obs, hidden = 2, 3  # a, b; h1, h2, h3
     assert cell.pairs_tested == d ** obs * d ** (2 * hidden)
 
     # one observer's cells share across permission sets too
-    calls.clear()
-    cells = nitest_system(csys, observers=(L,), domain=domain).cells
-    assert [c.verdict for c in cells] == ["ok", "ok"]
-    assert len(calls) == 243
+    report = nitest_system(csys, observers=(L,), domain=domain)
+    assert [c.verdict for c in report.cells] == ["ok", "ok"]
+    assert report.runs == 243
 
 
 # The ni-grid benchmark's shape: 2 L and 3 H parameters, a loop, a test,
@@ -264,19 +367,24 @@ app N perms {p} {
 
 
 def test_one_interpreter_call_per_predicted_run(monkeypatch):
-    # A traced run counts the calls of nitest.exec_cmd as interpreter runs,
-    # so there must be one per (permission class, environment) that the
-    # cells visit: N.safe tests p, so its P={} and P={p} cells do not share.
+    # One run per (permission class, environment) that the cells visit:
+    # N.safe tests p, so its P={} and P={p} cells do not share.
     csys = validate_system(parse_system(NI_GRID))
-    calls = []
-    monkeypatch.setattr(nitest, "exec_cmd", _counting(calls))
+    sizes = []
+    _batches(monkeypatch, sizes)
     domain = range(0, 3)
-    cells = nitest_system(csys, domain=domain).cells
+    report = nitest_system(csys, domain=domain)
+    cells = report.cells
     assert {c.verdict for c in cells} == {"ok", "violation", "skipped"}
     tested = {"N.safe": 0b1, "N.leak": 0}
-    assert len(calls) == _shared_runs(csys, cells, domain, tested) == 729
+    assert report.runs == _shared_runs(csys, cells, domain, tested) == 729
     # without the stores, every cell would run all it visits itself
     assert _unshared_runs(csys, cells, domain) == 1223
+    # N.safe's P={} cell for L runs a batch per bucket, its P={p} cell for
+    # H (one environment a bucket) all 3^5 at once; N.leak's L cells stop
+    # in the first bucket, and its H cell runs the rest
+    assert sizes == [27] * 9 + [243] + [27, 216]
+    assert sum(sizes) == report.runs
 
 
 def test_a_witness_leaves_later_buckets_unrun(monkeypatch):
@@ -376,13 +484,11 @@ def test_one_store_live_at_a_time(monkeypatch, source):
     def recording(csys, qname, decl, gamma, perms, *rest):
         received.append((qname, perms & tested[qname], rest[-1]))
         return real(csys, qname, decl, gamma, perms, *rest)
-    calls = []
     monkeypatch.setattr(nitest, "_test_cell", recording)
-    monkeypatch.setattr(nitest, "exec_cmd", _counting(calls))
-    cells = nitest_system(csys, domain=(0, 1, 2), strict=True).cells
-    assert len(received) == len(cells)
+    report = nitest_system(csys, domain=(0, 1, 2), strict=True)
+    assert len(received) == len(report.cells)
 
-    stores = []  # (function, class, store) per run of calls with one store
+    stores = []  # (function, class, store) per run of cells with one store
     for qname, cls, store in received:
         if not stores or stores[-1][2] is not store:
             stores.append((qname, cls, store))
@@ -392,4 +498,4 @@ def test_one_store_live_at_a_time(monkeypatch, source):
         (qname, perms & tested[qname])
         for qname in csys.fd for perms in csys.universe.sets()
     }
-    assert sum(len(store) for _, _, store in stores) == len(calls)
+    assert sum(len(store) for _, _, store in stores) == report.runs

@@ -6,9 +6,11 @@ enters it.  ``permflow.interp`` compiles each body to closures once and
 charges each command's fixed cost, or a whole block of assignments', in one
 subtraction; the two must agree on every result, every exception type and
 the fuel left over, save for the races on systems that fail validation
-that ``permflow.interp``'s docstring lists.  Used only
-as a test oracle (``tests/test_compiled_interp.py``) and as the slow side
-of the relative-speed guard in ``tests/test_scaling.py``.
+that ``permflow.interp``'s docstring lists.  The walk runs one environment
+of ints at a time; ``split`` takes a batch of ``permflow.interp`` apart
+into the environments it holds.  Used only as a test oracle
+(``tests/test_compiled_interp.py``) and as the slow side of the
+relative-speed guard in ``tests/test_scaling.py``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,16 @@ from permflow.syntax import (
     While,
 )
 from permflow.system import System
+
+
+def split(env: dict, n: int | None = None) -> list[dict[str, int]]:
+    """The ``n`` environments of a batch: an int is shared by all of them,
+    and a column (a list) gives each its own value.  ``n`` defaults to the
+    length of the columns, or 1 when there is none."""
+    if n is None:
+        n = next((len(v) for v in env.values() if isinstance(v, list)), 1)
+    return [{name: v[k] if isinstance(v, list) else v for name, v in env.items()}
+            for k in range(n)]
 
 
 def _tick(fuel: Fuel) -> None:
