@@ -28,14 +28,15 @@ A value is then an int, shared by the whole batch, or a ``Column``: a list
 with one int per environment.  Expressions on ints run the int-only code
 (one chain of ``+`` and ``-`` included); a column's arithmetic, comparisons
 and truth test raise ``TypeError``, which turns the expression to its
-column code, so an int run pays nothing for batches.  A column is wrapped
-to 64 bits only when its least or greatest value leaves the range.  An
-``if`` or ``while`` whose condition is true for some environments of the
-batch and false for others raises ``Diverged(mask)``, ``mask`` marking the
-environments that take the ``then`` branch or enter the loop; the caller
-splits the batch and reruns its parts from the start (``nitest``).
-``test`` reads the caller's permission set, one int for the whole batch,
-and never diverges.  Fuel stays one counter per batch: environments on one
+column code, so an int run pays nothing for batches.  The column code
+takes the operands that the int code computed, so each node runs once per
+batch, however deep the nesting.  A column is wrapped to 64 bits only when
+its least or greatest value leaves the range.  An ``if`` or ``while``
+whose condition is true for some environments of the batch and false for
+others raises ``Diverged(mask)``, ``mask`` marking the environments that
+take the ``then`` branch or enter the loop; the caller splits the batch
+and reruns its parts from the start (``nitest``).  ``test`` reads the
+caller's permission set, one int for the whole batch, and never diverges.  Fuel stays one counter per batch: environments on one
 path charge the same fuel, so they run out of it together.
 
 Races differ on systems that fail validation only. When code charged in
@@ -148,8 +149,9 @@ CmdCode = Callable[[dict[str, Value], ExecContext], None]
 #
 # Ints take the int-only code, which raises ``TypeError`` when it meets a
 # column; the column code that catches it builds a new column, wrapped only
-# when its least or greatest value leaves 64 bits.  Expressions are pure,
-# so the column code may evaluate a subterm again.
+# when its least or greatest value leaves 64 bits.  Each subterm runs
+# once: the column code takes the operands that the int code computed, and
+# only re-reads names, so nesting costs no more than it does for ints.
 
 def _unbound(err: KeyError) -> UnboundVariable:
     return UnboundVariable(f"unbound variable {err.args[0]!r}")
@@ -194,48 +196,32 @@ def _decide(col) -> bool:
 
 def _mul(a: ExprCode, b: ExprCode) -> ExprCode:
     def mul_(env):
+        x, y = a(env), b(env)
         try:
-            v = a(env) * b(env)
+            v = x * y
         except TypeError:  # a column
-            return _column(_lift(mul, a(env), b(env)))
+            return _column(_lift(mul, x, y))
         return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
     return mul_
 
 
-# A comparison compiled as a condition gives a bool, or decides a column's
-# branch; as a value it gives 1 or 0, or a column of them.
-
-def _eq(a: ExprCode, b: ExprCode, cond: bool = False) -> ExprCode:
-    if cond:
-        def eq_cond(env):
-            try:
-                return True if a(env) == b(env) else False
-            except TypeError:  # a column
-                return _decide(list(_lift(eq, a(env), b(env))))
-        return eq_cond
-
+def _eq(a: ExprCode, b: ExprCode) -> ExprCode:
     def eq_(env):
+        x, y = a(env), b(env)
         try:
-            return 1 if a(env) == b(env) else 0
+            return 1 if x == y else 0
         except TypeError:  # a column
-            return Column(map(int, _lift(eq, a(env), b(env))))
+            return Column(map(int, _lift(eq, x, y)))
     return eq_
 
 
-def _lt(a: ExprCode, b: ExprCode, cond: bool = False) -> ExprCode:
-    if cond:
-        def lt_cond(env):
-            try:
-                return True if a(env) < b(env) else False
-            except TypeError:  # a column
-                return _decide(list(_lift(lt, a(env), b(env))))
-        return lt_cond
-
+def _lt(a: ExprCode, b: ExprCode) -> ExprCode:
     def lt_(env):
+        x, y = a(env), b(env)
         try:
-            return 1 if a(env) < b(env) else 0
+            return 1 if x < y else 0
         except TypeError:  # a column
-            return Column(map(int, _lift(lt, a(env), b(env))))
+            return Column(map(int, _lift(lt, x, y)))
     return lt_
 
 
@@ -247,12 +233,16 @@ def _step(name: str, k: int, called: ExprCode | None,
     def step(env):
         try:
             v = env[name] + k
-            if called is not None:
-                v += called(env)
         except KeyError as err:
             raise _unbound(err) from None
         except TypeError:  # a column
             return _col_sum(k, terms(env))
+        if called is not None:
+            x = called(env)
+            try:
+                v += x
+            except TypeError:  # a column
+                return _col_sum(v, [(x, 1)])
         return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
     return step
 
@@ -314,13 +304,18 @@ def _chain(e: BinOp, sys: System) -> tuple[ExprCode, int]:
             if consts:
                 for name, value, sign in consts:
                     v += sign * env.get(name, value)
-            if called:
-                for code, sign in called:
-                    v += sign * code(env)
         except KeyError as err:
             raise _unbound(err) from None
         except TypeError:  # a column
             return _col_sum(k, terms(env))
+        if called:
+            for i, (code, sign) in enumerate(called):
+                x = code(env)
+                try:
+                    v += sign * x
+                except TypeError:  # a column
+                    return _col_sum(v, [(x, sign)]
+                                    + [(c(env), s) for c, s in called[i + 1:]])
         return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
     return chain, cost
 
@@ -356,24 +351,6 @@ def _compile_expr(e: Expr, sys: System) -> tuple[ExprCode, int]:
         rhs, n_rhs = _compile_expr(e.rhs, sys)
         return _BINOPS[e.op](lhs, rhs), 1 + n_lhs + n_rhs
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _compile_cond(e: Expr, sys: System) -> tuple[ExprCode, int]:
-    """The closure that decides a branch on ``e`` for the whole batch, or
-    raises ``Diverged``, and the fuel ``e`` costs."""
-    if isinstance(e, BinOp) and e.op in ("==", "<"):
-        lhs, n_lhs = _compile_expr(e.lhs, sys)
-        rhs, n_rhs = _compile_expr(e.rhs, sys)
-        return _BINOPS[e.op](lhs, rhs, True), 1 + n_lhs + n_rhs
-    code, cost = _compile_expr(e, sys)
-
-    def cond(env):
-        v = code(env)
-        try:
-            return True if v else False
-        except TypeError:  # a column
-            return _decide(v)
-    return cond, cost
 
 
 # -------------------------------------------------------------- commands
@@ -429,7 +406,7 @@ def _compile_cmd(c: Cmd, sys: System) -> CmdCode:
         return block
 
     if isinstance(c, If):
-        cond, cost = _compile_cond(c.cond, sys)
+        cond, cost = _compile_expr(c.cond, sys)
         cost += 1
         then = _compile_cmd(c.then, sys)
         els = _compile_cmd(c.els, sys)
@@ -440,7 +417,12 @@ def _compile_cmd(c: Cmd, sys: System) -> CmdCode:
             if left < 0:
                 _exhausted(fuel)
             fuel.remaining = left
-            if cond(env):
+            v = cond(env)
+            try:
+                taken = True if v else False
+            except TypeError:  # a column
+                taken = _decide(v)
+            if taken:
                 then(env, ctx)
             else:
                 els(env, ctx)
@@ -449,7 +431,7 @@ def _compile_cmd(c: Cmd, sys: System) -> CmdCode:
     if isinstance(c, While):
         # entering costs the command and its condition; each iteration
         # costs one unit and the condition again
-        cond, cost = _compile_cond(c.cond, sys)
+        cond, cost = _compile_expr(c.cond, sys)
         cost += 1
         body = _compile_cmd(c.body, sys)
 
@@ -459,7 +441,14 @@ def _compile_cmd(c: Cmd, sys: System) -> CmdCode:
             if left < 0:
                 _exhausted(fuel)
             fuel.remaining = left
-            while cond(env):
+            while True:
+                v = cond(env)
+                try:
+                    if not v:
+                        return
+                except TypeError:  # a column
+                    if not _decide(v):
+                        return
                 body(env, ctx)
                 left = fuel.remaining - cost
                 if left < 0:

@@ -138,13 +138,13 @@ def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
         for observer in observers:
             for perms in members:
                 if strict or csys.lattice.leq(ft.ret.at(perms), observer):
-                    cell = _test_cell(csys, qname, decl, gamma, perms, observer,
-                                      domain, fuel, pair_cap, store)
+                    cell, ran = _test_cell(csys, qname, decl, gamma, perms, observer,
+                                           domain, fuel, pair_cap, store)
+                    runs += ran
                 else:
                     cell = CellVerdict(qname, perms, observer, 0, "skipped",
                                        note="return type not observable")
                 cells[observer, perms] = cell
-        runs += len(store) - store.count(None)
     return [cells[o, perms] for o in observers for perms in csys.universe.sets()], runs
 
 
@@ -234,7 +234,8 @@ def _run(csys, decl, ctx, fuel, shared, names, cols, batch):
 
 
 def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap,
-               store) -> CellVerdict:
+               store) -> tuple[CellVerdict, int]:
+    """The cell, and the number of environments it ran that ``store`` lacked."""
     obs, hidden = _observable_split(gamma, perms, observer)
     d = len(domain)
     pair_count = d ** len(obs) * d ** (2 * len(hidden))
@@ -242,7 +243,7 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
         return CellVerdict(
             qname, perms, observer, 0, "inconclusive",
             note=f"{pair_count} pairs exceed the cap of {pair_cap}",
-        )
+        ), 0
 
     if not store:  # the class's first cell within the cap
         store += [None] * d ** len(gamma)
@@ -271,17 +272,23 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
     cols = _columns(t, domain)
     ctx = ExecContext(decl.app, perms, Fuel(fuel))
 
+    ran = 0
+
     def fill(r):
         """Run the missing valuations of the window at r."""
+        nonlocal ran
         batch = [k for k in range(w) if outs[r + k] is None]
         if batch:
+            ran += len(batch)
             shared = _valuation(lead, domain, r // w)
             for k, out in zip(batch, _run(csys, decl, ctx, fuel, shared, trail, cols,
                                           batch)):
                 outs[r + k] = store[slots[r + k]] = out
 
     if m == 1:
-        # each exhausted run leaves its bucket's one pair undecided
+        # The row loop's decision without its rows: no bucket of one holds a
+        # witness, and each exhausted run leaves its bucket's one pair
+        # undecided.
         for r in range(0, len(slots), w):
             fill(r)
         inconclusive = outs.count(_EXHAUSTED)
@@ -301,14 +308,14 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
                 return CellVerdict(
                     qname, perms, observer, (r + i) * m + j + 1, "violation",
                     witness=Violation(env1, env2, row[i], row[j]),
-                )
+                ), ran
             inconclusive += m * m - (m - exhausted) ** 2
     if inconclusive:
         return CellVerdict(
             qname, perms, observer, len(slots) * m, "inconclusive",
             note=f"{inconclusive} pair(s) ran out of fuel",
-        )
-    return CellVerdict(qname, perms, observer, len(slots) * m, "ok")
+        ), ran
+    return CellVerdict(qname, perms, observer, len(slots) * m, "ok"), ran
 
 
 def nitest_system(

@@ -7,7 +7,7 @@ whose outputs differ.  Used only as a test oracle for
 report the same verdicts, counts and witnesses.  Each side runs as a call
 on the parameters' values.  It takes the harness's store of shared run
 outcomes in the same place but never reads it: every run it compares, it
-makes itself.
+makes itself, so it returns its cell with 0 store runs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from permflow.nitest import CellVerdict, Violation, _observable_split
 
 
 def pairwise_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap,
-                  store) -> CellVerdict:
+                  store) -> tuple[CellVerdict, int]:
     obs, hidden = _observable_split(gamma, perms, observer)
     d = len(domain)
     pair_count = d ** len(obs) * d ** (2 * len(hidden))
@@ -27,7 +27,7 @@ def pairwise_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_
         return CellVerdict(
             qname, perms, observer, 0, "inconclusive",
             note=f"{pair_count} pairs exceed the cap of {pair_cap}",
-        )
+        ), 0
     tested = inconclusive = 0
     for obs_vals in product(domain, repeat=len(obs)):
         for hid1 in product(domain, repeat=len(hidden)):
@@ -47,10 +47,10 @@ def pairwise_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_
                     return CellVerdict(
                         qname, perms, observer, tested, "violation",
                         witness=Violation(env1, env2, out1, out2),
-                    )
+                    ), 0
     if inconclusive:
         return CellVerdict(
             qname, perms, observer, tested, "inconclusive",
             note=f"{inconclusive} pair(s) ran out of fuel",
-        )
-    return CellVerdict(qname, perms, observer, tested, "ok")
+        ), 0
+    return CellVerdict(qname, perms, observer, tested, "ok"), 0

@@ -364,3 +364,72 @@ def test_batches_agree_with_the_walk_near_the_edges(monkeypatch):
         _batches_agree(monkeypatch, csys, seen, domain=NEAR_EDGES, fuel=500,
                        strict=True)
     assert seen["finished"] and seen["diverged"] and seen["exhausted"], seen
+
+
+class _CountingEnv(dict):
+    """An environment that counts its reads and fails once they pass
+    ``limit``, so that work growing with the nesting fails fast."""
+
+    def __init__(self, values, limit):
+        super().__init__(values)
+        self.reads, self.limit = 0, limit
+
+    def _read(self):
+        self.reads += 1
+        assert self.reads <= self.limit, "a subterm ran more than once"
+
+    def __getitem__(self, name):
+        self._read()
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self._read()
+        return super().get(name, default)
+
+
+def _nested(shape, depth):
+    e = "h"
+    for _ in range(depth - 1):
+        e = shape.format(e)
+    return e
+
+
+@pytest.mark.parametrize("shape", [
+    "{} * h",  # a product
+    "({} == h)", "({} < h)",  # comparisons
+    "(x + {} * 1)",  # a step whose called term is a column
+    "(x - {} * 1)",  # a chain whose called term is a column
+    "(h - x - {} * 1)",  # a chain whose named term is a column
+], ids=["mul", "eq", "lt", "step", "chain-called", "chain-named"])
+def test_column_code_runs_each_subterm_once(monkeypatch, shape):
+    # 30 levels over a hidden column: evaluating a subterm again at each
+    # level would make 2^30 calls.  Names may be read twice, once by the
+    # int code and once by the column code, but no subterm runs twice.
+    expr = _nested(shape, 30)
+    source = f"""lattice {{ levels L, H; order L < H; }}
+permissions {{ p }}
+app A perms {{}} {{
+  fun f(x : L, h : H) : L {{ init r = 0 in {{ r := {expr}; return r }} }}
+}}
+"""
+    csys = validate_system(parse_system(source))
+    decl = csys.fd["A.f"]
+    leaves = expr.count("h") + expr.count("x")
+    env = _CountingEnv({"x": 1, "h": interp.Column([0, 1, 2]), "r": 0}, 2 * leaves)
+    ctx = ExecContext("A", 0, Fuel(DEFAULT_FUEL))
+    walked = [_walk(one, ctx, decl.body, csys, DEFAULT_FUEL)
+              for one in walker.split(env)]
+    interp.exec_cmd(env, ctx, decl.body, csys)
+    assert isinstance(env["r"], interp.Column)
+    assert [(one, ctx.fuel.remaining) for one in walker.split(env, 3)] == walked
+    # the harness batches such runs too, the L cell's first bucket of
+    # three to begin with
+    sizes = []
+    real = nitest.exec_cmd
+
+    def sizing(env, *rest):
+        sizes.append(len(walker.split(env)))
+        return real(env, *rest)
+    monkeypatch.setattr(nitest, "exec_cmd", sizing)
+    report = nitest_system(csys, domain=(0, 1, 2))
+    assert sizes[0] == 3 and sum(sizes) == report.runs == 9
