@@ -12,38 +12,35 @@ Languages 12(1), 1987), kept in ``System.compiled`` so that they live and
 die with their system. Compilation resolves permission bits, constant
 values, each operator with its 64-bit wrap, and each command's fixed fuel
 cost: one unit for the command and one per node of its expressions. A
-chain of ``+`` and ``-`` is one closure that folds its literals, reads its
-names inline and wraps its exact sum once. A command charges its cost in
-one subtraction before its expressions run; a block whose members are all
-assignments charges itself and all of them in one; a ``while`` charges one
-unit and its condition's nodes again per iteration. Fuel is one counter
-that no program reads, and expressions are pure, so charging fixed costs
-early within straight-line code changes nothing a run shows: a run
-exhausts exactly when the node-by-node walk (``tests/walker.py``) does, a
-finished run leaves the same fuel, and exhaustion leaves ``remaining`` at
--1, as the walk does.
+command charges its cost in one subtraction before its expressions run; a
+``while`` charges one unit and its condition's nodes again per iteration.
+Fuel is one counter that no program reads, and expressions are pure, so
+charging a command's fixed cost before its expressions changes nothing a
+run shows: a run exhausts exactly when the node-by-node walk
+(``tests/walker.py``) does, a finished run leaves the same fuel, and
+exhaustion leaves ``remaining`` at -1, as the walk does.
 
 One run may cover a batch of environments that follow one control path.
 A value is then an int, shared by the whole batch, or a ``Column``: a list
-with one int per environment.  Expressions on ints run the int-only code
-(one chain of ``+`` and ``-`` included); a column's arithmetic, comparisons
-and truth test raise ``TypeError``, which turns the expression to its
-column code, so an int run pays nothing for batches.  The column code
-takes the operands that the int code computed, so each node runs once per
-batch, however deep the nesting.  A column is wrapped to 64 bits only when
-its least or greatest value leaves the range.  An ``if`` or ``while``
-whose condition is true for some environments of the batch and false for
-others raises ``Diverged(mask)``, ``mask`` marking the environments that
-take the ``then`` branch or enter the loop; the caller splits the batch
-and reruns its parts from the start (``nitest``).  ``test`` reads the
-caller's permission set, one int for the whole batch, and never diverges.  Fuel stays one counter per batch: environments on one
-path charge the same fuel, so they run out of it together.
+with one int per environment.  Expressions on ints run the int-only code;
+a column's arithmetic, comparisons and truth test raise ``TypeError``,
+which turns the expression to its column code, so an int run pays nothing
+for batches.  The column code takes the operands that the int code
+computed, so each node runs once per batch, however deep the nesting.  A
+column is wrapped to 64 bits only when its least or greatest value leaves
+the range.  An ``if`` or ``while`` whose condition is true for some
+environments of the batch and false for others raises ``Diverged(mask)``,
+``mask`` marking the environments that take the ``then`` branch or enter
+the loop; the caller splits the batch and reruns its parts from the start
+(``nitest``).  ``test`` reads the caller's permission set, one int for the
+whole batch, and never diverges.  Fuel stays one counter per batch:
+environments on one path charge the same fuel, so they run out of it
+together.
 
-Races differ on systems that fail validation only. When code charged in
-one step (a command, or a block of assignments) reads an unbound variable
-and also runs out of fuel, the walk raises whichever it reaches first,
-while compiled code always raises ``FuelExhausted``; and an
-``UnboundVariable`` from such code can leave less fuel than the walk,
+Races differ on systems that fail validation only. When a command reads an
+unbound variable and also runs out of fuel, the walk raises whichever it
+reaches first, while compiled code always raises ``FuelExhausted``; and an
+``UnboundVariable`` from a command can leave less fuel than the walk,
 which has charged only the nodes before the read. Likewise a ``test`` of an
 undeclared permission fails when its body is compiled, not when the branch
 runs.
@@ -141,21 +138,11 @@ CmdCode = Callable[[dict[str, Value], ExecContext], None]
 
 # ----------------------------------------------------------- expressions
 #
-# A chain of ``+`` and ``-`` wraps its exact sum once: wrapping commutes
-# with ``+`` and ``-``, so that is the value of wrapping at every step.
-# A name read inline raises ``UnboundVariable`` from the ``KeyError``:
-#     try: ... env[name] ...
-#     except KeyError as err: raise _unbound(err) from None
-#
 # Ints take the int-only code, which raises ``TypeError`` when it meets a
 # column; the column code that catches it builds a new column, wrapped only
 # when its least or greatest value leaves 64 bits.  Each subterm runs
-# once: the column code takes the operands that the int code computed, and
-# only re-reads names, so nesting costs no more than it does for ints.
-
-def _unbound(err: KeyError) -> UnboundVariable:
-    return UnboundVariable(f"unbound variable {err.args[0]!r}")
-
+# once: the column code takes the operands that the int code computed, so
+# nesting costs no more than it does for ints.
 
 def _column(values) -> Column:
     col = Column(values)
@@ -171,20 +158,6 @@ def _lift(op, x: Value, y: Value):
     return map(op, repeat(x), y)
 
 
-def _col_sum(k: int, terms: list[tuple[Value, int]]) -> Column:
-    """``k`` plus the signed ``terms``, at least one a column, wrapped."""
-    cols = []
-    for x, sign in terms:
-        if isinstance(x, Column):
-            cols.append((x, sign))
-        else:
-            k += sign * x
-    col = repeat(k)
-    for x, sign in cols:
-        col = map(add if sign > 0 else sub, col, x)
-    return _column(col)
-
-
 def _decide(col) -> bool:
     """The branch that every environment of a column of conditions takes."""
     if 0 not in col:
@@ -194,135 +167,36 @@ def _decide(col) -> bool:
     return False
 
 
-def _mul(a: ExprCode, b: ExprCode) -> ExprCode:
-    def mul_(env):
-        x, y = a(env), b(env)
-        try:
-            v = x * y
-        except TypeError:  # a column
-            return _column(_lift(mul, x, y))
-        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
-    return mul_
-
-
-def _eq(a: ExprCode, b: ExprCode) -> ExprCode:
-    def eq_(env):
-        x, y = a(env), b(env)
-        try:
-            return 1 if x == y else 0
-        except TypeError:  # a column
-            return Column(map(int, _lift(eq, x, y)))
-    return eq_
-
-
-def _lt(a: ExprCode, b: ExprCode) -> ExprCode:
-    def lt_(env):
-        x, y = a(env), b(env)
-        try:
-            return 1 if x < y else 0
-        except TypeError:  # a column
-            return Column(map(int, _lift(lt, x, y)))
-    return lt_
-
-
-def _step(name: str, k: int, called: ExprCode | None,
-          terms: Callable[[dict[str, Value]], list]) -> ExprCode:
-    """The chain ``name + k``, plus ``called`` if given: a loop counter's
-    step, or ``r * a + b``, read without the loops of the general chain;
-    ``terms`` reads the chain's terms for ``_col_sum``."""
-    def step(env):
-        try:
-            v = env[name] + k
-        except KeyError as err:
-            raise _unbound(err) from None
-        except TypeError:  # a column
-            return _col_sum(k, terms(env))
-        if called is not None:
-            x = called(env)
+def _arith(op) -> Callable[[ExprCode, ExprCode], ExprCode]:
+    """The closure maker for a node of ``op``, wrapped to 64 bits."""
+    def make(a: ExprCode, b: ExprCode) -> ExprCode:
+        def arith(env):
+            x, y = a(env), b(env)
             try:
-                v += x
+                v = op(x, y)
             except TypeError:  # a column
-                return _col_sum(v, [(x, 1)])
-        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
-    return step
+                return _column(_lift(op, x, y))
+            return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
+        return arith
+    return make
 
 
-def _chain(e: BinOp, sys: System) -> tuple[ExprCode, int]:
-    """One closure for the chain of ``+`` and ``-`` rooted at ``e``, and its
-    node count: literals fold into one integer, names are read inline and
-    other subterms are called."""
-    k = 0
-    plus: list[str] = []
-    minus: list[str] = []
-    consts: list[tuple[str, int, int]] = []  # (name, value, sign)
-    called: list[tuple[ExprCode, int]] = []  # (code, sign)
-    cost = 0
-    todo = [(e, 1)]  # left to right
-    while todo:
-        t, sign = todo.pop()
-        cost += 1
-        if isinstance(t, BinOp) and t.op in ("+", "-"):
-            todo.append((t.rhs, sign if t.op == "+" else -sign))
-            todo.append((t.lhs, sign))
-        elif isinstance(t, IntLit):
-            k += sign * _wrap(t.value)
-        elif isinstance(t, Var) and t.name in sys.constants:
-            consts.append((t.name, _wrap(sys.constants[t.name].value), sign))
-        elif isinstance(t, Var):
-            (plus if sign > 0 else minus).append(t.name)
-        else:
-            code, n = _compile_expr(t, sys)
-            cost += n - 1  # the subterm's own node is counted above
-            called.append((code, sign))
-
-    if not (plus or minus or consts or called):
-        value = _wrap(k)
-        return (lambda env: value), cost
-
-    def terms(env):
-        try:
-            return ([(env[name], 1) for name in plus]
-                    + [(env[name], -1) for name in minus]
-                    # a bound name shadows the constant, as in the walk
-                    + [(env.get(name, value), sign) for name, value, sign in consts]
-                    + [(code(env), sign) for code, sign in called])
-        except KeyError as err:
-            raise _unbound(err) from None
-
-    if (len(plus) == 1 and not (minus or consts or called[1:])
-            and all(sign > 0 for _, sign in called)):
-        return _step(plus[0], k, called[0][0] if called else None, terms), cost
-
-    def chain(env):
-        v = k
-        try:
-            for name in plus:
-                v += env[name]
-            if minus:
-                for name in minus:
-                    v -= env[name]
-            if consts:
-                for name, value, sign in consts:
-                    v += sign * env.get(name, value)
-        except KeyError as err:
-            raise _unbound(err) from None
-        except TypeError:  # a column
-            return _col_sum(k, terms(env))
-        if called:
-            for i, (code, sign) in enumerate(called):
-                x = code(env)
-                try:
-                    v += sign * x
-                except TypeError:  # a column
-                    return _col_sum(v, [(x, sign)]
-                                    + [(c(env), s) for c, s in called[i + 1:]])
-        return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
-    return chain, cost
+def _compare(op) -> Callable[[ExprCode, ExprCode], ExprCode]:
+    """The closure maker for a node of ``op``, valued 1 or 0."""
+    def make(a: ExprCode, b: ExprCode) -> ExprCode:
+        def compare(env):
+            x, y = a(env), b(env)
+            try:
+                return 1 if op(x, y) else 0
+            except TypeError:  # a column
+                return Column(map(int, _lift(op, x, y)))
+        return compare
+    return make
 
 
-# operator -> the closure of a node of it, given its operands' closures; a
-# chain of ``+`` and ``-`` compiles as a whole (``_chain``)
-_BINOPS = {"+": None, "-": None, "*": _mul, "==": _eq, "<": _lt}
+# operator -> the maker of its nodes' closures from their operands' closures
+_BINOPS = {"+": _arith(add), "-": _arith(sub), "*": _arith(mul),
+           "==": _compare(eq), "<": _compare(lt)}
 
 
 def _compile_expr(e: Expr, sys: System) -> tuple[ExprCode, int]:
@@ -344,8 +218,6 @@ def _compile_expr(e: Expr, sys: System) -> tuple[ExprCode, int]:
             except KeyError:
                 raise UnboundVariable(f"unbound variable {name!r}") from None
         return var, 1
-    if isinstance(e, BinOp) and e.op in ("+", "-"):
-        return _chain(e, sys)
     if isinstance(e, BinOp) and e.op in _BINOPS:
         lhs, n_lhs = _compile_expr(e.lhs, sys)
         rhs, n_rhs = _compile_expr(e.rhs, sys)
@@ -375,22 +247,6 @@ def _compile_cmd(c: Cmd, sys: System) -> CmdCode:
             fuel.remaining = left
             env[name] = expr(env)
         return assign
-
-    if isinstance(c, Block) and all(isinstance(m, Assign) for m in c.cmds):
-        # straight-line code: the block and its members, charged at once
-        compiled = [(m.name, *_compile_expr(m.expr, sys)) for m in c.cmds]
-        assigns = tuple((name, expr) for name, expr, _ in compiled)
-        cost = 1 + sum(1 + n for _, _, n in compiled)
-
-        def straight(env, ctx):
-            fuel = ctx.fuel
-            left = fuel.remaining - cost
-            if left < 0:
-                _exhausted(fuel)
-            fuel.remaining = left
-            for name, expr in assigns:
-                env[name] = expr(env)
-        return straight
 
     if isinstance(c, Block):
         members = tuple(_compile_cmd(m, sys) for m in c.cmds)

@@ -33,22 +33,22 @@ that the store lacks, so each (class, environment) runs at most once, and
 a cell that stops at a witness leaves the later buckets unrun.
 ``NIReport.runs`` counts those (class, environment) runs.
 
-The runs go in batches.  A bucket's missing environments run as one
-batch, in which a parameter is an int when the batch agrees on it, as on
-the observable ones, and otherwise a column (``interp.Column``).  A cell whose buckets hold one
-environment each cannot find a witness in a bucket, so it batches its
-missing environments across buckets: all of them when the cell has at most
-``_BATCH`` (4,096) environments, else by windows of consecutive ones that
-differ only in their last parameters, at most ``_BATCH`` of them unless the
-domain alone is larger.  That bounds a batch's memory.  A batch that diverges
-(``interp.Diverged``) splits by the mask into two parts that rerun from the
-start, and a part that diverges again runs one environment at a time; the
-parts wait on a worklist, never on the stack.  So an environment costs at
-most two batched runs and one single run.  Without that bound, a loop that
-splits off one environment per iteration would rerun the rest of the
-batch from the start each time: work cubic in the batch size.  A batch
-that runs out of fuel does so for each of its environments, which all
-followed one path.
+The runs go in batches.  A bucket's missing environments run as one batch,
+in which a parameter is an int when the batch agrees on it, as on the
+observable ones, and otherwise a column (``interp.Column``).  A cell whose
+buckets hold one environment each cannot find a witness in a bucket, so it
+batches its missing environments across buckets: all of them when the cell
+has at most ``_BATCH`` (4,096) environments, else by windows of
+consecutive ones that differ only in their last parameters, at most
+``_BATCH`` of them unless the domain alone is larger.  That bounds a
+batch's memory.  A batch that diverges (``interp.Diverged``) splits by the
+mask into two parts that rerun from the start, and a part that diverges
+again runs one environment at a time; the parts wait on a worklist, never
+on the stack.  So an environment costs at most two batched runs and one
+single run.  Without that bound, a loop that splits off one environment
+per iteration would rerun the rest of the batch from the start each time:
+work cubic in the batch size.  A batch that runs out of fuel does so for
+each of its environments, which all followed one path.
 """
 
 from __future__ import annotations

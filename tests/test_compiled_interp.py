@@ -259,11 +259,11 @@ X_PLUS_GHOST = BinOp("-", BinOp("+", Var("x"), Var("ghost")), IntLit(1))
     # compiled code charges the command's six units before it reads; the
     # walk stops at the fifth
     (Assign("r", X_PLUS_GHOST), {interp: 4, walker: 5}),
-    # a name and a literal, read without the general chain's loops
+    # one operator over an unbound name and a literal
     (Assign("r", BinOp("+", Var("ghost"), IntLit(1))), {interp: 6, walker: 7}),
-    # and a block of assignments, the block's unit and both members first
+    # a block of assignments: its unit, then the first member's six units
     (Block((Assign("r", X_PLUS_GHOST), Assign("s", IntLit(0)))),
-     {interp: 1, walker: 4}),
+     {interp: 3, walker: 4}),
 ], ids=["assign", "step", "block"])
 def test_unbound_variable_in_a_chain(cmd, left):
     csys = validate_system(parse_system(LOOPS))
@@ -397,9 +397,9 @@ def _nested(shape, depth):
 @pytest.mark.parametrize("shape", [
     "{} * h",  # a product
     "({} == h)", "({} < h)",  # comparisons
-    "(x + {} * 1)",  # a step whose called term is a column
-    "(x - {} * 1)",  # a chain whose called term is a column
-    "(h - x - {} * 1)",  # a chain whose named term is a column
+    "(x + {} * 1)",  # a name plus a product over a column
+    "(x - {} * 1)",  # a name minus a product over a column
+    "(h - x - {} * 1)",  # a column name, minus a name and a product
 ], ids=["mul", "eq", "lt", "step", "chain-called", "chain-named"])
 def test_column_code_runs_each_subterm_once(monkeypatch, shape):
     # 30 levels over a hidden column: evaluating a subterm again at each

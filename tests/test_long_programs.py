@@ -66,8 +66,20 @@ def _run_all(tmp_path, capsys, stmt: str) -> dict[str, tuple[int, str, str]]:
 
 @pytest.mark.parametrize(
     "stmt",
-    [_long_body(), "while x < 1 do {\n" + _long_body() + "\n}", _if_nest(MAX_DEPTH)],
-    ids=["long-body", "long-while-body", "if-nest-at-max-depth"],
+    [
+        _long_body(),
+        "while x < 1 do {\n" + _long_body() + "\n}",
+        _if_nest(MAX_DEPTH),
+        # the deepest expressions, one level under those of
+        # test_one_level_too_deep_exits_two
+        "r := x" + " + x" * (MAX_DEPTH - 1),
+        "r := x" + " * x" * (MAX_DEPTH - 1),
+        "r := x" + " - 1" * (MAX_DEPTH - 1),
+        "r := " + "(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+    ],
+    ids=["long-body", "long-while-body", "if-nest-at-max-depth",
+         "plus-chain-at-max-depth", "times-chain-at-max-depth",
+         "minus-chain-at-max-depth", "parentheses-at-max-depth"],
 )
 def test_every_command_works(tmp_path, capsys, stmt):
     results = _run_all(tmp_path, capsys, stmt)

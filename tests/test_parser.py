@@ -395,6 +395,8 @@ def test_operator_table_is_the_operator_set():
     table = [op for ops, _ in BINARY_LEVELS for op in ops]
     assert len(table) == len(set(table)) == len(BINARY_LEVEL)
     assert set(table) == set(_BINOPS)
+    # and each compiles through its table entry, none as a special case
+    assert all(callable(make) for make in _BINOPS.values())
     for op in table:
         assert [t.text for t in tokenize(f"x{op}y")] == ["x", op, "y", ""], op
     # every other operator token the tokenizer knows is punctuation
