@@ -21,17 +21,19 @@ run shows: a run exhausts exactly when the node-by-node walk
 exhaustion leaves ``remaining`` at -1, as the walk does.
 
 One run may cover a batch of environments that follow one control path.
-A value is then an int, shared by the whole batch, or a ``Column``: a list
-with one int per environment.  Expressions on ints run the int-only code;
+A value is then an int, shared by the whole batch, or a ``Column``: one
+int per cell of a grid over the axes it varies along, the parameters it
+depends on, so an operator costs d^k for the k parameters its operands
+depend on, not the batch size.  Expressions on ints run the int-only code;
 a column's arithmetic, comparisons and truth test raise ``TypeError``,
 which turns the expression to its column code, so an int run pays nothing
 for batches.  The column code takes the operands that the int code
 computed, so each node runs once per batch, however deep the nesting.  A
 column is wrapped to 64 bits only when its least or greatest value leaves
 the range.  An ``if`` or ``while`` whose condition is true for some
-environments of the batch and false for others raises ``Diverged(mask)``,
-``mask`` marking the environments that take the ``then`` branch or enter
-the loop; the caller splits the batch and reruns its parts from the start
+environments of the batch and false for others raises ``Diverged`` with
+the condition's column, whose axes are the parameters the branch reads;
+the caller splits the batch and reruns its parts from the start
 (``nitest``).  ``test`` reads the caller's permission set, one int for the
 whole batch, and never diverges.  Fuel stays one counter per batch:
 environments on one path charge the same fuel, so they run out of it
@@ -49,7 +51,9 @@ runs.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import lru_cache
 from itertools import repeat
+from math import prod
 from operator import add, eq, lt, mul, sub
 
 from .syntax import (
@@ -83,12 +87,13 @@ class UnboundVariable(RuntimeError):
 
 
 class Diverged(Exception):
-    """A batch's environments disagree on a branch; ``mask[k]`` is true
-    when environment ``k`` takes the ``then`` branch or enters the loop."""
+    """A batch's environments disagree on a branch; ``cond`` is the
+    condition's column, nonzero where the ``then`` branch is taken or the
+    loop entered."""
 
-    def __init__(self, mask: list[bool]):
+    def __init__(self, cond: Column):
         super().__init__("the batch's environments take different branches")
-        self.mask = mask
+        self.cond = cond
 
 
 def _wrap(v: int) -> int:
@@ -120,14 +125,20 @@ def _exhausted(fuel: Fuel):
 
 
 class Column(list):
-    """A value that differs across a batch: one int per environment, never
-    changed in place.  Its arithmetic, comparisons and truth test raise
-    ``TypeError``, as for an unsupported operand, so compiled code takes
-    its int-only path under ``try`` and turns to columns on the error."""
+    """A value that differs across a batch, never changed in place: one int
+    per cell of a grid over ``axes``, ``(axis, size)`` pairs in axis order,
+    row-major; without ``axes``, one axis of its own length.  Its arithmetic,
+    comparisons and truth test raise ``TypeError``, as for an unsupported
+    operand, so compiled code takes its int-only path under ``try`` and
+    turns to columns on the error."""
 
-    __slots__ = ()
+    __slots__ = ("axes",)
     __add__ = __radd__ = __iadd__ = __mul__ = __rmul__ = __imul__ = None
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = None
+
+    def __init__(self, values=(), axes: tuple[tuple[int, int], ...] | None = None):
+        super().__init__(values)
+        self.axes = ((-1, len(self)),) if axes is None else axes
 
 
 # A value is an int, shared by every environment of a batch, or a column.
@@ -142,28 +153,59 @@ CmdCode = Callable[[dict[str, Value], ExecContext], None]
 # column; the column code that catches it builds a new column, wrapped only
 # when its least or greatest value leaves 64 bits.  Each subterm runs
 # once: the column code takes the operands that the int code computed, so
-# nesting costs no more than it does for ints.
+# nesting costs no more than it does for ints.  Columns on different axes
+# are spread over the union of them, by index lists in a bounded cache.
 
-def _column(values) -> Column:
-    col = Column(values)
+def _column(values, axes) -> Column:
+    col = Column(values, axes)
     if min(col) < _I64_MIN or max(col) > _I64_MAX:
-        return Column(map(_wrap, col))
+        return Column(map(_wrap, col), axes)
     return col
 
 
+@lru_cache(maxsize=64)
+def _index(src: tuple, dst: tuple) -> tuple[int, ...]:
+    """For each cell of a grid over the axes ``dst``, row-major, the place
+    in a grid over ``src`` of the cell that agrees with it on their common
+    axes and is at 0 on the others."""
+    strides, step = {}, 1
+    for axis, size in reversed(src):
+        strides[axis] = step
+        step *= size
+    index = [0]
+    for axis, size in dst:
+        offsets = [k * strides.get(axis, 0) for k in range(size)]
+        index = [i + o for i in index for o in offsets]
+    return tuple(index)
+
+
+def spread(v: Value, axes: tuple) -> list:
+    """``v``'s value in each cell of a grid over ``axes``, row-major; a
+    column is taken at 0 on its other axes."""
+    if not isinstance(v, Column):
+        return [v] * prod(size for _, size in axes)
+    return v if v.axes == axes else list(map(v.__getitem__, _index(v.axes, axes)))
+
+
 def _lift(op, x: Value, y: Value):
-    """``op`` per environment, on two values of which one is a column."""
-    if isinstance(x, Column):
-        return map(op, x, y if isinstance(y, Column) else repeat(y))
-    return map(op, repeat(x), y)
+    """``op`` per environment, on two values of which one is a column: the
+    results, and the axes they are laid out over."""
+    if not isinstance(y, Column):
+        return map(op, x, repeat(y)), x.axes
+    if not isinstance(x, Column):
+        return map(op, repeat(x), y), y.axes
+    if x.axes == y.axes:
+        return map(op, x, y), x.axes
+    axes = tuple(sorted({*x.axes, *y.axes}))
+    return map(op, spread(x, axes), spread(y, axes)), axes
 
 
-def _decide(col) -> bool:
+def _decide(col: Column) -> bool:
     """The branch that every environment of a column of conditions takes."""
     if 0 not in col:
         return True
     if any(col):
-        raise Diverged([v != 0 for v in col])
+        raise Diverged(col)
     return False
 
 
@@ -175,7 +217,7 @@ def _arith(op) -> Callable[[ExprCode, ExprCode], ExprCode]:
             try:
                 v = op(x, y)
             except TypeError:  # a column
-                return _column(_lift(op, x, y))
+                return _column(*_lift(op, x, y))
             return v if _I64_MIN <= v <= _I64_MAX else _wrap(v)
         return arith
     return make
@@ -189,7 +231,8 @@ def _compare(op) -> Callable[[ExprCode, ExprCode], ExprCode]:
             try:
                 return 1 if op(x, y) else 0
             except TypeError:  # a column
-                return Column(map(int, _lift(op, x, y)))
+                values, axes = _lift(op, x, y)
+                return Column(map(int, values), axes)
         return compare
     return make
 
@@ -404,7 +447,7 @@ def _function(sys: System, qname: str) -> Callable[[list[Value], int, Fuel], Val
 def exec_cmd(env: dict[str, Value], ctx: ExecContext, c: Cmd,
              sys: System) -> dict[str, Value]:
     """Execute ``c``, mutating and returning ``env``: one environment, or a
-    batch of them whose columns all have one length."""
+    batch of them: a grid over its columns' axes."""
     _code(sys, c)(env, ctx)
     return env
 

@@ -33,22 +33,22 @@ that the store lacks, so each (class, environment) runs at most once, and
 a cell that stops at a witness leaves the later buckets unrun.
 ``NIReport.runs`` counts those (class, environment) runs.
 
-The runs go in batches.  A bucket's missing environments run as one batch,
-in which a parameter is an int when the batch agrees on it, as on the
-observable ones, and otherwise a column (``interp.Column``).  A cell whose
-buckets hold one environment each cannot find a witness in a bucket, so it
-batches its missing environments across buckets: all of them when the cell
-has at most ``_BATCH`` (4,096) environments, else by windows of
-consecutive ones that differ only in their last parameters, at most
-``_BATCH`` of them unless the domain alone is larger.  That bounds a
-batch's memory.  A batch that diverges (``interp.Diverged``) splits by the
-mask into two parts that rerun from the start, and a part that diverges
-again runs one environment at a time; the parts wait on a worklist, never
-on the stack.  So an environment costs at most two batched runs and one
-single run.  Without that bound, a loop that splits off one environment
-per iteration would rerun the rest of the batch from the start each time:
-work cubic in the batch size.  A batch that runs out of fuel does so for
-each of its environments, which all followed one path.
+The runs go in batches.  Runs go by windows of environments that differ
+only in their last parameters: a bucket, or, when buckets hold one
+environment each and so no witness, as many as ``_BATCH`` (4,096) allows
+unless the domain alone is larger.  A window that the store lacks runs as
+one grid (``interp.Column``): each varying parameter is a column of the
+domain along an axis of its own, so an operator costs d^k for the k
+parameters it depends on.  A class's cells run fewest hidden parameters
+first, so the top observer's cell fills the store in whole windows.  A
+window held in part runs its missing environments as one flat batch.  A
+grid that diverges (``interp.Diverged``) splits into one sub-grid per
+valuation of the parameters the condition reads, or in two, as a flat
+batch does, when it reads them all; a part that diverges again runs one
+environment at a time.  So an environment costs at most two batched runs
+and one single run, where splitting without end would make a loop that
+splits off one environment per iteration cubic in the batch size.  A
+batch that runs out of fuel does so for each of its environments.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .interp import (
     Fuel,
     FuelExhausted,
     exec_cmd,
+    spread,
 )
 from .syntax import Test, subcommands
 from .system import CheckedSystem
@@ -133,18 +134,21 @@ def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
         classes.setdefault(perms & tested, []).append(perms)
     cells = {}
     runs = 0
+    known = {}  # parameter order -> its store slots
     for members in classes.values():
         store = []  # the class's run outcomes, in environment slot order
-        for observer in observers:
-            for perms in members:
-                if strict or csys.lattice.leq(ft.ret.at(perms), observer):
-                    cell, ran = _test_cell(csys, qname, decl, gamma, perms, observer,
-                                           domain, fuel, pair_cap, store)
-                    runs += ran
-                else:
-                    cell = CellVerdict(qname, perms, observer, 0, "skipped",
-                                       note="return type not observable")
-                cells[observer, perms] = cell
+        # the fewest hidden parameters first: the widest windows fill the store
+        order = sorted(((o, p) for o in observers for p in members),
+                       key=lambda op: len(_observable_split(gamma, op[1], op[0])[1]))
+        for observer, perms in order:
+            if strict or csys.lattice.leq(ft.ret.at(perms), observer):
+                cell, ran = _test_cell(csys, qname, decl, gamma, perms, observer,
+                                       domain, fuel, pair_cap, known, store)
+                runs += ran
+            else:
+                cell = CellVerdict(qname, perms, observer, 0, "skipped",
+                                   note="return type not observable")
+            cells[observer, perms] = cell
     return [cells[o, perms] for o in observers for perms in csys.universe.sets()], runs
 
 
@@ -171,14 +175,6 @@ def _valuation(names, domain, q):
     return dict(zip(names, reversed(values)))
 
 
-def _columns(n, domain):
-    """For each of n names, its value in each valuation of the n names over
-    ``domain``, in ``product`` order."""
-    d = len(domain)
-    return [[v for v in domain for _ in range(d ** i)] * d ** (n - 1 - i)
-            for i in reversed(range(n))]
-
-
 def _outcome(csys, decl, ctx, fuel, env):
     """Run ``decl``'s body on ``env`` as a call does, return variable 0 and
     full fuel: its result, or ``_EXHAUSTED``."""
@@ -192,19 +188,65 @@ def _outcome(csys, decl, ctx, fuel, env):
     return env[decl.ret_var]
 
 
-def _run(csys, decl, ctx, fuel, shared, names, cols, batch):
-    """The outcome of running each environment that ``batch`` numbers as a
-    call, return variable 0 and full fuel: its result, or ``_EXHAUSTED``.
-    Environment k values the parameters in ``shared`` as given and
-    ``names[i]`` as ``cols[i][k]``.
+def _halves(part, cond):
+    """``part``'s ``else`` and ``then`` environments under the condition
+    ``cond``, laid out as ``part``: parts that do not split again."""
+    return [([k for k, t in zip(part, cond) if not t], False),
+            ([k for k, t in zip(part, cond) if t], False)]
 
-    The environments run as one batch, a parameter an int when they agree
-    on it and a column otherwise.  A batch that diverges splits into its
-    ``then`` and ``else`` parts, which rerun from the start; a part that
-    diverges again runs one environment at a time.  So each environment
-    costs at most two batched runs and one single run."""
+
+def _grid(csys, decl, ctx, fuel, shared, names, inputs, domain):
+    """The outcome of running each valuation of ``names`` over ``domain``,
+    in ``product`` order, with ``shared`` as given, as a call: its result,
+    or ``_EXHAUSTED``.  They run as one grid, ``names[i]`` the column
+    ``inputs[i]`` of the domain along axis i.  A grid that diverges splits
+    into one sub-grid per valuation of the parameters that the condition
+    reads, fixed as ints, or, when it reads them all, in two as a flat
+    batch does; a sub-grid that diverges again runs its environments one
+    at a time."""
+    axes = tuple(col.axes[0] for col in inputs)
+    env = dict(shared)
+    env.update(zip(names, inputs))
+    try:
+        return spread(_outcome(csys, decl, ctx, fuel, env), axes)
+    except Diverged as err:
+        cond = err.cond
+    numbers = range(len(domain) ** len(names))  # the valuations, by number
+    if cond.axes == axes:  # sub-grids of one environment each
+        cols = [spread(col, axes) for col in inputs]
+        outs = _run(csys, decl, ctx, fuel, shared, names, cols, _halves(numbers, cond))
+        return [outs[k] for k in numbers]
+    fixed = cond.axes  # the parameters that the condition reads
+    free = tuple(axis for axis in axes if axis not in fixed)
+    place = Column(numbers, axes)
+    cells = spread(place, free)  # a sub-grid's valuations, less its first's number
+    outs = [None] * len(place)
+    for base in spread(place, fixed):
+        env = dict(shared)
+        env.update(_valuation(names, domain, base))
+        env.update((names[i], inputs[i]) for i, _ in free)
+        try:
+            part = spread(_outcome(csys, decl, ctx, fuel, env), free)
+        except Diverged:
+            for k in cells:  # runs of ints
+                env = dict(shared)
+                env.update(_valuation(names, domain, base + k))
+                outs[base + k] = _outcome(csys, decl, ctx, fuel, env)
+            continue
+        for k, out in zip(cells, part):
+            outs[base + k] = out
+    return outs
+
+
+def _run(csys, decl, ctx, fuel, shared, names, cols, todo):
+    """The outcome of running each environment that the parts in ``todo``
+    number as a call, by number: its result, or ``_EXHAUSTED``.
+    Environment k values ``shared`` as given and ``names[i]`` as
+    ``cols[i][k]``.  Each part runs as one flat batch, a parameter an int
+    when its environments agree on it and a column otherwise.  A part that
+    diverges splits in two when ``todo`` lets it, and otherwise runs its
+    environments one at a time."""
     outs = {}
-    todo = [(batch, True)]  # (environment numbers, whether a divergence splits it)
     singles = []
     while todo:
         part, splits = todo.pop()
@@ -216,8 +258,7 @@ def _run(csys, decl, ctx, fuel, shared, names, cols, batch):
             out = _outcome(csys, decl, ctx, fuel, env)
         except Diverged as err:
             if splits:
-                todo.append(([k for k, t in zip(part, err.mask) if not t], False))
-                todo.append(([k for k, t in zip(part, err.mask) if t], False))
+                todo += _halves(part, err.cond)
             else:
                 singles += part
             continue
@@ -230,12 +271,13 @@ def _run(csys, decl, ctx, fuel, shared, names, cols, batch):
         env = dict(shared)
         env.update(zip(names, map(itemgetter(k), cols)))
         outs[k] = _outcome(csys, decl, ctx, fuel, env)
-    return [outs[k] for k in batch]
+    return outs
 
 
 def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap,
-               store) -> tuple[CellVerdict, int]:
-    """The cell, and the number of environments it ran that ``store`` lacked."""
+               known, store) -> tuple[CellVerdict, int]:
+    """The cell, and the number of environments it ran that ``store`` lacked;
+    ``known`` keeps the function's store slots by parameter order."""
     obs, hidden = _observable_split(gamma, perms, observer)
     d = len(domain)
     pair_count = d ** len(obs) * d ** (2 * len(hidden))
@@ -258,10 +300,14 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
     # Runs go by windows of w valuations that share all but their last t
     # names: a bucket, or when buckets hold one environment each (m is 1,
     # so no bucket holds a witness), as many valuations as ``_BATCH``
-    # allows.  A window's runs missing from the store make one batch.
+    # allows.  A window whose runs the store lacks runs as one grid, and one
+    # that it holds in part runs the missing ones as one flat batch.
     m = d ** len(hidden)
     names = (*obs, *hidden)
-    slots = _slots(names, {name: d ** i for i, name in enumerate(reversed(gamma))}, d)
+    slots = known.get(names)
+    if slots is None:
+        place = {name: d ** i for i, name in enumerate(reversed(gamma))}
+        slots = known[names] = _slots(names, place, d)
     outs = [store[s] for s in slots]
     t = len(hidden)
     if m == 1:
@@ -269,21 +315,28 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
             t += 1
     w = d ** t
     lead, trail = names[:len(names) - t], names[len(names) - t:]
-    cols = _columns(t, domain)
-    ctx = ExecContext(decl.app, perms, Fuel(fuel))
-
+    axes = tuple((i, d) for i in range(t))  # the trailing names' axes
     ran = 0
+    ctx = inputs = None  # made at the cell's first run
 
     def fill(r):
         """Run the missing valuations of the window at r."""
-        nonlocal ran
-        batch = [k for k in range(w) if outs[r + k] is None]
-        if batch:
-            ran += len(batch)
-            shared = _valuation(lead, domain, r // w)
-            for k, out in zip(batch, _run(csys, decl, ctx, fuel, shared, trail, cols,
-                                          batch)):
-                outs[r + k] = store[slots[r + k]] = out
+        nonlocal ran, ctx, inputs
+        batch = [k for k, out in enumerate(outs[r:r + w]) if out is None]
+        if not batch:
+            return
+        ran += len(batch)
+        if ctx is None:
+            ctx = ExecContext(decl.app, perms, Fuel(fuel))
+            inputs = [Column(domain, (axis,)) for axis in axes]
+        shared = _valuation(lead, domain, r // w)
+        if len(batch) == w:
+            got = enumerate(_grid(csys, decl, ctx, fuel, shared, trail, inputs, domain))
+        else:
+            cols = [spread(col, axes) for col in inputs]
+            got = _run(csys, decl, ctx, fuel, shared, trail, cols, [(batch, True)]).items()
+        for k, out in got:
+            outs[r + k] = store[slots[r + k]] = out
 
     if m == 1:
         # The row loop's decision without its rows: no bucket of one holds a

@@ -306,7 +306,8 @@ def _batches_agree(monkeypatch, csys, seen, **kwargs):
 
     def checking(env, ctx, c, sys):
         start = ctx.fuel.remaining
-        walked = [_walk(one, ctx, c, sys, start) for one in walker.split(env)]
+        axes = walker.axes_of(env)
+        walked = [_walk(one, ctx, c, sys, start) for one in walker.split(env, axes)]
         n = len(walked)
         try:
             real(env, ctx, c, sys)
@@ -316,10 +317,12 @@ def _batches_agree(monkeypatch, csys, seen, **kwargs):
             seen["exhausted"] += n > 1
             raise
         except Diverged as err:
-            assert len(err.mask) == n and True in err.mask and False in err.mask
+            # the condition's column, on the axes of the parameters it reads
+            mask = [v != 0 for v in walker.spread(err.cond, axes)]
+            assert len(mask) == n and True in mask and False in mask
             seen["diverged"] += 1
             raise
-        assert [(one, ctx.fuel.remaining) for one in walker.split(env, n)] == walked
+        assert [(one, ctx.fuel.remaining) for one in walker.split(env, axes)] == walked
         seen["finished"] += n > 1
         return env
     with monkeypatch.context() as m:
@@ -417,13 +420,14 @@ app A perms {{}} {{
     leaves = expr.count("h") + expr.count("x")
     env = _CountingEnv({"x": 1, "h": interp.Column([0, 1, 2]), "r": 0}, 2 * leaves)
     ctx = ExecContext("A", 0, Fuel(DEFAULT_FUEL))
+    axes = walker.axes_of(env)
     walked = [_walk(one, ctx, decl.body, csys, DEFAULT_FUEL)
-              for one in walker.split(env)]
+              for one in walker.split(env, axes)]
     interp.exec_cmd(env, ctx, decl.body, csys)
     assert isinstance(env["r"], interp.Column)
-    assert [(one, ctx.fuel.remaining) for one in walker.split(env, 3)] == walked
-    # the harness batches such runs too, the L cell's first bucket of
-    # three to begin with
+    assert [(one, ctx.fuel.remaining) for one in walker.split(env, axes)] == walked
+    # the harness batches such runs too: the H cell, whose window holds all
+    # nine environments, runs them as one grid over x and h
     sizes = []
     real = nitest.exec_cmd
 
@@ -432,4 +436,34 @@ app A perms {{}} {{
         return real(env, *rest)
     monkeypatch.setattr(nitest, "exec_cmd", sizing)
     report = nitest_system(csys, domain=(0, 1, 2))
-    assert sizes[0] == 3 and sum(sizes) == report.runs == 9
+    assert sizes == [9] and sum(sizes) == report.runs == 9
+
+
+BROADCAST = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun f(x : L, y : L, h : H) : L {
+    init r = 0 in { r := (h - x) * (y + h) + (x == y); return r }
+  }
+}
+"""
+
+
+def test_operators_spread_over_the_union_of_their_axes():
+    # x, y and h vary along axes 0, 1 and 2, of sizes 2, 3 and 4, so each
+    # operator meets operands on different axes, the higher one first in
+    # h - x: its result lies over the union of their axes, in axis order,
+    # and each cell, wrapped to 64 bits, agrees with the walk of its
+    # environment
+    csys = validate_system(parse_system(BROADCAST))
+    decl = csys.fd["A.f"]
+    env = {"x": interp.Column([5, -7], ((0, 2),)),
+           "y": interp.Column([1, 2, 5], ((1, 3),)),
+           "h": interp.Column([0, 1, 5, 2**62], ((2, 4),)), "r": 0}
+    axes = walker.axes_of(env)
+    ctx = ExecContext("A", 0, Fuel(DEFAULT_FUEL))
+    walked = [_walk(one, ctx, decl.body, csys, DEFAULT_FUEL)
+              for one in walker.split(env, axes)]
+    interp.exec_cmd(env, ctx, decl.body, csys)
+    assert env["r"].axes == axes == ((0, 2), (1, 3), (2, 4))
+    assert [(one, ctx.fuel.remaining) for one in walker.split(env, axes)] == walked

@@ -12,12 +12,14 @@ environment) runs, batched or not.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import islice, product
+from math import prod
 
 import pytest
 
-from permflow import nitest
+from permflow import interp, nitest
 from permflow.basetypes import BaseType, FunctionType
 from permflow.interp import DEFAULT_FUEL, FuelExhausted, call_function
 from permflow.nitest import nitest_system
@@ -27,7 +29,7 @@ from permflow.system import validate_system
 from .conftest import SEED
 from .pairwise import pairwise_cell
 from .progen import _Gen
-from .walker import split
+from .walker import axes_of, split, spread
 
 
 def _batches(monkeypatch, sizes):
@@ -142,16 +144,16 @@ def test_harness_runs_are_calls(monkeypatch, domain):
                     if d.body is c and d.app == ctx.app
                     and env.keys() == {*d.params, d.ret_var})
         assert env[decl.ret_var] == 0
+        axes = axes_of(env)
         calls = [(decl.qualified, [one[name] for name in decl.params],
-                  ctx.caller_perms, ctx.fuel.remaining) for one in split(env)]
+                  ctx.caller_perms, ctx.fuel.remaining) for one in split(env, axes)]
         batched += len(calls) > 1
         try:
             real(env, ctx, c, csys)
         except FuelExhausted:
             runs.extend((*call, None) for call in calls)
             raise
-        out = env[decl.ret_var]
-        outs = out if isinstance(out, list) else [out] * len(calls)
+        outs = spread(env[decl.ret_var], axes)
         runs.extend((*call, out) for call, out in zip(calls, outs, strict=True))
         return env
     monkeypatch.setattr(nitest, "exec_cmd", recording)
@@ -216,10 +218,13 @@ def test_fuel_sweep_on_hidden_loop_matches_pairwise(monkeypatch):
     assert any(c.verdict == "ok" for c in cells)
 
 
-# Batches that diverge.  A loop bound by a hidden parameter splits its
-# batch at the first check, and the larger part again at the second; the
-# test of ``h == i`` in a counted loop would split off one environment per
-# iteration if parts split without end.
+# Batches that diverge.  A grid splits along the axes of the condition
+# that diverged: one sub-grid per valuation of the parameters it reads,
+# fixed as ints, and a sub-grid that diverges again runs one environment at
+# a time.  A condition that reads every axis of the grid splits it in two
+# by its values instead, as a flat batch splits.  The test of ``h == i`` in
+# a counted loop would split off one environment per iteration if parts
+# split without end.
 COUNT_TO_N = """lattice { levels L, H; order L < H; }
 permissions { p }
 app A perms {} {
@@ -252,8 +257,9 @@ app A perms {} {
 
 
 def test_a_long_hidden_loop_splits_without_recursion(monkeypatch):
-    # 1,500 environments in one bucket: the batch splits off n = 0 at the
-    # first check and the rest at the second, so the rest run one at a time
+    # 1,500 environments in the H cell's one window, a grid over n alone:
+    # it splits off n = 0 at the first check and the rest at the second, so
+    # the rest run one at a time
     csys = validate_system(parse_system(COUNT_TO_N))
     sizes = []
     _batches(monkeypatch, sizes)
@@ -266,7 +272,16 @@ def test_a_long_hidden_loop_splits_without_recursion(monkeypatch):
 def test_splitting_costs_at_most_three_runs_per_environment(monkeypatch):
     csys = validate_system(parse_system(SPLIT_EACH_STEP))
     L, H = csys.lattice.level("L"), csys.lattice.level("H")
-    for observers in ((L, H), (L,)):
+    expected = {
+        # per function, the H cell's grid over x and h splits along h, the
+        # axis of ``h == i``, into ten sub-grids over x, which run whole
+        (L, H): ([100] + [10] * 10) * 2,
+        # the L cells' grids over h alone, one per bucket, split in two, and
+        # the part that splits again runs singly: same's ten buckets and
+        # leak's first two
+        (L,): ([10, 1, 9] + [1] * 9) * 12,
+    }
+    for observers, shape in expected.items():
         sizes = []
         with monkeypatch.context() as m:
             _batches(m, sizes)
@@ -275,7 +290,73 @@ def test_splitting_costs_at_most_three_runs_per_environment(monkeypatch):
         assert {c.verdict for c in cells} == {"ok", "violation"}
         # each environment: its batch, its part of the batch, and one run
         assert runs < sum(sizes) <= 3 * runs
-        assert sizes.count(1) > 8  # parts that split again ran one by one
+        assert sizes == shape
+
+
+# h1 == 0 splits the grid over (x, h1, h2) along h1; h2 == 0 then splits
+# the h1 = 0 sub-grid over (x, h2) again, so its environments run singly.
+SPLIT_TWICE = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun f(x : L, h1 : H, h2 : H) : L {
+    init r = 0 in {
+      if h1 == 0 then { if h2 == 0 then r := x else r := x + 0 } else r := x;
+      return r
+    }
+  }
+}
+"""
+
+
+def test_a_sub_grid_that_diverges_again_runs_one_environment_at_a_time(monkeypatch):
+    csys = validate_system(parse_system(SPLIT_TWICE))
+    sizes = []
+    with monkeypatch.context() as m:
+        _batches(m, sizes)
+        cells, runs = _bucketed_matching_pairwise(monkeypatch, csys, domain=range(0, 3))
+    assert {c.verdict for c in cells} == {"ok"} and runs == 27
+    assert sizes == [27, 9] + [1] * 9 + [9, 9]
+
+
+# Loops bound by an observable parameter, and by its sum with a hidden one.
+COUNTED_LOOPS = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun below(x : L, n : L, h : H) : L {
+    init r = 0 in {
+      letvar i = 0 in { while i < n do { r := r + x; i := i + 1 } };
+      return r
+    }
+  }
+  fun below_sum(x : L, n : L, h : H) : L {
+    init r = 0 in {
+      letvar i = 0 in { while i < n + h do { i := i + 1 } };
+      r := r + x * n;
+      return r
+    }
+  }
+}
+"""
+
+
+def test_a_loop_splits_only_along_the_parameters_it_reads(monkeypatch):
+    # The H cell's window is the whole 10^3 grid.  ``i < n`` diverges along
+    # n alone, into 10 sub-grids over (x, h); ``i < n + h`` along n and h,
+    # into 100 over x.  No sub-grid diverges again.  Flat batches, one per
+    # L bucket of ten, made 100 and 1,200 batches.
+    csys = validate_system(parse_system(COUNTED_LOOPS))
+    bodies = {decl.body: qname for qname, decl in csys.fd.items()}
+    batches = Counter()
+    real = nitest.exec_cmd
+
+    def counting(env, ctx, c, sys):
+        batches[bodies[c]] += 1
+        return real(env, ctx, c, sys)
+    with monkeypatch.context() as m:
+        m.setattr(nitest, "exec_cmd", counting)
+        cells, runs = _bucketed_matching_pairwise(monkeypatch, csys, domain=range(0, 10))
+    assert {c.verdict for c in cells} == {"ok"} and runs == 2000
+    assert batches == {"A.below": 11, "A.below_sum": 101}
 
 
 PRODUCT = """lattice { levels L, H; order L < H; }
@@ -320,8 +401,8 @@ app A perms {} {
 
 def test_one_interpreter_run_per_environment(monkeypatch):
     # The body tests no permission, so both permission sets and both
-    # observers share one store: each environment runs once in all, in one
-    # batch per bucket of the first cell.
+    # observers share one store: each environment runs once in all, in the
+    # one grid of the H cell, whose window holds all 3^5 of them.
     csys = validate_system(parse_system(WIDE))
     sizes = []
     _batches(monkeypatch, sizes)
@@ -332,7 +413,7 @@ def test_one_interpreter_run_per_environment(monkeypatch):
     assert len(cells) == 4 and all(c.verdict == "ok" for c in cells)
     d = len(domain)
     assert report.runs == d ** 5 == 243
-    assert sizes == [d ** 3] * d ** 2
+    assert sizes == [d ** 5]
     cell = next(c for c in cells if c.perms == 0 and c.observer == L)
     obs, hidden = 2, 3  # a, b; h1, h2, h3
     assert cell.pairs_tested == d ** obs * d ** (2 * hidden)
@@ -380,11 +461,36 @@ def test_one_interpreter_call_per_predicted_run(monkeypatch):
     assert report.runs == _shared_runs(csys, cells, domain, tested) == 729
     # without the stores, every cell would run all it visits itself
     assert _unshared_runs(csys, cells, domain) == 1223
-    # N.safe's P={} cell for L runs a batch per bucket, its P={p} cell for
-    # H (one environment a bucket) all 3^5 at once; N.leak's L cells stop
-    # in the first bucket, and its H cell runs the rest
-    assert sizes == [27] * 9 + [243] + [27, 216]
+    # each permission class's H cell, with no hidden parameter, comes first
+    # and runs its 3^5 environments as one grid: N.safe's two classes and
+    # N.leak's one; the L cells read the store
+    assert sizes == [243, 243, 243]
     assert sum(sizes) == report.runs
+
+
+def test_leak_columns_vary_only_along_what_they_read(monkeypatch):
+    # N.leak's values depend on a, b and h2 at most, so no operator column
+    # that it builds holds more than 3^3 values; flat columns would hold a
+    # batch's 216 or 243
+    csys = validate_system(parse_system(NI_GRID))
+    leak = csys.fd["N.leak"].body
+    running, widths = [], []
+    real_run, real_lift = nitest.exec_cmd, interp._lift
+
+    def tracking(env, ctx, c, sys):
+        running.append(c is leak)
+        return real_run(env, ctx, c, sys)
+
+    def lifting(op, x, y):
+        values, axes = real_lift(op, x, y)
+        if running[-1]:
+            widths.append(prod(size for _, size in axes))
+        return values, axes
+    with monkeypatch.context() as m:
+        m.setattr(nitest, "exec_cmd", tracking)
+        m.setattr(interp, "_lift", lifting)
+        _bucketed_matching_pairwise(monkeypatch, csys, domain=range(0, 3))
+    assert max(widths) == 27
 
 
 def test_a_witness_leaves_later_buckets_unrun(monkeypatch):

@@ -252,11 +252,13 @@ def test_compiled_interpreter_outruns_the_walker(monkeypatch):
         # NI_GRID's runs finish and never diverge, so each batch's
         # environments follow one path and use the same fuel
         start = ctx.fuel.remaining
-        envs = walker.split(env)
+        axes = walker.axes_of(env)
+        envs = walker.split(env, axes)
         for one in envs:
             ctx.fuel.remaining = start
             walker.exec_cmd(one, ctx, c, sys)
-        env.update((name, Column(one[name] for one in envs)) for name in env)
+        # each name a column over the whole grid, as a batch's result may be
+        env.update((name, Column((one[name] for one in envs), axes)) for name in env)
         return env
 
     def nitest_s():

@@ -8,15 +8,20 @@ subtraction; the two must agree on every result, every exception type and
 the fuel left over, save for the races on systems that fail validation
 that ``permflow.interp``'s docstring lists.  The walk runs one environment
 of ints at a time; ``split`` takes a batch of ``permflow.interp`` apart
-into the environments it holds.  Used only as a test oracle
+into the environments it holds, each column read cell by cell from its
+axes, independently of ``permflow.interp``'s index lists.  Used only as a test oracle
 (``tests/test_compiled_interp.py``) and as the slow side of the
 relative-speed guard in ``tests/test_scaling.py``.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
+
 from permflow.interp import (
     DEFAULT_FUEL,
+    Column,
     ExecContext,
     Fuel,
     FuelExhausted,
@@ -40,14 +45,37 @@ from permflow.syntax import (
 from permflow.system import System
 
 
-def split(env: dict, n: int | None = None) -> list[dict[str, int]]:
-    """The ``n`` environments of a batch: an int is shared by all of them,
-    and a column (a list) gives each its own value.  ``n`` defaults to the
-    length of the columns, or 1 when there is none."""
-    if n is None:
-        n = next((len(v) for v in env.values() if isinstance(v, list)), 1)
-    return [{name: v[k] if isinstance(v, list) else v for name, v in env.items()}
-            for k in range(n)]
+def axes_of(env: dict) -> tuple:
+    """The union of the axes of a batch's columns, in axis order."""
+    return tuple(sorted({a for v in env.values() if isinstance(v, Column)
+                         for a in v.axes}))
+
+
+def spread(v, axes: tuple) -> list:
+    """``v``'s value in each environment of a grid over ``axes``, row-major:
+    an int is shared by all of them, and a column gives each environment
+    the value at the environment's coordinates on the column's axes."""
+    out = []
+    for coords in product(*(range(size) for _, size in axes)):
+        if not isinstance(v, Column):
+            out.append(v)
+            continue
+        at = dict(zip((axis for axis, _ in axes), coords))
+        k = 0
+        for axis, size in v.axes:
+            k = k * size + at[axis]
+        out.append(v[k])
+    return out
+
+
+def split(env: dict, axes: tuple | None = None) -> list[dict[str, int]]:
+    """The environments of a batch, a grid over ``axes``: by default the
+    union of its columns' axes, one environment when there is no column."""
+    if axes is None:
+        axes = axes_of(env)
+    values = {name: spread(v, axes) for name, v in env.items()}
+    return [{name: vals[k] for name, vals in values.items()}
+            for k in range(prod(size for _, size in axes))]
 
 
 def _tick(fuel: Fuel) -> None:
