@@ -42,19 +42,22 @@ domain along an axis of its own, so an operator costs d^k for the k
 parameters it depends on.  A class's cells run fewest hidden parameters
 first, so the top observer's cell fills the store in whole windows.  A
 window held in part runs its missing environments as one flat batch.  A
-grid that diverges (``interp.Diverged``) splits into one sub-grid per
-valuation of the parameters the condition reads, or in two, as a flat
-batch does, when it reads them all; a part that diverges again runs one
-environment at a time.  So an environment costs at most two batched runs
-and one single run, where splitting without end would make a loop that
-splits off one environment per iteration cubic in the batch size.  A
-batch that runs out of fuel does so for each of its environments.
+grid that diverges (``interp.Diverged``) splits into one part per
+valuation of the parameters that the condition reads, unless there would
+be more parts than a part holds environments; then it splits in two by
+the condition's values, as a flat batch that diverges does.  A part that
+diverges again runs one environment at a time.  So an environment costs
+at most two batched runs and one single run, where splitting without end
+would make a loop that splits off one environment per iteration cubic in
+the batch size.  A batch that runs out of fuel does so for each of its
+environments.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 
 from .interp import (
@@ -134,7 +137,6 @@ def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
         classes.setdefault(perms & tested, []).append(perms)
     cells = {}
     runs = 0
-    known = {}  # parameter order -> its store slots
     for members in classes.values():
         store = []  # the class's run outcomes, in environment slot order
         # the fewest hidden parameters first: the widest windows fill the store
@@ -143,7 +145,7 @@ def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
         for observer, perms in order:
             if strict or csys.lattice.leq(ft.ret.at(perms), observer):
                 cell, ran = _test_cell(csys, qname, decl, gamma, perms, observer,
-                                       domain, fuel, pair_cap, known, store)
+                                       domain, fuel, pair_cap, store)
                 runs += ran
             else:
                 cell = CellVerdict(qname, perms, observer, 0, "skipped",
@@ -175,6 +177,15 @@ def _valuation(names, domain, q):
     return dict(zip(names, reversed(values)))
 
 
+@lru_cache(maxsize=16)
+def _columns(n, domain):
+    """For each of n names, its value in each valuation of the n names over
+    ``domain``, a tuple, in ``product`` order."""
+    d = len(domain)
+    return [[v for v in domain for _ in range(d ** i)] * d ** (n - 1 - i)
+            for i in reversed(range(n))]
+
+
 def _outcome(csys, decl, ctx, fuel, env):
     """Run ``decl``'s body on ``env`` as a call does, return variable 0 and
     full fuel: its result, or ``_EXHAUSTED``."""
@@ -200,10 +211,10 @@ def _grid(csys, decl, ctx, fuel, shared, names, inputs, domain):
     in ``product`` order, with ``shared`` as given, as a call: its result,
     or ``_EXHAUSTED``.  They run as one grid, ``names[i]`` the column
     ``inputs[i]`` of the domain along axis i.  A grid that diverges splits
-    into one sub-grid per valuation of the parameters that the condition
-    reads, fixed as ints, or, when it reads them all, in two as a flat
-    batch does; a sub-grid that diverges again runs its environments one
-    at a time."""
+    into one part per valuation of the parameters that the condition
+    reads, unless there would be more parts than a part holds, and then in
+    two by the condition's values.  A part that diverges again runs one
+    environment at a time."""
     axes = tuple(col.axes[0] for col in inputs)
     env = dict(shared)
     env.update(zip(names, inputs))
@@ -211,31 +222,18 @@ def _grid(csys, decl, ctx, fuel, shared, names, inputs, domain):
         return spread(_outcome(csys, decl, ctx, fuel, env), axes)
     except Diverged as err:
         cond = err.cond
-    numbers = range(len(domain) ** len(names))  # the valuations, by number
-    if cond.axes == axes:  # sub-grids of one environment each
-        cols = [spread(col, axes) for col in inputs]
-        outs = _run(csys, decl, ctx, fuel, shared, names, cols, _halves(numbers, cond))
-        return [outs[k] for k in numbers]
-    fixed = cond.axes  # the parameters that the condition reads
-    free = tuple(axis for axis in axes if axis not in fixed)
-    place = Column(numbers, axes)
-    cells = spread(place, free)  # a sub-grid's valuations, less its first's number
-    outs = [None] * len(place)
-    for base in spread(place, fixed):
-        env = dict(shared)
-        env.update(_valuation(names, domain, base))
-        env.update((names[i], inputs[i]) for i, _ in free)
-        try:
-            part = spread(_outcome(csys, decl, ctx, fuel, env), free)
-        except Diverged:
-            for k in cells:  # runs of ints
-                env = dict(shared)
-                env.update(_valuation(names, domain, base + k))
-                outs[base + k] = _outcome(csys, decl, ctx, fuel, env)
-            continue
-        for k, out in zip(cells, part):
-            outs[base + k] = out
-    return outs
+    mask = spread(cond, axes)
+    numbers = range(len(mask))
+    if len(cond) ** 2 > len(numbers):
+        todo = _halves(numbers, mask)
+    else:  # by the condition's cell: the parameters it reads run as ints
+        parts = [[] for _ in cond]
+        for k, cell in zip(numbers, spread(Column(range(len(cond)), cond.axes), axes)):
+            parts[cell].append(k)
+        todo = [(part, False) for part in parts]
+    cols = _columns(len(names), tuple(domain))
+    outs = _run(csys, decl, ctx, fuel, shared, names, cols, todo)
+    return [outs[k] for k in numbers]
 
 
 def _run(csys, decl, ctx, fuel, shared, names, cols, todo):
@@ -275,9 +273,8 @@ def _run(csys, decl, ctx, fuel, shared, names, cols, todo):
 
 
 def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap,
-               known, store) -> tuple[CellVerdict, int]:
-    """The cell, and the number of environments it ran that ``store`` lacked;
-    ``known`` keeps the function's store slots by parameter order."""
+               store) -> tuple[CellVerdict, int]:
+    """The cell, and the number of environments it ran that ``store`` lacked."""
     obs, hidden = _observable_split(gamma, perms, observer)
     d = len(domain)
     pair_count = d ** len(obs) * d ** (2 * len(hidden))
@@ -304,10 +301,7 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
     # that it holds in part runs the missing ones as one flat batch.
     m = d ** len(hidden)
     names = (*obs, *hidden)
-    slots = known.get(names)
-    if slots is None:
-        place = {name: d ** i for i, name in enumerate(reversed(gamma))}
-        slots = known[names] = _slots(names, place, d)
+    slots = _slots(names, {name: d ** i for i, name in enumerate(reversed(gamma))}, d)
     outs = [store[s] for s in slots]
     t = len(hidden)
     if m == 1:
@@ -316,27 +310,27 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
     w = d ** t
     lead, trail = names[:len(names) - t], names[len(names) - t:]
     axes = tuple((i, d) for i in range(t))  # the trailing names' axes
+    inputs = [Column(domain, (axis,)) for axis in axes]
+    ctx = ExecContext(decl.app, perms, Fuel(fuel))
+
     ran = 0
-    ctx = inputs = None  # made at the cell's first run
 
     def fill(r):
         """Run the missing valuations of the window at r."""
-        nonlocal ran, ctx, inputs
-        batch = [k for k, out in enumerate(outs[r:r + w]) if out is None]
-        if not batch:
-            return
-        ran += len(batch)
-        if ctx is None:
-            ctx = ExecContext(decl.app, perms, Fuel(fuel))
-            inputs = [Column(domain, (axis,)) for axis in axes]
-        shared = _valuation(lead, domain, r // w)
-        if len(batch) == w:
-            got = enumerate(_grid(csys, decl, ctx, fuel, shared, trail, inputs, domain))
-        else:
-            cols = [spread(col, axes) for col in inputs]
-            got = _run(csys, decl, ctx, fuel, shared, trail, cols, [(batch, True)]).items()
-        for k, out in got:
-            outs[r + k] = store[slots[r + k]] = out
+        nonlocal ran
+        batch = [k for k in range(w) if outs[r + k] is None]
+        if batch:
+            ran += len(batch)
+            shared = _valuation(lead, domain, r // w)
+            if len(batch) == w:
+                got = enumerate(_grid(csys, decl, ctx, fuel, shared, trail, inputs,
+                                          domain))
+            else:
+                cols = _columns(t, tuple(domain))
+                todo = [(batch, True)]
+                got = _run(csys, decl, ctx, fuel, shared, trail, cols, todo).items()
+            for k, out in got:
+                outs[r + k] = store[slots[r + k]] = out
 
     if m == 1:
         # The row loop's decision without its rows: no bucket of one holds a

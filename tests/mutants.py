@@ -169,7 +169,7 @@ MUTANTS = (
         "    for axis, size in reversed(src):\n",
         "    for axis, size in src:\n",
         ("tests/test_compiled_interp.py::test_operators_spread_over_the_union_of_their_axes",
-         "tests/test_nitest_buckets.py::test_generated_systems_match_pairwise[0..2]"),
+         "tests/test_compiled_interp.py::test_batches_agree_with_the_walk_over_a_fuel_sweep[ni-grid]"),
     ),
     Mutant(
         "axis-union-unsorted", "interp.py",
@@ -178,18 +178,29 @@ MUTANTS = (
         ("tests/test_compiled_interp.py::test_operators_spread_over_the_union_of_their_axes",),
     ),
     Mutant(
-        "split-fixes-leading-axes", "nitest.py",
-        "    fixed = cond.axes  # the parameters that the condition reads\n",
-        "    fixed = axes[:len(cond.axes)]\n",
+        "split-by-leading-axes", "nitest.py",
+        "        for k, cell in zip(numbers, spread(Column(range(len(cond)), cond.axes),"
+        " axes)):\n",
+        "        for k, cell in zip(numbers, spread(Column(range(len(cond)),"
+        " axes[:len(cond.axes)]), axes)):\n",
         ("tests/test_nitest_buckets.py::test_splitting_costs_at_most_three_runs_per_environment",
-         "tests/test_nitest_buckets.py::test_a_loop_splits_only_along_the_parameters_it_reads"),
+         "tests/test_nitest_buckets.py::"
+         "test_a_part_that_diverges_again_runs_one_environment_at_a_time"),
     ),
     Mutant(
-        "split-every-axis-by-sub-grids", "nitest.py",
-        "    if cond.axes == axes:  # sub-grids of one environment each\n",
+        "split-by-parts-however-many", "nitest.py",
+        "    if len(cond) ** 2 > len(numbers):\n",
         "    if False:\n",
         ("tests/test_nitest_buckets.py::test_a_long_hidden_loop_splits_without_recursion",
-         "tests/test_nitest_buckets.py::test_splitting_costs_at_most_three_runs_per_environment"),
+         "tests/test_nitest_buckets.py::test_a_loop_splits_by_the_parameters_it_reads"),
+    ),
+    Mutant(
+        "split-grids-in-two", "nitest.py",
+        "    if len(cond) ** 2 > len(numbers):\n",
+        "    if True:\n",
+        ("tests/test_compiled_interp.py::test_batches_agree_with_the_walk_near_the_edges",
+         "tests/test_nitest_buckets.py::test_splitting_costs_at_most_three_runs_per_environment",
+         "tests/test_nitest_buckets.py::test_a_loop_splits_by_the_parameters_it_reads"),
     ),
     Mutant(
         "most-hidden-cell-first", "nitest.py",

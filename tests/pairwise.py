@@ -5,10 +5,9 @@ part, in (observable, hidden 1, hidden 2) order, and stops at the first pair
 whose outputs differ.  Used only as a test oracle for
 ``permflow.nitest._test_cell``, which runs each environment once and must
 report the same verdicts, counts and witnesses.  Each side runs as a call
-on the parameters' values.  It takes the harness's cache of store slots
-and its store of shared run outcomes in the same places but never reads
-them: every run it compares, it makes itself, so it returns its cell with
-0 store runs.
+on the parameters' values.  It takes the harness's store of shared run
+outcomes in the same place but never reads it: every run it compares, it
+makes itself, so it returns its cell with 0 store runs.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from permflow.nitest import CellVerdict, Violation, _observable_split
 
 
 def pairwise_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap,
-                  known, store) -> tuple[CellVerdict, int]:
+                  store) -> tuple[CellVerdict, int]:
     obs, hidden = _observable_split(gamma, perms, observer)
     d = len(domain)
     pair_count = d ** len(obs) * d ** (2 * len(hidden))

@@ -218,12 +218,13 @@ def test_fuel_sweep_on_hidden_loop_matches_pairwise(monkeypatch):
     assert any(c.verdict == "ok" for c in cells)
 
 
-# Batches that diverge.  A grid splits along the axes of the condition
-# that diverged: one sub-grid per valuation of the parameters it reads,
-# fixed as ints, and a sub-grid that diverges again runs one environment at
-# a time.  A condition that reads every axis of the grid splits it in two
-# by its values instead, as a flat batch splits.  The test of ``h == i`` in
-# a counted loop would split off one environment per iteration if parts
+# Batches that diverge.  A grid splits by the parameters that the
+# condition which diverged reads: one part per valuation of them, fixed as
+# ints, and a part that diverges again runs one environment at a time.
+# When that would make more parts than a part holds, as when the condition
+# reads every axis of the grid, the grid splits in two by the condition's
+# values instead, as a flat batch splits.  The test of ``h == i`` in a
+# counted loop would split off one environment per iteration if parts
 # split without end.
 COUNT_TO_N = """lattice { levels L, H; order L < H; }
 permissions { p }
@@ -273,8 +274,8 @@ def test_splitting_costs_at_most_three_runs_per_environment(monkeypatch):
     csys = validate_system(parse_system(SPLIT_EACH_STEP))
     L, H = csys.lattice.level("L"), csys.lattice.level("H")
     expected = {
-        # per function, the H cell's grid over x and h splits along h, the
-        # axis of ``h == i``, into ten sub-grids over x, which run whole
+        # per function, the H cell's grid over x and h splits by h, which
+        # ``h == i`` reads, into ten parts of ten over x, which run whole
         (L, H): ([100] + [10] * 10) * 2,
         # the L cells' grids over h alone, one per bucket, split in two, and
         # the part that splits again runs singly: same's ten buckets and
@@ -293,8 +294,8 @@ def test_splitting_costs_at_most_three_runs_per_environment(monkeypatch):
         assert sizes == shape
 
 
-# h1 == 0 splits the grid over (x, h1, h2) along h1; h2 == 0 then splits
-# the h1 = 0 sub-grid over (x, h2) again, so its environments run singly.
+# h1 == 0 splits the grid over (x, h1, h2) by h1 into three parts of nine;
+# h2 == 0 then splits the h1 = 0 part again, so its environments run singly.
 SPLIT_TWICE = """lattice { levels L, H; order L < H; }
 permissions { p }
 app A perms {} {
@@ -308,14 +309,14 @@ app A perms {} {
 """
 
 
-def test_a_sub_grid_that_diverges_again_runs_one_environment_at_a_time(monkeypatch):
+def test_a_part_that_diverges_again_runs_one_environment_at_a_time(monkeypatch):
     csys = validate_system(parse_system(SPLIT_TWICE))
     sizes = []
     with monkeypatch.context() as m:
         _batches(m, sizes)
         cells, runs = _bucketed_matching_pairwise(monkeypatch, csys, domain=range(0, 3))
     assert {c.verdict for c in cells} == {"ok"} and runs == 27
-    assert sizes == [27, 9] + [1] * 9 + [9, 9]
+    assert sizes == [27, 9, 9, 9] + [1] * 9
 
 
 # Loops bound by an observable parameter, and by its sum with a hidden one.
@@ -339,11 +340,12 @@ app A perms {} {
 """
 
 
-def test_a_loop_splits_only_along_the_parameters_it_reads(monkeypatch):
-    # The H cell's window is the whole 10^3 grid.  ``i < n`` diverges along
-    # n alone, into 10 sub-grids over (x, h); ``i < n + h`` along n and h,
-    # into 100 over x.  No sub-grid diverges again.  Flat batches, one per
-    # L bucket of ten, made 100 and 1,200 batches.
+def test_a_loop_splits_by_the_parameters_it_reads(monkeypatch):
+    # The H cell's window is the whole 10^3 grid.  ``i < n`` reads n alone
+    # and splits it into 10 parts of 100, none of which diverges again.
+    # ``i < n + h`` reads n and h, which would make 100 parts of 10, so it
+    # splits in two: n + h = 0, and the rest, which diverges again and runs
+    # singly.  Flat batches, one per L bucket of ten, made 100 and 1,200.
     csys = validate_system(parse_system(COUNTED_LOOPS))
     bodies = {decl.body: qname for qname, decl in csys.fd.items()}
     batches = Counter()
@@ -356,7 +358,7 @@ def test_a_loop_splits_only_along_the_parameters_it_reads(monkeypatch):
         m.setattr(nitest, "exec_cmd", counting)
         cells, runs = _bucketed_matching_pairwise(monkeypatch, csys, domain=range(0, 10))
     assert {c.verdict for c in cells} == {"ok"} and runs == 2000
-    assert batches == {"A.below": 11, "A.below_sum": 101}
+    assert batches == {"A.below": 11, "A.below_sum": 993}
 
 
 PRODUCT = """lattice { levels L, H; order L < H; }
