@@ -33,6 +33,15 @@ that the store lacks, so each (class, environment) runs at most once, and
 a cell that stops at a witness leaves the later buckets unrun.
 ``NIReport.runs`` counts those (class, environment) runs.
 
+A cell reads and fills the store through its slot index: the store slot
+of each valuation of its parameters, observable then hidden, in bucket
+order, a tuple built once per parameter order.  A cell keeps no copy of
+the store: it reads one window of runs at a time, counts what the store
+lacks with one ``count(None)``, and writes a window's grid back as one
+slice when the window's slots are consecutive, and otherwise with one
+``map``.  A cell whose buckets hold one environment each reads every
+slot, so it counts its exhausted runs over the whole store at once.
+
 The runs go in batches.  Runs go by windows of environments that differ
 only in their last parameters: a bucket, or, when buckets hold one
 environment each and so no witness, as many as ``_BATCH`` (4,096) allows
@@ -55,6 +64,7 @@ environments.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -156,15 +166,22 @@ def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
 
 _EXHAUSTED = object()  # the outcome of a run that ran out of fuel
 _BATCH = 4096  # the widest window of one-environment buckets, unless d is wider
+_consume = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
 
 
-def _slots(names, place, d):
-    """The store slot offset of each valuation of ``names``, in ``product`` order."""
+@lru_cache(maxsize=16)
+def _slots(order, d):
+    """The slot index of a parameter order, given as the parameters'
+    positions: the store slot of each valuation of the parameters in that
+    order, in ``product`` order, a tuple.  A slot is an environment's
+    mixed-radix index over its domain positions in declaration order."""
+    n = len(order)
     slots = [0]
-    for name in names:
-        offsets = range(0, d * place[name], place[name])
+    for i in order:
+        place = d ** (n - 1 - i)
+        offsets = range(0, d * place, place)
         slots = [s + o for s in slots for o in offsets]
-    return slots
+    return tuple(slots)
 
 
 def _valuation(names, domain, q):
@@ -287,28 +304,30 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
     if not store:  # the class's first cell within the cap
         store += [None] * d ** len(gamma)
 
-    # A slot is an environment's mixed-radix index over the domain positions
-    # in parameter order; ``slots`` lists the cell's in bucket order, so each
-    # bucket is a row of m, and the q-th valuation of ``names`` fills slot
-    # ``slots[q]``.  A bucket's pairs, in (hid1, hid2) order and skipping
-    # any with an exhausted side, first differ at (i, j): i the first
-    # finished run, j the first finished one unlike i.
+    # The cell's slot index lists its store slots in bucket order: the q-th
+    # valuation of ``names`` is slot ``slots[q]``, so each bucket is a run
+    # of m.  A bucket's pairs, in (hid1, hid2) order and skipping any with
+    # an exhausted side, first differ at (i, j): i the first finished run,
+    # j the first finished one unlike i.
     #
     # Runs go by windows of w valuations that share all but their last t
     # names: a bucket, or when buckets hold one environment each (m is 1,
     # so no bucket holds a witness), as many valuations as ``_BATCH``
     # allows.  A window whose runs the store lacks runs as one grid, and one
-    # that it holds in part runs the missing ones as one flat batch.
+    # that it holds in part runs the missing ones as one flat batch.  When
+    # the trailing names are the last parameters, in declaration order,
+    # each window is one slice of the store.
     m = d ** len(hidden)
     names = (*obs, *hidden)
-    slots = _slots(names, {name: d ** i for i, name in enumerate(reversed(gamma))}, d)
-    outs = [store[s] for s in slots]
-    t = len(hidden)
+    order = tuple(map(list(gamma).index, names))  # the names' positions
+    slots = _slots(order, d)
+    n, t = len(names), len(hidden)
     if m == 1:
-        while t < len(names) and d ** (t + 1) <= max(_BATCH, d):
+        while t < n and d ** (t + 1) <= max(_BATCH, d):
             t += 1
     w = d ** t
-    lead, trail = names[:len(names) - t], names[len(names) - t:]
+    consecutive = order[n - t:] == tuple(range(n - t, n))
+    lead, trail = names[:n - t], names[n - t:]
     axes = tuple((i, d) for i in range(t))  # the trailing names' axes
     inputs = [Column(domain, (axis,)) for axis in axes]
     ctx = ExecContext(decl.app, perms, Fuel(fuel))
@@ -316,34 +335,45 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
     ran = 0
 
     def fill(r):
-        """Run the missing valuations of the window at r."""
+        """The outcomes of the window at r, in order, run where the store
+        lacks them."""
         nonlocal ran
-        batch = [k for k in range(w) if outs[r + k] is None]
-        if batch:
-            ran += len(batch)
+        if consecutive:  # the window is one slice of the store
+            s = slots[r]
+            window = range(s, s + w)
+            outs = store[s:s + w]
+        else:
+            window = slots[r:r + w]
+            outs = list(map(store.__getitem__, window))
+        missing = outs.count(None)
+        if missing:
+            ran += missing
             shared = _valuation(lead, domain, r // w)
-            if len(batch) == w:
-                got = enumerate(_grid(csys, decl, ctx, fuel, shared, trail, inputs,
-                                          domain))
+            if missing == w:
+                outs = _grid(csys, decl, ctx, fuel, shared, trail, inputs, domain)
+                if consecutive:
+                    store[s:s + w] = outs
+                else:
+                    _consume(map(store.__setitem__, window, outs))
             else:
                 cols = _columns(t, tuple(domain))
-                todo = [(batch, True)]
-                got = _run(csys, decl, ctx, fuel, shared, trail, cols, todo).items()
-            for k, out in got:
-                outs[r + k] = store[slots[r + k]] = out
+                todo = [([k for k, out in enumerate(outs) if out is None], True)]
+                for k, out in _run(csys, decl, ctx, fuel, shared, trail, cols,
+                                   todo).items():
+                    outs[k] = store[window[k]] = out
+        return outs
 
     if m == 1:
         # The row loop's decision without its rows: no bucket of one holds a
         # witness, and each exhausted run leaves its bucket's one pair
-        # undecided.
+        # undecided.  The cell's slots are the whole store.
         for r in range(0, len(slots), w):
             fill(r)
-        inconclusive = outs.count(_EXHAUSTED)
+        inconclusive = store.count(_EXHAUSTED)
     else:
         inconclusive = 0
         for r in range(0, len(slots), m):
-            fill(r)  # the bucket's runs, before it is read
-            row = outs[r:r + m]
+            row = fill(r)  # the bucket's runs, before it is read
             i = 0
             while row[i] is _EXHAUSTED and i < m - 1:
                 i += 1

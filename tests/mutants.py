@@ -65,8 +65,8 @@ MUTANTS = (
         "block-effect-last-member", "constraints.py",
         "            terms = list(dict.fromkeys(cmd(gamma, trace, m) for m in c.cmds))\n",
         "            terms = [[cmd(gamma, trace, m) for m in c.cmds][-1]]\n",
-        # only the pinned outputs kill it
-        ("tests/test_constraints.py::test_generation_is_pinned_on_the_corpus",
+        ("tests/test_block_effect.py::test_guard_over_block_family_pins_the_block_effect",
+         "tests/test_constraints.py::test_generation_is_pinned_on_the_corpus",
          "tests/test_golden_cli.py::test_corpus_cli_output_unchanged"),
     ),
     Mutant(
@@ -138,8 +138,8 @@ MUTANTS = (
     ),
     Mutant(
         "no-store-write-back", "nitest.py",
-        "            outs[r + k] = store[slots[r + k]] = out\n",
-        "            outs[r + k] = out\n",
+        "                    store[s:s + w] = outs\n",
+        "                    pass\n",
         ("tests/test_nitest_buckets.py::test_one_interpreter_call_per_predicted_run",),
     ),
     Mutant(
@@ -169,7 +169,9 @@ MUTANTS = (
         "    for axis, size in reversed(src):\n",
         "    for axis, size in src:\n",
         ("tests/test_compiled_interp.py::test_operators_spread_over_the_union_of_their_axes",
-         "tests/test_compiled_interp.py::test_batches_agree_with_the_walk_over_a_fuel_sweep[ni-grid]"),
+         "tests/test_compiled_interp.py::test_batches_agree_with_the_walk_over_a_fuel_sweep[ni-grid]",
+         "tests/test_nitest_buckets.py::"
+         "test_interleaved_parameters_fill_the_store_per_environment[all]"),
     ),
     Mutant(
         "axis-union-unsorted", "interp.py",
@@ -201,6 +203,30 @@ MUTANTS = (
         ("tests/test_compiled_interp.py::test_batches_agree_with_the_walk_near_the_edges",
          "tests/test_nitest_buckets.py::test_splitting_costs_at_most_three_runs_per_environment",
          "tests/test_nitest_buckets.py::test_a_loop_splits_by_the_parameters_it_reads"),
+    ),
+    # the slot index through which a cell reads and fills the store
+    Mutant(
+        "slot-places-reversed", "nitest.py",
+        "        place = d ** (n - 1 - i)\n",
+        "        place = d ** i\n",
+        ("tests/test_nitest_buckets.py::"
+         "test_interleaved_parameters_fill_the_store_per_environment[all]",
+         "tests/test_nitest_buckets.py::"
+         "test_interleaved_parameters_fill_the_store_per_environment[L]"),
+    ),
+    Mutant(
+        "permuted-window-as-slice", "nitest.py",
+        "    consecutive = order[n - t:] == tuple(range(n - t, n))\n",
+        "    consecutive = True\n",
+        ("tests/test_nitest_buckets.py::"
+         "test_interleaved_parameters_fill_the_store_per_environment[L]",),
+    ),
+    Mutant(
+        "no-permuted-store-write-back", "nitest.py",
+        "                    _consume(map(store.__setitem__, window, outs))\n",
+        "                    pass\n",
+        ("tests/test_nitest_buckets.py::"
+         "test_interleaved_parameters_fill_the_store_per_environment[L]",),
     ),
     Mutant(
         "most-hidden-cell-first", "nitest.py",

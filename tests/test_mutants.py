@@ -1,12 +1,14 @@
 """The mutant catalogue (``tests/mutants.py``): each mutant's snippet occurs
-exactly once in its module and each of its killers exists, so an edit to
-an anchored line, or a renamed killer, fails here until the catalogue
-follows it.  With ``PERMFLOW_MUTANTS=1`` set, each mutant is also applied
-in a copy of the checkout and must fail every one of its killers.
+exactly once in its module and each of its killers is a node ID that
+pytest collects, parameters included, so an edit to an anchored line, or a
+renamed killer or parameter id, fails here until the catalogue follows it.
+With ``PERMFLOW_MUTANTS=1`` set, each mutant is also applied in a copy of
+the checkout and must fail every one of its killers.
 """
 
 import os
-import re
+import subprocess
+import sys
 
 import pytest
 
@@ -27,14 +29,24 @@ def test_each_snippet_occurs_once(mutant):
     assert mutant.replacement != mutant.snippet
 
 
+@pytest.fixture(scope="module")
+def collected():
+    """The node IDs that pytest collects from the killers' files, in one
+    ``--collect-only`` run."""
+    files = sorted({node.split("::")[0] for m in MUTANTS for node in m.killers})
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *files], cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return set(done.stdout.splitlines())
+
+
 @EACH
-def test_each_killer_exists(mutant):
+def test_each_killer_exists(mutant, collected):
     assert mutant.killers
     for node in mutant.killers:
-        path, name = node.split("::", 1)
-        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
-            text = fh.read()
-        assert re.search(rf"^def {re.escape(name.split('[')[0])}\(", text, re.M), node
+        assert node in collected, node
 
 
 if os.environ.get("PERMFLOW_MUTANTS") == "1":

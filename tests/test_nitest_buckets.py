@@ -14,7 +14,7 @@ environment) runs, batched or not.
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import islice, product
+from itertools import islice, permutations, product
 from math import prod
 
 import pytest
@@ -26,6 +26,7 @@ from permflow.nitest import nitest_system
 from permflow.parser import parse_system
 from permflow.system import validate_system
 
+from . import walker
 from .conftest import SEED
 from .pairwise import pairwise_cell
 from .progen import _Gen
@@ -177,6 +178,57 @@ def test_harness_runs_are_calls(monkeypatch, domain):
                 assert out == expected, (qname, args, perms, fuel)
     assert exhausted  # the fuel bound was reached, on both sides
     assert batched
+
+
+# Asymmetric values of two parameters, the observable and hidden parameters
+# declared interleaved.  Under the L observer a cell's names run a, b, h1,
+# h2, so its slot index is a true permutation of the declaration order and
+# its windows, grids over h1 and h2, are no slice of the store.  The H
+# cell's one grid over all four makes a - b a column over two axes, which
+# the grid spreads over four.
+INTERLEAVED = ("h1", "a", "h2", "b")
+ASYMMETRIC = "\n".join([
+    "lattice { levels L, H; order L < H; }",
+    "permissions { p }",
+    "app A perms {} {",
+    *(f"  fun f{k}(h1 : H, a : L, h2 : H, b : L) : L "
+      f"{{ init r = 0 in {{ r := {shape.format(x, y)}; return r }} }}"
+      for k, (shape, (x, y)) in enumerate(product(("{} - {}", "{} * 2 + {}"),
+                                                  permutations(INTERLEAVED, 2)))),
+    "}",
+]) + "\n"
+
+
+@pytest.mark.parametrize("observer", [None, "L"], ids=["all", "L"])
+def test_interleaved_parameters_fill_the_store_per_environment(monkeypatch, observer):
+    # Each outcome that a cell writes lands in its environment's slot, the
+    # mixed-radix index over the parameters in declaration order, and
+    # equals the walk of that environment; the cells equal the pairwise
+    # reference's.
+    csys = validate_system(parse_system(ASYMMETRIC))
+    observers = observer and (csys.lattice.level(observer),)
+    stores = {}  # function -> the store of its one permission class
+    real = nitest._test_cell
+
+    def recording(csys, qname, decl, gamma, perms, *rest):
+        stores[qname] = rest[-1]
+        return real(csys, qname, decl, gamma, perms, *rest)
+    domain = (0, 1, 2)
+    with monkeypatch.context() as m:
+        m.setattr(nitest, "_test_cell", recording)
+        cells, runs = _bucketed_matching_pairwise(monkeypatch, csys, observers=observers,
+                                                  domain=domain)
+    assert {c.verdict for c in cells} == {"ok", "violation"}
+    filled = 0
+    for qname, store in stores.items():
+        for args, out in zip(product(domain, repeat=4), store, strict=True):
+            if out is not None:
+                assert out == walker.call_function(csys, qname, list(args), 0), (qname, args)
+                filled += 1
+    assert filled == runs
+    # every environment under the H observer; under L, the leaking
+    # functions stop at their first bucket of 3^2
+    assert runs == (24 * 3 ** 4 if observer is None else 4 * 3 ** 4 + 20 * 3 ** 2)
 
 
 # The loop runs 4 - n times, so a bucket's first hidden valuations (n = 0)
