@@ -35,12 +35,13 @@ a cell that stops at a witness leaves the later buckets unrun.
 
 A cell reads and fills the store through its slot index: the store slot
 of each valuation of its parameters, observable then hidden, in bucket
-order, a tuple built once per parameter order.  A cell keeps no copy of
-the store: it reads one window of runs at a time, counts what the store
-lacks with one ``count(None)``, and writes a window's grid back as one
-slice when the window's slots are consecutive, and otherwise with one
-``map``.  A cell whose buckets hold one environment each reads every
-slot, so it counts its exhausted runs over the whole store at once.
+order, a tuple.  An index of at most ``_CACHED`` (4,096) slots is built
+once per parameter order and kept; a larger one lives for its cell only.
+A cell keeps no copy of the store: it reads one window of runs at a time,
+counts what the store lacks with one ``count(None)``, and writes a
+window's grid back with one ``map`` over the window's slots.  A cell whose
+buckets hold one environment each reads every slot, so it counts its
+exhausted runs over the whole store at once.
 
 The runs go in batches.  Runs go by windows of environments that differ
 only in their last parameters: a bucket, or, when buckets hold one
@@ -167,9 +168,9 @@ def _function_cells(csys, qname, observers, domain, fuel, pair_cap, strict):
 _EXHAUSTED = object()  # the outcome of a run that ran out of fuel
 _BATCH = 4096  # the widest window of one-environment buckets, unless d is wider
 _consume = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
+_CACHED = 4096  # the most slots of a slot index kept between cells
 
 
-@lru_cache(maxsize=16)
 def _slots(order, d):
     """The slot index of a parameter order, given as the parameters'
     positions: the store slot of each valuation of the parameters in that
@@ -182,6 +183,9 @@ def _slots(order, d):
         offsets = range(0, d * place, place)
         slots = [s + o for s in slots for o in offsets]
     return tuple(slots)
+
+
+_cached_slots = lru_cache(maxsize=16)(_slots)  # at most 16 * _CACHED slots
 
 
 def _valuation(names, domain, q):
@@ -314,19 +318,16 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
     # names: a bucket, or when buckets hold one environment each (m is 1,
     # so no bucket holds a witness), as many valuations as ``_BATCH``
     # allows.  A window whose runs the store lacks runs as one grid, and one
-    # that it holds in part runs the missing ones as one flat batch.  When
-    # the trailing names are the last parameters, in declaration order,
-    # each window is one slice of the store.
+    # that it holds in part runs the missing ones as one flat batch.
     m = d ** len(hidden)
     names = (*obs, *hidden)
     order = tuple(map(list(gamma).index, names))  # the names' positions
-    slots = _slots(order, d)
     n, t = len(names), len(hidden)
+    slots = (_cached_slots if d ** n <= _CACHED else _slots)(order, d)
     if m == 1:
         while t < n and d ** (t + 1) <= max(_BATCH, d):
             t += 1
     w = d ** t
-    consecutive = order[n - t:] == tuple(range(n - t, n))
     lead, trail = names[:n - t], names[n - t:]
     axes = tuple((i, d) for i in range(t))  # the trailing names' axes
     inputs = [Column(domain, (axis,)) for axis in axes]
@@ -338,23 +339,15 @@ def _test_cell(csys, qname, decl, gamma, perms, observer, domain, fuel, pair_cap
         """The outcomes of the window at r, in order, run where the store
         lacks them."""
         nonlocal ran
-        if consecutive:  # the window is one slice of the store
-            s = slots[r]
-            window = range(s, s + w)
-            outs = store[s:s + w]
-        else:
-            window = slots[r:r + w]
-            outs = list(map(store.__getitem__, window))
+        window = slots[r:r + w]
+        outs = list(map(store.__getitem__, window))
         missing = outs.count(None)
         if missing:
             ran += missing
             shared = _valuation(lead, domain, r // w)
             if missing == w:
                 outs = _grid(csys, decl, ctx, fuel, shared, trail, inputs, domain)
-                if consecutive:
-                    store[s:s + w] = outs
-                else:
-                    _consume(map(store.__setitem__, window, outs))
+                _consume(map(store.__setitem__, window, outs))
             else:
                 cols = _columns(t, tuple(domain))
                 todo = [([k for k, out in enumerate(outs) if out is None], True)]

@@ -138,9 +138,11 @@ MUTANTS = (
     ),
     Mutant(
         "no-store-write-back", "nitest.py",
-        "                    store[s:s + w] = outs\n",
-        "                    pass\n",
-        ("tests/test_nitest_buckets.py::test_one_interpreter_call_per_predicted_run",),
+        "                _consume(map(store.__setitem__, window, outs))\n",
+        "                pass\n",
+        ("tests/test_nitest_buckets.py::test_one_interpreter_call_per_predicted_run",
+         "tests/test_nitest_buckets.py::"
+         "test_interleaved_parameters_fill_the_store_per_environment[L]"),
     ),
     Mutant(
         "pairs-tested-one-short", "nitest.py",
@@ -215,18 +217,10 @@ MUTANTS = (
          "test_interleaved_parameters_fill_the_store_per_environment[L]"),
     ),
     Mutant(
-        "permuted-window-as-slice", "nitest.py",
-        "    consecutive = order[n - t:] == tuple(range(n - t, n))\n",
-        "    consecutive = True\n",
-        ("tests/test_nitest_buckets.py::"
-         "test_interleaved_parameters_fill_the_store_per_environment[L]",),
-    ),
-    Mutant(
-        "no-permuted-store-write-back", "nitest.py",
-        "                    _consume(map(store.__setitem__, window, outs))\n",
-        "                    pass\n",
-        ("tests/test_nitest_buckets.py::"
-         "test_interleaved_parameters_fill_the_store_per_environment[L]",),
+        "slot-cache-unbounded", "nitest.py",
+        "    slots = (_cached_slots if d ** n <= _CACHED else _slots)(order, d)\n",
+        "    slots = _cached_slots(order, d)\n",
+        ("tests/test_nitest_buckets.py::test_only_small_slot_indexes_outlive_their_cell[65-0]",),
     ),
     Mutant(
         "most-hidden-cell-first", "nitest.py",

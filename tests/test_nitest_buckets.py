@@ -231,6 +231,25 @@ def test_interleaved_parameters_fill_the_store_per_environment(monkeypatch, obse
     assert runs == (24 * 3 ** 4 if observer is None else 4 * 3 ** 4 + 20 * 3 ** 2)
 
 
+
+SWAPPED = """lattice { levels L, H; order L < H; }
+permissions { p }
+app A perms {} {
+  fun f(h : H, a : L) : L { init r = 0 in { r := a; return r } }
+}
+"""
+
+
+@pytest.mark.parametrize("d, kept", [(64, 2), (65, 0)])
+def test_only_small_slot_indexes_outlive_their_cell(d, kept):
+    # The H cell's parameter order is (h, a) and the L cell's (a, h): two
+    # slot indexes of d^2 slots, kept between cells up to 4,096 slots.
+    csys = validate_system(parse_system(SWAPPED))
+    nitest._cached_slots.cache_clear()
+    report = nitest_system(csys, domain=range(d))
+    assert report.ok and report.runs == d * d
+    assert nitest._cached_slots.cache_info().currsize == kept
+
 # The loop runs 4 - n times, so a bucket's first hidden valuations (n = 0)
 # cost the most fuel; x * h makes the output depend on h when x != 0.
 HIDDEN_LOOP = """lattice { levels L, H; order L < H; }
